@@ -50,16 +50,26 @@ class SessionError(Exception):
 
 class Session:
     def __init__(self, data: dict):
+        if not isinstance(data, dict):
+            raise SessionError("session must be a JSON object", EXIT_PARSE)
         self.cutoffs = {"max_degree": 8, "ad_cutoff": 8,
                         "vertex_bound": 64, "root_bound": 50}
-        self.cutoffs.update(data.get("cutoffs", {}))
+        for key, value in _object(data, "cutoffs").items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SessionError(f"cutoff {key!r} must be an integer, "
+                                   f"got {value!r}", EXIT_PARSE)
+            self.cutoffs[key] = value
         self.group = self._load_group(data)
         self.cocycle = self._load_cocycle(data)
         self.modules: dict[str, YDModule] = {}
-        for name, stanza in sorted(data.get("modules", {}).items()):
+        for name, stanza in sorted(_object(data, "modules").items()):
             self.modules[name] = self._load_module(name, stanza)
         self.tuples: dict[str, ModuleTuple] = {}
-        for name, entries in sorted(data.get("tuples", {}).items()):
+        for name, entries in sorted(_object(data, "tuples").items()):
+            if (not isinstance(entries, list)
+                    or not all(isinstance(e, str) for e in entries)):
+                raise SessionError(f"tuple {name!r} must be a list of module "
+                                   f"names", EXIT_PARSE)
             try:
                 mods = [self.modules[e] for e in entries]
             except KeyError as exc:
@@ -147,6 +157,13 @@ class Session:
         return lines
 
 
+def _object(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise SessionError(f"{key!r} must be a JSON object", EXIT_PARSE)
+    return value
+
+
 def _flatten(nested):
     out = []
     stack = [nested]
@@ -193,7 +210,6 @@ def cmd_validate(session: Session, args) -> str:
 def cmd_nichols(session: Session, args) -> str:
     target = session.resolve(args.name)
     trunc = nichols_truncate(target, args.max_degree)
-    trunc.prefetch()
     lines = [f"graded dimensions of B({args.name}) up to degree {args.max_degree}"]
     if args.json:
         payload = {
@@ -287,7 +303,8 @@ def cmd_graph(session: Session, args) -> str:
 
 def cmd_roots(session: Session, args) -> str:
     graph = _graph_for(session, args.tuple)
-    bound = args.bound or session.cutoffs["root_bound"]
+    bound = (args.bound if args.bound is not None
+             else session.cutoffs["root_bound"])
     lines = [f"real roots of {args.tuple} (coordinate bound {bound})"]
     for v in graph.vertices:
         roots, truncated = real_roots(graph, v.vid, bound)
@@ -333,6 +350,18 @@ def _golden_name(args) -> str:
     return "_".join(parts) + ".txt"
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ydweyl",
@@ -347,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate")
     p = sub.add_parser("nichols")
     p.add_argument("name")
-    p.add_argument("--max-degree", type=int, default=4, dest="max_degree")
+    p.add_argument("--max-degree", type=_int_at_least(0), default=4,
+                   dest="max_degree")
     p.add_argument("--json", action="store_true")
     p = sub.add_parser("ad")
     p.add_argument("tuple")
@@ -362,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tuple")
     p = sub.add_parser("roots")
     p.add_argument("tuple")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_int_at_least(1), default=None)
     p = sub.add_parser("certify")
     p.add_argument("tuple")
     return parser

@@ -520,11 +520,6 @@ def nullspace(rows: Matrix, ncols: int) -> Matrix:
     return basis
 
 
-def mat_vec(mat: Matrix, vec) -> list:
-    return [sum((a * x for a, x in zip(row, vec) if not a.is_zero()), _ZERO)
-            for row in mat]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     nb = len(b[0]) if b else 0
     out = []
@@ -543,10 +538,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n: int, m: int) -> Matrix:
-    return [[_ZERO] * m for _ in range(n)]
 
 
 def det(mat: Matrix) -> CycScalar:

@@ -28,7 +28,10 @@ Word = tuple  # tuple[(slot, basis_index), ...]
 
 
 class GradedVector:
-    """Finitely supported map Word -> CycScalar; no zero coefficients stored."""
+    """Finitely supported map key -> CycScalar; no zero coefficients stored.
+
+    Keys are words, or (word, word) pairs for the components of Delta.
+    """
 
     __slots__ = ("terms",)
 
@@ -93,56 +96,8 @@ class GradedVector:
             return False
         return all(c == other.terms[w] for w, c in self.terms.items())
 
-    def by_length(self) -> dict:
-        """Homogeneous components keyed by word length."""
-        out: dict = {}
-        for w, c in self.terms.items():
-            out.setdefault(len(w), GradedVector()).add_term(w, c)
-        return out
-
-    def by_degree(self, ctx: "WordAlgebra") -> dict:
-        """Homogeneous components keyed by G-degree (needs the slot context)."""
-        out: dict = {}
-        for w, c in self.terms.items():
-            out.setdefault(ctx.word_degree(w), GradedVector()).add_term(w, c)
-        return out
-
     def __repr__(self):
         return f"GradedVector({self.terms!r})"
-
-
-class PairVector:
-    """Finitely supported map (Word, Word) -> CycScalar, for Delta components."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict = dict(terms or {})
-
-    def add_term(self, pair, coeff):
-        if coeff.is_zero():
-            return
-        cur = self.terms.get(pair)
-        if cur is None:
-            self.terms[pair] = coeff
-        else:
-            s = cur + coeff
-            if s.is_zero():
-                del self.terms[pair]
-            else:
-                self.terms[pair] = s
-
-    def items(self):
-        return self.terms.items()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = PairVector(self.terms)
-        for p, c in other.terms.items():
-            out.add_term(p, c)
-        return out
 
 
 class WordAlgebra:
@@ -285,18 +240,7 @@ class WordAlgebra:
                 out.add_term(w2, c * c2)
         return out
 
-    def braid_words(self, u: Word, v: Word) -> GradedVector:
-        """c(u (x) v) = (deg u |> v) (x) u, as words of the concatenation."""
-        out = GradedVector()
-        for w, c in self.act(self.word_degree(u), v).items():
-            out.add_term(w + u, c)
-        return out
-
     # ---- multiplication --------------------------------------------------
-
-    def mult_words(self, u: Word, v: Word) -> GradedVector:
-        """Product in T(V): concatenation times the flattening scalar."""
-        return GradedVector.from_word(u + v, self.flatten_scalar(u, v))
 
     def mult(self, a: GradedVector, b: GradedVector) -> GradedVector:
         out = GradedVector()
@@ -305,7 +249,7 @@ class WordAlgebra:
                 out.add_term(u + v, cu * cv * self.flatten_scalar(u, v))
         return out
 
-    def pair_mult_terms(self, a: Word, b: Word, c: Word, d: Word) -> PairVector:
+    def pair_mult_terms(self, a: Word, b: Word, c: Word, d: Word) -> GradedVector:
         """Product ((a (x) b)) * ((c (x) d)) in T(V) (x)bar T(V).
 
         Route: rebracket to isolate (b (x) c), braid it, rebracket to the
@@ -320,7 +264,7 @@ class WordAlgebra:
         s = s / phi.value(da, db, g.mul(dc, dd))
         # (B.(C.D)) -> ((B.C).D): Phi(db, dc, dd)
         s = s * phi.value(db, dc, dd)
-        out = PairVector()
+        out = GradedVector()
         braided = self.act(db, c)
         dc2 = g.conj(db, dc)
         # (A.((C'.B).D)) -> (A.(C'.(B.D))): Phi(dc2, db, dd)^-1
@@ -333,17 +277,9 @@ class WordAlgebra:
             out.add_term((a + cw, b + d), coeff)
         return out
 
-    def pair_mult(self, x: PairVector, y: PairVector) -> PairVector:
-        out = PairVector()
-        for (a, b), cab in x.items():
-            for (c, d), ccd in y.items():
-                for pair, coeff in self.pair_mult_terms(a, b, c, d).items():
-                    out.add_term(pair, cab * ccd * coeff)
-        return out
-
     # ---- coproduct components ---------------------------------------------
 
-    def delta_component(self, word: Word, i: int, j: int) -> PairVector:
+    def delta_component(self, word: Word, i: int, j: int) -> GradedVector:
         """The (i, j) component of Delta(word); requires i + j = len(word)."""
         n = len(word)
         if i < 0 or j < 0 or i + j != n:
@@ -353,10 +289,10 @@ class WordAlgebra:
         if cached is not None:
             return cached
         if n == 0:
-            out = PairVector({((), ()): _ONE})
+            out = GradedVector({((), ()): _ONE})
         else:
             prefix, last = word[:-1], word[-1:]
-            out = PairVector()
+            out = GradedVector()
             if i > 0:
                 for (a, b), c in self.delta_component(prefix, i - 1, j).items():
                     for pair, s in self.pair_mult_terms(a, b, last, ()).items():

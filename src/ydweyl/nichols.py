@@ -1,23 +1,26 @@
 """Nichols algebra truncations: B(V) = T(V)/I(V) degree by degree.
 
-The degree-n piece of the defining ideal is ker(Delta_{1^n}); kernels and
-echelonized quotient bases are computed blockwise per Z^theta multidegree
-(the fully split coproduct preserves the count of letters per slot), with
-exact Gaussian elimination.  Words are enumerated in length-lexicographic
-order over (slot, index) letters, so all outputs are reproducible
-bit-for-bit.
+The degree-n piece of the defining ideal is ker(Delta_{1^n}).  Everything is
+computed blockwise per Z^theta multidegree (the fully split coproduct
+preserves the count of letters per slot) from one exact elimination: the RREF
+of the Delta_{1^n} matrix of the block, with its word columns in reverse
+order.  A word lies in the ideal plus the span of the words after it exactly
+when its Delta column depends on the columns after it, so the pivot columns
+of that RREF are the quotient words: the words left over once each
+relation's leading word is eliminated.  The RREF rows R express every Delta
+column in the pivot columns, so the normal form (the unique coset
+representative supported on quotient words) is NF(x) = sum_q (R x)_q q.
+Words are enumerated in length-lexicographic order over (slot, index)
+letters, so all outputs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import product
 
 from .cyclo import CycScalar, nullspace, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
-
-_ONE = CycScalar.one()
 
 
 def _compositions(total: int, parts: int):
@@ -31,16 +34,14 @@ def _compositions(total: int, parts: int):
 
 
 class _Block:
-    __slots__ = ("words", "index", "ideal", "pivots", "quotient_words")
+    __slots__ = ("words", "index", "quotient_words", "rows")
 
-    def __init__(self, words, ideal, pivots):
+    def __init__(self, words, index, quotient_words, rows):
         self.words = words
-        self.index = {w: k for k, w in enumerate(words)}
-        self.ideal = ideal            # RREF rows over `words` coordinates
-        self.pivots = pivots          # pivot positions into `words`
-        pivot_set = set(pivots)
-        self.quotient_words = [w for k, w in enumerate(words)
-                               if k not in pivot_set]
+        self.index = index
+        self.quotient_words = quotient_words
+        # rows[k][index[w]]: coefficient of quotient_words[k] in NF(w)
+        self.rows = rows
 
 
 class NicholsTruncation:
@@ -51,14 +52,13 @@ class NicholsTruncation:
     never pay for the rest.
     """
 
-    def __init__(self, modules, max_degree: int, workers: int | None = None):
+    def __init__(self, modules, max_degree: int):
         if max_degree < 0:
             raise ValidationError("max_degree must be >= 0")
         self.ctx = WordAlgebra(modules)
         self.max_degree = max_degree
         self.theta = self.ctx.theta
         self._blocks: dict[tuple, _Block] = {}
-        self._workers = workers if workers is not None else _env_workers()
 
     # ---- block construction ---------------------------------------------
 
@@ -80,45 +80,22 @@ class NicholsTruncation:
         if blk is not None:
             return blk
         words = self.words_of_multidegree(md)
-        n = sum(md)
-        if n <= 1:
-            blk = _Block(words, [], [])
-        else:
-            index = {w: k for k, w in enumerate(words)}
-            rows = [[CycScalar.zero()] * len(words) for _ in words]
-            for col, w in enumerate(words):
-                for tw, c in self.ctx.delta_1n(w).items():
-                    rows[index[tw]][col] = c
-            kernel = nullspace(rows, len(words))
-            ideal, pivots = rref(kernel)
-            blk = _Block(words, ideal, pivots)
+        index = {w: k for k, w in enumerate(words)}
+        last = len(words) - 1
+        # Column last - k holds Delta_{1^n}(words[k]).
+        delta = [[CycScalar.zero()] * len(words) for _ in words]
+        for k, w in enumerate(words):
+            for tw, c in self.ctx.delta_1n(w).items():
+                delta[index[tw]][last - k] = c
+        reduced, pivots = rref(delta)
+        blk = _Block(words, index,
+                     [words[last - p] for p in reversed(pivots)],
+                     [row[::-1] for row in reversed(reduced)])
         self._blocks[md] = blk
         return blk
 
     def multidegrees(self, n: int):
         return list(_compositions(n, self.theta))
-
-    def prefetch(self, degrees=None):
-        """Materialize all blocks for the given total degrees (default: all).
-
-        Per-multidegree kernels are independent; with YDWEYL_WORKERS > 1 (or
-        an explicit workers count) they are computed in a process pool and
-        merged into this truncation.
-        """
-        if degrees is None:
-            degrees = range(self.max_degree + 1)
-        todo = [md for n in degrees for md in self.multidegrees(n)
-                if md not in self._blocks]
-        if self._workers <= 1 or len(todo) <= 1:
-            for md in todo:
-                self.block(md)
-            return
-        from concurrent.futures import ProcessPoolExecutor
-        payload = (self.ctx.modules, self.max_degree)
-        with ProcessPoolExecutor(max_workers=self._workers) as pool:
-            for md, words, ideal, pivots in pool.map(
-                    _build_block_remote, [(payload, md) for md in todo]):
-                self._blocks[md] = _Block(words, ideal, pivots)
 
     # ---- dimensions -------------------------------------------------------
 
@@ -126,7 +103,8 @@ class NicholsTruncation:
         return len(self.block(md).quotient_words)
 
     def ideal_dim_multidegree(self, md) -> int:
-        return len(self.block(md).ideal)
+        blk = self.block(md)
+        return len(blk.words) - len(blk.quotient_words)
 
     def graded_dim(self, n: int) -> int:
         if n == 0:
@@ -155,16 +133,13 @@ class NicholsTruncation:
         out = GradedVector()
         for md, terms in by_md.items():
             blk = self.block(md)
-            coords = [CycScalar.zero()] * len(blk.words)
-            for w, c in terms.items():
-                coords[blk.index[w]] = c
-            for row, p in zip(blk.ideal, blk.pivots):
-                c = coords[p]
-                if not c.is_zero():
-                    coords = [x - c * y for x, y in zip(coords, row)]
-            for k, c in enumerate(coords):
-                if not c.is_zero():
-                    out.add_term(blk.words[k], c)
+            cols = [(blk.index[w], c) for w, c in terms.items()]
+            for q, row in zip(blk.quotient_words, blk.rows):
+                total = CycScalar.zero()
+                for k, c in cols:
+                    if not row[k].is_zero():
+                        total = total + row[k] * c
+                out.add_term(q, total)
         return out
 
     def is_in_ideal(self, vec: GradedVector) -> bool:
@@ -200,11 +175,12 @@ class NicholsTruncation:
         """Delta_{i,n-i} maps the degree-n ideal into ideal(x)T + T(x)ideal."""
         for md in self.multidegrees(n):
             blk = self.block(md)
-            for row in blk.ideal:
-                vec = GradedVector()
-                for k, c in enumerate(row):
-                    if not c.is_zero():
-                        vec.add_term(blk.words[k], c)
+            quotient = set(blk.quotient_words)
+            for w in blk.words:
+                if w in quotient:
+                    continue
+                vec = GradedVector.from_word(w) - self.normal_form(
+                    GradedVector.from_word(w))
                 for i in range(1, n):
                     if self.delta_on_quotient(vec, i, n - i):
                         return False
@@ -236,28 +212,6 @@ class NicholsTruncation:
         return total
 
 
-def nichols_truncate(V, max_degree: int, workers: int | None = None) -> NicholsTruncation:
+def nichols_truncate(V, max_degree: int) -> NicholsTruncation:
     """Truncation of the Nichols algebra of a module, tuple, or slot list."""
-    return NicholsTruncation(V, max_degree, workers=workers)
-
-
-def normal_form(vec: GradedVector, trunc: NicholsTruncation) -> GradedVector:
-    return trunc.normal_form(vec)
-
-
-def support(trunc: NicholsTruncation) -> set:
-    return trunc.support()
-
-
-def _env_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("YDWEYL_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _build_block_remote(job):
-    (modules, max_degree), md = job
-    trunc = NicholsTruncation(modules, max_degree, workers=1)
-    blk = trunc.block(md)
-    return md, blk.words, blk.ideal, blk.pivots
+    return NicholsTruncation(V, max_degree)

@@ -226,39 +226,6 @@ def generator_morphism(graph: SemiCartanGraph, i: int, vid: int) -> GroupoidMorp
     return GroupoidMorphism(graph.r(i, vid), _s_matrix(graph.cartan(vid), i), vid)
 
 
-def morphisms_into(graph: SemiCartanGraph, vid: int, bound: int):
-    """BFS closure of groupoid morphisms with target vid.
-
-    Returns (morphisms, truncated).  The search aborts as soon as a matrix
-    entry exceeds bound * theta: the truncation flag is the result then, and
-    the returned morphism list is partial.  This both bounds the state space
-    (guaranteeing termination on infinite groupoids) and keeps truncated
-    searches cheap.
-    """
-    theta = graph.theta
-    ident = tuple(tuple(1 if r == c else 0 for c in range(theta))
-                  for r in range(theta))
-    start = GroupoidMorphism(vid, ident, vid)
-    seen = {(start.source, start.matrix)}
-    frontier = [start]
-    out = [start]
-    while frontier:
-        new = []
-        for mor in frontier:
-            for i in range(theta):
-                extended = mor.compose(
-                    generator_morphism(graph, i, graph.r(i, mor.source)))
-                if max(abs(x) for row in extended.matrix for x in row) > bound * theta:
-                    return out, True
-                state = (extended.source, extended.matrix)
-                if state not in seen:
-                    seen.add(state)
-                    new.append(extended)
-                    out.append(extended)
-        frontier = new
-    return out, False
-
-
 def real_roots(graph: SemiCartanGraph, vid: int,
                bound: int = DEFAULT_ROOT_BOUND) -> tuple[list, bool]:
     """Real roots at a vertex: images of simple roots under morphisms into it.

@@ -68,6 +68,10 @@ class YDModule:
         self.cocycle = cocycle
         self.degrees = tuple(int(d) for d in degrees)
         self.dim = len(self.degrees)
+        for d in self.degrees:
+            if not 0 <= d < group.order:
+                raise ValidationError(f"degree {d} is not an element of the "
+                                      f"group of order {group.order}")
         if self.dim == 0:
             raise ValidationError("modules must be nonzero")
         self.action = {int(g): tuple(tuple(m[i][j] for j in range(self.dim))
@@ -78,6 +82,9 @@ class YDModule:
         self.name = name
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"{name or 'v'}{i + 1}" for i in range(self.dim))
+        # Memos for dual() and module_canonical_key(): modules are immutable.
+        self._dual = None
+        self._key = None
 
     def act_matrix(self, g: int):
         return self.action[g]
@@ -221,9 +228,6 @@ def braiding_matrix(V: YDModule, W: YDModule):
     return mat
 
 
-_DUAL_CACHE: dict = {}
-
-
 def dual(V: YDModule) -> YDModule:
     """Left dual with deg(f_j) = deg(v_j)^-1 and the contragredient twist.
 
@@ -232,9 +236,8 @@ def dual(V: YDModule) -> YDModule:
     an invalid twist is reported, never returned.  Modules are immutable, so
     the result is cached per instance.
     """
-    cached = _DUAL_CACHE.get(id(V))
-    if cached is not None and cached[0] is V:
-        return cached[1]
+    if V._dual is not None:
+        return V._dual
     G, phi = V.group, V.cocycle
     degrees = [G.inv(d) for d in V.degrees]
     action = {}
@@ -257,7 +260,7 @@ def dual(V: YDModule) -> YDModule:
     report = yd_axiom_check(W)
     if not report:
         raise ValidationError(f"dual twist failed validation: {report.summary()}")
-    _DUAL_CACHE[id(V)] = (V, W)
+    V._dual = W
     return W
 
 
@@ -363,24 +366,20 @@ def tuple_iso(M: ModuleTuple, N: ModuleTuple) -> bool:
     return all(iso_test(a, b) is not None for a, b in zip(M, N))
 
 
-_KEY_CACHE: dict = {}
-
-
 def module_canonical_key(V: YDModule) -> tuple:
     """Cheap iso-invariant fingerprint: dim, degree multiset, action traces.
 
     Collisions are possible; confirm with iso_test before trusting a match.
     """
-    cached = _KEY_CACHE.get(id(V))
-    if cached is not None and cached[0] is V:
-        return cached[1]
+    if V._key is not None:
+        return V._key
     traces = []
     for g in V.group.elements():
         m = V.act_matrix(g)
         tr = sum((m[i][i] for i in range(V.dim)), _ZERO)
         traces.append(str(tr))
     key = (V.dim, tuple(sorted(V.degrees)), tuple(traces))
-    _KEY_CACHE[id(V)] = (V, key)
+    V._key = key
     return key
 
 

@@ -101,6 +101,32 @@ def kernel_rref(ctx: WordAlgebra, words, image_fn):
     return [[str(x) for x in row] for row in reduced]
 
 
+def check_against_symmetrizer(trunc, n: int):
+    """Assert a truncation's degree-n data against the symmetrizer oracle.
+
+    ker Delta_{1^n} equals the symmetrizer kernel; the quotient words of the
+    blocks are the words at the non-pivot columns of that kernel's RREF; and
+    the symmetrizer kills w - NF(w) for every word w.
+    """
+    ctx = trunc.ctx
+    words = list(product(ctx.letters, repeat=n))
+    sym = {w: symmetrizer(ctx, w) for w in words}
+    oracle = kernel_rref(ctx, words, sym.__getitem__)
+    assert kernel_rref(ctx, words, ctx.delta_1n) == oracle, n
+    pivots = {next(k for k, x in enumerate(row) if x != "0") for row in oracle}
+    quotient = {w for md in trunc.multidegrees(n)
+                for w in trunc.block(md).quotient_words}
+    assert quotient == {w for k, w in enumerate(words) if k not in pivots}, n
+    for w in words:
+        rel = (GradedVector.from_word(w)
+               - trunc.normal_form(GradedVector.from_word(w)))
+        image = GradedVector()
+        for u, c in rel.items():
+            for v, d in sym[u].items():
+                image.add_term(v, c * d)
+        assert image.is_zero(), (n, w)
+
+
 def oracle_ideal_rref(ctx: WordAlgebra, n: int):
     words = list(product(ctx.letters, repeat=n))
     return words, kernel_rref(ctx, words, lambda w: symmetrizer(ctx, w))

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from ydweyl.cli import main
 
 SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.json")
@@ -8,7 +10,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:    # argparse rejects flags this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -211,3 +216,37 @@ def test_exit_code_resource_bound(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "--session", str(path), "graph", "W")
     assert code == 5 and "vertex bound" in err
+
+
+def _edited(**changes):
+    with open(SESSION) as fh:
+        data = json.load(fh)
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data, argv, code, prefix", [
+    (_edited(cutoffs={"ad_cutoff": "x"}), ["validate"], 2,
+     "cutoff 'ad_cutoff' must be an integer"),
+    (_edited(cutoffs={"root_bound": True}), ["validate"], 2,
+     "cutoff 'root_bound' must be an integer"),
+    (_edited(modules=[{"preset": "W1"}]), ["validate"], 2,
+     "'modules' must be a JSON object"),
+    (_edited(tuples=["W1"]), ["validate"], 2,
+     "'tuples' must be a JSON object"),
+    ([_edited()], ["validate"], 2, "session must be a JSON object"),
+    (_edited(tuples={"T": "W1W2"}), ["validate"], 2,
+     "tuple 'T' must be a list of module names"),
+    (_edited(modules={"M": {"degrees": [8],
+                            "action": {str(g): [["1"]] for g in range(8)}}}),
+     ["validate"], 3,
+     "module 'M': degree 8 is not an element of the group"),
+    (_edited(), ["nichols", "W1", "--max-degree", "-1"], 2, "usage:"),
+    (_edited(), ["roots", "W12", "--bound", "0"], 2, "usage:"),
+])
+def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(data))
+    got, out, err = run(capsys, "--session", str(path), *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix)

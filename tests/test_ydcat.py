@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
@@ -6,8 +8,9 @@ from ydweyl.cyclo import CycScalar, det, identity_matrix, mat_mul
 from ydweyl.errors import ValidationError
 from ydweyl.groupdata import make_abelian_group, sign_cocycle
 from ydweyl.ydcat import (ModuleTuple, YDModule, associator_scalar,
-                          braiding_matrix, dual, iso_test, preset_module,
-                          tensor, trivial_module, tuple_iso, yd_axiom_check)
+                          braiding_matrix, dual, iso_test,
+                          module_canonical_key, preset_module, tensor,
+                          trivial_module, tuple_iso, yd_axiom_check)
 
 
 def test_w1_action_table_matches_source(z2cubed, w_presets):
@@ -117,6 +120,19 @@ def test_duals_selfdual_and_validated(z2cubed, w_presets):
 def test_double_dual(w_presets):
     for mod in w_presets.values():
         assert iso_test(dual(dual(mod)), mod) is not None
+
+
+def test_memoized_module_is_freed(z2cubed):
+    # dual() and module_canonical_key() memoize per module; a dropped module
+    # must not stay alive through them.
+    group, phi = z2cubed
+    mod = preset_module("W1", group, phi)
+    assert dual(mod) is dual(mod)
+    assert module_canonical_key(mod) is module_canonical_key(mod)
+    ref = weakref.ref(mod)
+    del mod
+    gc.collect()
+    assert ref() is None
 
 
 def test_iso_test_identity_and_classes(w_presets):
