@@ -42,6 +42,12 @@ EXIT_UNDECIDED = 4
 EXIT_RESOURCE = 5
 
 
+# Smallest accepted value of each session cutoff, matching the CLI flags
+# (--max-degree >= 0, --bound >= 1).
+CUTOFF_MINIMA = {"max_degree": 0, "ad_cutoff": 0, "vertex_bound": 1,
+                 "root_bound": 1}
+
+
 class SessionError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
@@ -55,9 +61,16 @@ class Session:
         self.cutoffs = {"max_degree": 8, "ad_cutoff": 8,
                         "vertex_bound": 64, "root_bound": 50}
         for key, value in _object(data, "cutoffs").items():
+            if key not in CUTOFF_MINIMA:
+                raise SessionError(f"unknown cutoff {key!r}; expected one of "
+                                   f"{', '.join(CUTOFF_MINIMA)}", EXIT_PARSE)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SessionError(f"cutoff {key!r} must be an integer, "
                                    f"got {value!r}", EXIT_PARSE)
+            if value < CUTOFF_MINIMA[key]:
+                raise SessionError(f"cutoff {key!r} must be >= "
+                                   f"{CUTOFF_MINIMA[key]}, got {value}",
+                                   EXIT_PARSE)
             self.cutoffs[key] = value
         self.group = self._load_group(data)
         self.cocycle = self._load_cocycle(data)

@@ -100,8 +100,8 @@ class CycScalar:
 
     Instances are immutable; all operations return new scalars.  Mixed
     conductors are promoted to the lcm.  Not hashable: equality crosses
-    conductors, so use the canonical string (``str(x)``) as a dict key when
-    one is needed.
+    conductors, so use ``x.canonical_key()`` as a dict key when one is
+    needed.  ``str(x)`` is not canonical: it prints the stored conductor.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -156,12 +156,6 @@ class CycScalar:
         if self.conductor == 1:
             return not self.coeffs[0]
         return all(c == 0 for c in self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 1
-
-    def is_rational(self) -> bool:
-        return self.conductor == 1
 
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
@@ -218,6 +212,23 @@ class CycScalar:
         for r, p in zip(reduced, pivots):
             sol[p] = r[ncols].rational_value()
         return CycScalar(d, sol)
+
+    def canonical_key(self) -> tuple:
+        """Hashable encoding that equal values share: (d, coeffs) in Q(zeta_d).
+
+        Only rational values are stored at their minimal conductor, so
+        zeta(8)^2 keeps conductor 8 while the equal zeta(4) has 4.  The key
+        uses the smallest divisor d of the conductor with the value in
+        Q(zeta_d); that d is unique because Q(zeta_a) and Q(zeta_b) meet in
+        Q(zeta_gcd(a, b)).
+        """
+        n = self.conductor
+        for d in range(1, n):
+            if n % d == 0:
+                low = self.try_demote(d)
+                if low is not None:
+                    return low.conductor, low.coeffs
+        return n, self.coeffs
 
     # ---- arithmetic ---------------------------------------------------
 

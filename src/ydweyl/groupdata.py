@@ -178,9 +178,6 @@ class Cocycle3:
             self._caches = caches
         return caches.setdefault(name, {})
 
-    def is_trivial(self) -> bool:
-        return all(v == _ONE for v in self._table)
-
     @classmethod
     def from_function(cls, group: Group, fn) -> "Cocycle3":
         n = group.order

@@ -142,9 +142,6 @@ class NicholsTruncation:
                 out.add_term(q, total)
         return out
 
-    def is_in_ideal(self, vec: GradedVector) -> bool:
-        return self.normal_form(vec).is_zero()
-
     # ---- coproduct on the quotient -----------------------------------------
 
     def delta_on_quotient(self, vec: GradedVector, i: int, j: int):

@@ -19,7 +19,8 @@ from .cyclo import CycScalar, coords_in_rref, rref
 from .errors import UndecidedAtCutoff, ValidationError
 from .freebraid import GradedVector
 from .nichols import NicholsTruncation, nichols_truncate
-from .ydcat import ModuleTuple, YDModule, dual, yd_axiom_check
+from .ydcat import (ModuleTuple, YDModule, dual, module_canonical_key,
+                    yd_axiom_check)
 
 _ONE = CycScalar.one()
 _ZERO = CycScalar.zero()
@@ -182,38 +183,62 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
             return result
 
 
+class PairCache:
+    """Top ad level per ordered pair of module iso classes.
+
+    top(M, i, j) returns (m, module) for ad(M_i)^n(M_j): the top
+    nonvanishing power m and the module at that level.  Entries are keyed
+    by the complete iso keys of M_i and M_j, so each pair of classes is
+    computed once, in the truncation of B(M_lo (+) M_hi) with the lower of
+    slots i, j first.  That truncation holds the same blocks, in the same
+    word order, as B(M) does in the multidegrees of the two slots.
+    """
+
+    def __init__(self, cutoff: int = DEFAULT_AD_CUTOFF,
+                 max_degree: int | None = None):
+        self.cutoff = cutoff
+        self.max_degree = (min(DEFAULT_TRUNCATION_DEGREE, cutoff + 1)
+                           if max_degree is None else max_degree)
+        self._entries: dict = {}
+
+    def top(self, M: ModuleTuple, i: int, j: int) -> tuple:
+        key = (module_canonical_key(M[i]), module_canonical_key(M[j]))
+        entry = self._entries.get(key)
+        if entry is None:
+            lo, hi = sorted((i, j))
+            pair = ModuleTuple([M[lo], M[hi]])
+            levels = ad_power_module(pair, int(i > j), int(j > i),
+                                     cutoff=self.cutoff,
+                                     trunc=nichols_truncate(pair, self.max_degree))
+            if levels.undecided:
+                raise UndecidedAtCutoff(
+                    f"ad-power of ({M[i].name},{M[j].name}) undecided at "
+                    f"cutoff {self.cutoff}")
+            entry = self._entries[key] = (levels.m, levels.top_module())
+        return entry
+
+
 def cartan_entry(M: ModuleTuple, i: int, j: int,
                  cutoff: int = DEFAULT_AD_CUTOFF,
-                 trunc: NicholsTruncation | None = None) -> int:
+                 pairs: PairCache | None = None) -> int:
     if i == j:
         return 2
-    levels = ad_power_module(M, i, j, cutoff=cutoff, trunc=trunc)
-    if levels.undecided:
-        raise UndecidedAtCutoff(
-            f"Cartan entry a[{i}][{j}] undecided at ad cutoff {cutoff}")
-    return -levels.m
+    return -(pairs or PairCache(cutoff)).top(M, i, j)[0]
 
 
 def cartan_matrix(M: ModuleTuple, cutoff: int = DEFAULT_AD_CUTOFF,
-                  trunc: NicholsTruncation | None = None) -> list:
-    theta = M.theta
-    return [[cartan_entry(M, i, j, cutoff=cutoff, trunc=trunc)
-             for j in range(theta)] for i in range(theta)]
+                  pairs: PairCache | None = None) -> list:
+    pairs = pairs or PairCache(cutoff)
+    return [[cartan_entry(M, i, j, pairs=pairs) for j in range(M.theta)]
+            for i in range(M.theta)]
 
 
 def reflect(M: ModuleTuple, i: int, cutoff: int = DEFAULT_AD_CUTOFF,
-            trunc: NicholsTruncation | None = None) -> ModuleTuple:
+            pairs: PairCache | None = None) -> ModuleTuple:
     """R_i(M): dual at slot i, top nonvanishing ad level elsewhere."""
-    entries = []
-    for j in range(M.theta):
-        if j == i:
-            entries.append(dual(M[i]))
-        else:
-            levels = ad_power_module(M, i, j, cutoff=cutoff, trunc=trunc)
-            top = levels.top_module()
-            top.name = f"R{i + 1}({M[i].name},{M[j].name})"
-            entries.append(top)
-    return ModuleTuple(entries)
+    pairs = pairs or PairCache(cutoff)
+    return ModuleTuple([dual(M[i]) if j == i else pairs.top(M, i, j)[1]
+                        for j in range(M.theta)])
 
 
 def coinvariant_dims(trunc: NicholsTruncation, coinv_slots, max_total: int) -> dict:

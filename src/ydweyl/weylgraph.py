@@ -1,10 +1,11 @@
 """Semi-Cartan graphs, Weyl groupoids, real roots and finiteness criteria.
 
 Vertices are isomorphism classes of module tuples, discovered by BFS over
-reflection sequences with iso-class memoization: cheap invariant keys prune,
-exact intertwiner tests decide.  Reflections of isomorphic pairs agree up to
-isomorphism, so the expensive ad-level computations are cached per pair
-class and only the degree bookkeeping runs per vertex.
+reflection sequences.  A tuple's class is the tuple of its modules' complete
+iso keys (twisted-double characters, see ydcat.module_canonical_key), so
+closing the graph is dict lookups.  Reflections of isomorphic pairs agree up
+to isomorphism, so the ad-level computations run once per pair class
+(reflect.PairCache) and only the degree bookkeeping runs per vertex.
 
 Finiteness of the real root system is semi-decided with an explicit
 coordinate bound; for standard graphs the finite-Cartan-type classifier
@@ -17,12 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ResourceBoundError, UndecidedAtCutoff, ValidationError
+from .errors import ResourceBoundError, ValidationError
 from .groupdata import Report
-from .nichols import nichols_truncate
 from .reflect import (DEFAULT_AD_CUTOFF, DEFAULT_TRUNCATION_DEGREE,
-                      ad_power_module)
-from .ydcat import ModuleTuple, dual, iso_test, module_canonical_key
+                      PairCache, cartan_matrix, reflect)
+from .ydcat import ModuleTuple, module_canonical_key
 
 DEFAULT_VERTEX_BOUND = 64
 DEFAULT_ROOT_BOUND = 50
@@ -55,55 +55,24 @@ class SemiCartanGraph:
         return ",".join(self.vertices[vid].tuple_.degree_names())
 
 
-class _PairCache:
-    """Reflection data per iso class of an ordered module pair."""
-
-    def __init__(self, ad_cutoff: int, max_degree: int):
-        self.ad_cutoff = ad_cutoff
-        self.max_degree = max_degree
-        self._entries: dict = {}
-
-    def lookup(self, a, b):
-        key = (module_canonical_key(a), module_canonical_key(b))
-        for cand_a, cand_b, m, top in self._entries.get(key, ()):
-            if iso_test(a, cand_a) is not None and iso_test(b, cand_b) is not None:
-                return m, top
-        pair = ModuleTuple([a, b])
-        trunc = nichols_truncate(pair, self.max_degree)
-        levels = ad_power_module(pair, 0, 1, cutoff=self.ad_cutoff, trunc=trunc)
-        if levels.undecided:
-            raise UndecidedAtCutoff(
-                f"ad-power of ({a.name},{b.name}) undecided at cutoff {self.ad_cutoff}")
-        top = levels.top_module()
-        self._entries.setdefault(key, []).append((a, b, levels.m, top))
-        return levels.m, top
-
-
 def build_cartan_graph(M: ModuleTuple, *, ad_cutoff: int = DEFAULT_AD_CUTOFF,
                        max_degree: int = DEFAULT_TRUNCATION_DEGREE,
                        vertex_bound: int = DEFAULT_VERTEX_BOUND) -> SemiCartanGraph:
-    """BFS over reflection sequences with iso-class memoization."""
+    """BFS over reflection sequences; vertices are keyed by complete iso keys."""
     theta = M.theta
     graph = SemiCartanGraph(theta=theta)
-    cache = _PairCache(ad_cutoff, max_degree)
-    key_index: dict = {}
-
-    def tuple_key(t: ModuleTuple) -> tuple:
-        return tuple(module_canonical_key(m) for m in t)
+    pairs = PairCache(ad_cutoff, max_degree)
+    index: dict = {}  # tuple of module keys -> vid
 
     def find_or_add(t: ModuleTuple) -> tuple[int, bool]:
-        key = tuple_key(t)
-        for vid in key_index.get(key, ()):
-            other = graph.vertices[vid].tuple_
-            if all(iso_test(a, b) is not None for a, b in zip(t, other)):
-                return vid, False
+        key = tuple(module_canonical_key(m) for m in t)
+        if key in index:
+            return index[key], False
         if len(graph.vertices) >= vertex_bound:
             raise ResourceBoundError(
                 f"vertex bound {vertex_bound} exceeded while closing the graph")
-        vid = len(graph.vertices)
-        cartan = _cartan_via_cache(t, cache)
-        graph.vertices.append(Vertex(vid, t, key, cartan))
-        key_index.setdefault(key, []).append(vid)
+        vid = index[key] = len(graph.vertices)
+        graph.vertices.append(Vertex(vid, t, key, cartan_matrix(t, pairs=pairs)))
         return vid, True
 
     root, _ = find_or_add(M)
@@ -113,35 +82,12 @@ def build_cartan_graph(M: ModuleTuple, *, ad_cutoff: int = DEFAULT_AD_CUTOFF,
         for vid in frontier:
             t = graph.vertices[vid].tuple_
             for i in range(theta):
-                refl = _reflect_via_cache(t, i, cache)
-                rid, added = find_or_add(refl)
+                rid, added = find_or_add(reflect(t, i, pairs=pairs))
                 graph.reflections[(i, vid)] = rid
                 if added:
                     new.append(rid)
         frontier = new
     return graph
-
-
-def _cartan_via_cache(t: ModuleTuple, cache: _PairCache) -> list:
-    theta = t.theta
-    A = [[2] * theta for _ in range(theta)]
-    for i in range(theta):
-        for j in range(theta):
-            if i != j:
-                m, _ = cache.lookup(t[i], t[j])
-                A[i][j] = -m
-    return A
-
-
-def _reflect_via_cache(t: ModuleTuple, i: int, cache: _PairCache) -> ModuleTuple:
-    entries = []
-    for j in range(t.theta):
-        if j == i:
-            entries.append(dual(t[i]))
-        else:
-            _, top = cache.lookup(t[i], t[j])
-            entries.append(top)
-    return ModuleTuple(entries)
 
 
 def check_axioms(graph: SemiCartanGraph) -> Report:

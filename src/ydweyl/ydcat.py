@@ -367,20 +367,30 @@ def tuple_iso(M: ModuleTuple, N: ModuleTuple) -> bool:
 
 
 def module_canonical_key(V: YDModule) -> tuple:
-    """Cheap iso-invariant fingerprint: dim, degree multiset, action traces.
+    """Complete isomorphism key: the character of V over D^Phi(G).
 
-    Collisions are possible; confirm with iso_test before trusting a match.
+    Twisted YD modules are modules over the twisted Drinfeld double
+    D^Phi(G) (Dijkgraaf-Pasquier-Roche 1990), spanned by the elements
+    delta_g x; the trace of delta_g x is tr(x on V_g) when x centralizes g
+    and 0 otherwise.  D^Phi(G) is semisimple in characteristic 0, so these
+    traces determine V: over one (G, Phi), two modules have equal keys
+    exactly when iso_test finds an isomorphism.  Each trace is encoded by
+    CycScalar.canonical_key, so the stored conductor does not matter.
     """
     if V._key is not None:
         return V._key
-    traces = []
-    for g in V.group.elements():
-        m = V.act_matrix(g)
-        tr = sum((m[i][i] for i in range(V.dim)), _ZERO)
-        traces.append(str(tr))
-    key = (V.dim, tuple(sorted(V.degrees)), tuple(traces))
-    V._key = key
-    return key
+    G = V.group
+    characters = []
+    for g in sorted(set(V.degrees)):
+        block = [k for k, d in enumerate(V.degrees) if d == g]
+        traces = []
+        for x in G.elements():
+            if G.conj(x, g) == g:
+                m = V.act_matrix(x)
+                traces.append(sum((m[k][k] for k in block), _ZERO).canonical_key())
+        characters.append((g, tuple(traces)))
+    V._key = (V.dim, tuple(characters))
+    return V._key
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "graph", "W12")
     assert code == 0
+    # Slot 2 acts on the lower slot 1: the pair is computed with slot 1
+    # first, as in B(W12), so the reflected matrices keep their basis.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "reflect", "W12", "2")
+    assert code == 0
 
 
 def test_golden_mismatch_and_missing(capsys, tmp_path):
@@ -243,6 +248,16 @@ def _edited(**changes):
      "module 'M': degree 8 is not an element of the group"),
     (_edited(), ["nichols", "W1", "--max-degree", "-1"], 2, "usage:"),
     (_edited(), ["roots", "W12", "--bound", "0"], 2, "usage:"),
+    (_edited(cutoffs={"max_degre": 4}), ["validate"], 2,
+     "unknown cutoff 'max_degre'"),
+    (_edited(cutoffs={"root_bound": -5}), ["roots", "W12"], 2,
+     "cutoff 'root_bound' must be >= 1, got -5"),
+    (_edited(cutoffs={"vertex_bound": 0}), ["graph", "W12"], 2,
+     "cutoff 'vertex_bound' must be >= 1, got 0"),
+    (_edited(cutoffs={"max_degree": -1}), ["ad", "W12", "1", "2"], 2,
+     "cutoff 'max_degree' must be >= 0, got -1"),
+    (_edited(cutoffs={"ad_cutoff": -1}), ["cartan", "W12"], 2,
+     "cutoff 'ad_cutoff' must be >= 0, got -1"),
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     path = tmp_path / "session.json"

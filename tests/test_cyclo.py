@@ -72,6 +72,25 @@ def test_demote_impossible():
     assert root_of_unity(8, 1).try_demote(4) is None
 
 
+def test_canonical_key_matches_equality():
+    # Values stored above their minimal conductor share the key of the
+    # minimal form: zeta_8^2 = zeta_4, zeta_6 = 1 + zeta_3, zeta_9^3 = zeta_3.
+    assert root_of_unity(8, 1) ** 2 == root_of_unity(4, 1)
+    assert (root_of_unity(8, 1) ** 2).canonical_key() == (4, (0, 1))
+    assert root_of_unity(6, 1).canonical_key() == (3, (1, 1))
+    assert (root_of_unity(9, 1) ** 3).canonical_key() == (3, (0, 1))
+    rng = random.Random(5)
+    values = []
+    for _ in range(40):
+        n = rng.choice([1, 3, 4, 6, 8, 9, 12])
+        m = n * rng.choice([1, 2, 3])
+        coeffs = [Fraction(rng.randint(-1, 1)) for _ in range(euler_phi(n))]
+        values.append(CycScalar(n, coeffs).promote(m))
+    for a in values:
+        for b in values:
+            assert (a.canonical_key() == b.canonical_key()) == (a == b)
+
+
 def test_promotion_example_mixed_conductors():
     # zeta_2 over conductor 4 times zeta_4 is zeta_4^3; float cross-check.
     lhs = root_of_unity(2, 1).promote(4) * root_of_unity(4, 1)
