@@ -11,7 +11,8 @@ Exit codes:
   2  parse error (bad JSON, bad schema, bad flags)
   3  validation failure (cocycle, group, or module axioms)
   4  undecided at cutoff
-  5  resource bound exceeded (vertex bound, truncation degree)
+  5  resource bound exceeded (vertex bound, truncation degree, group order,
+     conductor)
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .nichols import nichols_truncate
 from .reflect import ad_power_module, cartan_matrix, reflect
 from .weylgraph import (build_cartan_graph, check_axioms,
                         infinite_dim_certificate, is_finite, is_standard,
-                        real_roots, to_dot)
+                        to_dot)
 from .ydcat import (PRESET_NAMES, ModuleTuple, YDModule, preset_module,
                     yd_axiom_check)
 
@@ -133,6 +134,9 @@ class Session:
                     raise SessionError(f"unknown preset {preset!r}", EXIT_PARSE)
                 return preset_module(preset, self.group, self.cocycle)
             degrees = stanza["degrees"]
+            if not isinstance(stanza["action"], dict):
+                raise SessionError(f"module {name!r}: 'action' must be a JSON "
+                                   f"object", EXIT_PARSE)
             action = {int(g): [[_scalar(x) for x in row] for row in mat]
                       for g, mat in stanza["action"].items()}
             return YDModule(self.group, self.cocycle, degrees, action, name=name)
@@ -318,16 +322,16 @@ def cmd_roots(session: Session, args) -> str:
     graph = _graph_for(session, args.tuple)
     bound = (args.bound if args.bound is not None
              else session.cutoffs["root_bound"])
+    result = is_finite(graph, bound)
     lines = [f"real roots of {args.tuple} (coordinate bound {bound})"]
     for v in graph.vertices:
-        roots, truncated = real_roots(graph, v.vid, bound)
         label = graph.vertex_label(v.vid)
-        if truncated:
+        if not result.is_finite():
             lines.append(f"vertex {v.vid} [{label}]: truncated at bound {bound}")
         else:
+            roots = result.roots[v.vid]
             shown = " ".join("(" + ",".join(map(str, r)) + ")" for r in roots)
             lines.append(f"vertex {v.vid} [{label}]: {len(roots)} roots: {shown}")
-    result = is_finite(graph, bound)
     lines.append(f"finiteness: {result.status}")
     return "\n".join(lines) + "\n"
 

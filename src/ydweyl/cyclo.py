@@ -16,6 +16,19 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .errors import ResourceBoundError
+
+# Largest conductor N of Q(zeta_N) a scalar may have.  On a 2-core VM a
+# multiply at conductor 1000 takes 0.8 ms and an inverse 23 ms (0.07 and
+# 0.3 ms at conductor 9); squaring zeta(10000) alone takes 0.2 s.
+MAX_CONDUCTOR = 1000
+
+
+def _check_conductor(n: int) -> None:
+    if n > MAX_CONDUCTOR:
+        raise ResourceBoundError(f"conductor {n} exceeds the largest "
+                                 f"supported conductor {MAX_CONDUCTOR}")
+
 
 class CycloDivisionError(ZeroDivisionError):
     """Division by the zero scalar."""
@@ -44,12 +57,15 @@ def _poly_trim(c: list) -> list:
     return c
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # den is monic with integer coefficients; division is exact over Z here.
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder; a monic den keeps integer inputs integral."""
     num = list(num)
+    lead = den[-1]
     q = [0] * max(0, len(num) - len(den) + 1)
     for k in range(len(num) - len(den), -1, -1):
         coeff = num[k + len(den) - 1]
+        if lead != 1:
+            coeff /= lead
         if coeff == 0:
             continue
         q[k] = coeff
@@ -66,7 +82,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod_int(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
             assert not rem
     return tuple(num)
 
@@ -169,6 +185,7 @@ class CycScalar:
             return self
         if m % n != 0:
             raise ValueError(f"cannot promote conductor {n} to {m}")
+        _check_conductor(m)
         step = m // n
         coeffs = [Fraction(0)] * (euler_phi(n) * step)
         for j, c in enumerate(self.coeffs):
@@ -298,7 +315,7 @@ class CycScalar:
         r0, r1 = phi, _poly_trim(list(self.coeffs))
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         if not r1 or r1[0] == 0:
@@ -346,20 +363,6 @@ class CycScalar:
         return f"CycScalar({self.conductor}, {list(self.coeffs)!r})"
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dlead = den[-1]
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        coeff = num[k + len(den) - 1] / dlead
-        if coeff == 0:
-            continue
-        q[k] = coeff
-        for j, d in enumerate(den):
-            num[k + j] -= coeff * d
-    return q, _poly_trim(num)
-
-
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
@@ -393,6 +396,7 @@ def root_of_unity(n: int, k: int) -> CycScalar:
         return _ONE
     if d == 2:
         return CycScalar.from_rational(-1)
+    _check_conductor(d)
     e = k // (n // d)
     return CycScalar(d, [0] * e + [1])
 
@@ -425,11 +429,12 @@ def scalar_to_str(x: CycScalar) -> str:
     return out
 
 
+_RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # a zero denominator is malformed
 _TERM_RE = re.compile(
-    r"^(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*\s*)?"
+    rf"^(?:(?P<coef>{_RAT})\s*\*\s*)?"
     r"(?:zeta\((?P<n>\d+)\)(?:\^(?P<k>-?\d+))?)$"
 )
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(rf"^{_RAT}$")
 
 
 def parse_scalar(text: str) -> CycScalar:

@@ -14,11 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 from .cyclo import CycScalar
-from .errors import ValidationError
+from .errors import ResourceBoundError, ValidationError
 
 _ONE = CycScalar.one()
+
+# Largest group order accepted.  The pentagon check walks |G|^4 quadruples:
+# on a 2-core VM it takes 0.9 s at order 16, 13 s at 32 and 70 s at 48.
+MAX_GROUP_ORDER = 32
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise ResourceBoundError(f"group order {n} exceeds the largest "
+                                 f"supported order {MAX_GROUP_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -107,9 +118,11 @@ class Report:
 
 def make_abelian_group(orders) -> Group:
     """Direct product of cyclic groups Z_m1 x ... x Z_mn, exponent-vector elements."""
-    orders = tuple(int(m) for m in orders)
-    if not orders or any(m < 1 for m in orders):
+    orders = tuple(orders)
+    if not orders or any(isinstance(m, bool) or not isinstance(m, int) or m < 1
+                         for m in orders):
         raise ValueError("factor orders must be a nonempty list of positive integers")
+    _check_order(prod(orders))
     exps = tuple(product(*[range(m) for m in orders]))
     index = {e: i for i, e in enumerate(exps)}
     n = len(exps)
@@ -125,6 +138,7 @@ def make_abelian_group(orders) -> Group:
 
 def group_from_cayley(table) -> Group:
     """Group from an explicit Cayley table; identity must be index 0."""
+    _check_order(len(table))
     cayley = tuple(tuple(int(x) for x in row) for row in table)
     n = len(cayley)
     if any(len(row) != n for row in cayley):

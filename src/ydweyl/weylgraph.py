@@ -15,9 +15,9 @@ gives the definitive answer used by the infinite-dimensionality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
+from .cyclo import CycScalar, det
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Report
 from .reflect import (DEFAULT_AD_CUTOFF, DEFAULT_TRUNCATION_DEGREE,
@@ -172,71 +172,61 @@ def generator_morphism(graph: SemiCartanGraph, i: int, vid: int) -> GroupoidMorp
     return GroupoidMorphism(graph.r(i, vid), _s_matrix(graph.cartan(vid), i), vid)
 
 
-def real_roots(graph: SemiCartanGraph, vid: int,
-               bound: int = DEFAULT_ROOT_BOUND) -> tuple[list, bool]:
-    """Real roots at a vertex: images of simple roots under morphisms into it.
+def real_roots(graph: SemiCartanGraph,
+               bound: int = DEFAULT_ROOT_BOUND) -> tuple[dict, bool]:
+    """Real roots at every vertex: vid -> sorted roots, and a truncation flag.
 
-    BFS over morphisms with target vid; aborts with the truncation flag as
-    soon as any root coordinate exceeds the bound (the root list is partial
-    then).  A closed search returns the complete root set.
+    s_i^X maps R^X onto R^{r_i(X)}, so one closure over pairs (X, beta),
+    starting from the simple roots at every vertex and stepping to
+    (r_i(X), s_i^X beta), reaches every root of every vertex.  It is
+    truncated, with an empty dict, as soon as a reached root has a
+    coordinate of absolute value above the bound: then some vertex's root
+    set leaves the box, and no vertex's list is reported.
     """
     theta = graph.theta
-    simple = [tuple(1 if k == j else 0 for k in range(theta))
-              for j in range(theta)]
-    ident = tuple(tuple(1 if r == c else 0 for c in range(theta))
-                  for r in range(theta))
-    start = GroupoidMorphism(vid, ident, vid)
-    seen = {(start.source, start.matrix)}
-    frontier = [start]
-    roots = set()
-
-    def collect(mor) -> bool:
-        for j in range(theta):
-            root = mor.apply(simple[j])
-            if any(abs(x) > bound for x in root):
-                return False
-            roots.add(root)
-        return True
-
-    if not collect(start):
-        return sorted(roots), True
+    simple = [tuple(int(k == j) for k in range(theta)) for j in range(theta)]
+    frontier = [(v.vid, a) for v in graph.vertices for a in simple]
+    seen = set(frontier)
     while frontier:
         new = []
-        for mor in frontier:
+        for vid, beta in frontier:
+            A = graph.cartan(vid)
             for i in range(theta):
-                extended = mor.compose(
-                    generator_morphism(graph, i, graph.r(i, mor.source)))
-                state = (extended.source, extended.matrix)
-                if state in seen:
-                    continue
-                if not collect(extended):
-                    return sorted(roots), True
-                seen.add(state)
-                new.append(extended)
+                # s_i^X beta = beta - (sum_j a_ij beta_j) alpha_i
+                coord = beta[i] - sum(a * b for a, b in zip(A[i], beta))
+                if abs(coord) > bound:
+                    return {}, True
+                state = (graph.r(i, vid), beta[:i] + (coord,) + beta[i + 1:])
+                if state not in seen:
+                    seen.add(state)
+                    new.append(state)
         frontier = new
-    return sorted(roots), False
+    roots = {v.vid: [] for v in graph.vertices}
+    for vid, beta in sorted(seen):
+        roots[vid].append(beta)
+    return roots, False
 
 
 @dataclass
 class FinitenessResult:
     status: str                  # "finite" | "not-finite-within-bound"
     bound: int
-    root_counts: dict            # vid -> count (complete only when finite)
+    roots: dict                  # vid -> sorted real roots (empty unless finite)
 
     def is_finite(self) -> bool:
         return self.status == "finite"
 
+    @property
+    def root_counts(self) -> dict:
+        return {vid: len(rs) for vid, rs in self.roots.items()}
+
 
 def is_finite(graph: SemiCartanGraph,
               bound: int = DEFAULT_ROOT_BOUND) -> FinitenessResult:
-    """Tri-state finiteness: never reports 'finite' from a truncated search."""
-    counts = {}
-    for v in graph.vertices:
-        roots, truncated = real_roots(graph, v.vid, bound)
-        if truncated:
-            return FinitenessResult("not-finite-within-bound", bound, {})
-        counts[v.vid] = len(roots)
-    return FinitenessResult("finite", bound, counts)
+    """Tri-state finiteness: never reports 'finite' from a truncated closure."""
+    roots, truncated = real_roots(graph, bound)
+    status = "not-finite-within-bound" if truncated else "finite"
+    return FinitenessResult(status, bound, roots)
 
 
 def is_standard(graph: SemiCartanGraph) -> bool:
@@ -252,29 +242,11 @@ def _principal_minor_positive(A: list) -> bool:
     n = len(A)
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            sub = [[Fraction(A[r][c]) for c in subset] for r in subset]
-            if _det_fraction(sub) <= 0:
+            sub = [[CycScalar.from_rational(A[r][c]) for c in subset]
+                   for r in subset]
+            if det(sub).rational_value() <= 0:
                 return False
     return True
-
-
-def _det_fraction(m: list) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        result *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
 
 
 def _components(A: list) -> list:

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: scalars are evaluated
 with complex floats, the defining ideal is recomputed through the braided
 symmetrizer (a sum over permutation lifts, not the coproduct recursion),
-and reflection orbits of degree tuples are enumerated with plain group
-arithmetic.
+reflection orbits of degree tuples are enumerated with plain group
+arithmetic, and root sets are the images of the simple roots under every
+composite of generator morphisms.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import permutations, product
 
 from ydweyl.cyclo import CycScalar, nullspace, rref
 from ydweyl.freebraid import GradedVector, WordAlgebra, left_comb
+from ydweyl.weylgraph import GroupoidMorphism, generator_morphism
 
 
 def complex_value(x: CycScalar) -> complex:
@@ -163,3 +165,38 @@ def degree_orbit(group, start_degrees) -> set:
                     new.append(r)
         frontier = new
     return seen
+
+
+# ---------------------------------------------------------------------------
+# Root-set oracle: morphisms of the Weyl groupoid, not (vertex, root) pairs.
+# ---------------------------------------------------------------------------
+
+def morphism_root_sets(graph, max_morphisms: int = 100_000) -> dict:
+    """vid -> R^X as a set: f(alpha_j) over every morphism f into X.
+
+    Enumerates Hom(-, X) by composing generator morphisms onto the identity
+    at X.  Only for finite Weyl groupoids: it raises after max_morphisms.
+    """
+    theta = graph.theta
+    ident = tuple(tuple(int(r == c) for c in range(theta)) for r in range(theta))
+    simple = ident  # the rows of the identity are the simple roots
+    out = {}
+    for v in graph.vertices:
+        start = GroupoidMorphism(v.vid, ident, v.vid)
+        seen = {(start.source, start.matrix): start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for mor in frontier:
+                for i in range(theta):
+                    ext = mor.compose(
+                        generator_morphism(graph, i, graph.r(i, mor.source)))
+                    if (ext.source, ext.matrix) not in seen:
+                        seen[(ext.source, ext.matrix)] = ext
+                        new.append(ext)
+            if len(seen) > max_morphisms:
+                raise AssertionError(f"more than {max_morphisms} morphisms "
+                                     f"into vertex {v.vid}")
+            frontier = new
+        out[v.vid] = {mor.apply(a) for mor in seen.values() for a in simple}
+    return out

@@ -178,11 +178,11 @@ def test_c09_finite_type_contrast(w_pair):
         ctype = finite_cartan_type([[2, -1], [-1, 2]])
         assert ctype.is_finite_type and ctype.components == ["A2"]
         graph = build_cartan_graph(w_pair)
-        roots, truncated = real_roots(graph, 0, 50)
+        roots, truncated = real_roots(graph, 50)
         assert not truncated
-        assert set(roots) == {(1, 0), (0, 1), (1, 1),
-                              (-1, 0), (0, -1), (-1, -1)}
-        assert len(roots) == 6
+        assert set(roots[0]) == {(1, 0), (0, 1), (1, 1),
+                                 (-1, 0), (0, -1), (-1, -1)}
+        assert len(roots[0]) == 6
         assert is_finite(graph, 50).is_finite()
 
 

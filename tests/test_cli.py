@@ -258,6 +258,20 @@ def _edited(**changes):
      "cutoff 'max_degree' must be >= 0, got -1"),
     (_edited(cutoffs={"ad_cutoff": -1}), ["cartan", "W12"], 2,
      "cutoff 'ad_cutoff' must be >= 0, got -1"),
+    (_edited(modules={"M": {"degrees": [1], "action": [[["1"]]]}}),
+     ["validate"], 2, "module 'M': 'action' must be a JSON object"),
+    (_edited(modules={"M": {"degrees": [1],
+                            "action": {str(g): [["1/0"]] for g in range(8)}}}),
+     ["validate"], 2, "malformed module stanza 'M': malformed scalar term"),
+    (_edited(cocycle={"table": ["1/0"] + ["1"] * 511}), ["validate"], 2,
+     "bad cocycle stanza: malformed scalar term: '1/0'"),
+    (_edited(modules={"M": {"degrees": [1], "action": {
+        str(g): [["zeta(100000000)"]] for g in range(8)}}}), ["validate"], 5,
+     "resource bound exceeded: conductor 100000000"),
+    (_edited(group={"abelian": [1000000]}), ["validate"], 5,
+     "resource bound exceeded: group order 1000000"),
+    (_edited(group={"abelian": [2.5]}), ["validate"], 2,
+     "bad group stanza: factor orders must be"),
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     path = tmp_path / "session.json"

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ydweyl.cyclo import (CycScalar, CycloDivisionError, cyclotomic_polynomial,
-                          det, euler_phi, identity_matrix, mat_mul, nullspace,
-                          parse_scalar, root_of_unity, rref)
+from ydweyl.cyclo import (MAX_CONDUCTOR, CycScalar, CycloDivisionError,
+                          cyclotomic_polynomial, det, euler_phi,
+                          identity_matrix, mat_mul, nullspace, parse_scalar,
+                          root_of_unity, rref)
+from ydweyl.errors import ResourceBoundError
 from oracles import complex_value
 
 
@@ -132,9 +134,18 @@ def test_string_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "zeta", "1 + + 2", "zeta(0)^1"]:
+    for bad in ["", "zeta", "1 + + 2", "zeta(0)^1", "1/0", "1/0*zeta(3)"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+
+def test_conductor_limit():
+    # The limit is on the conductor stored, literal or reached by promotion.
+    assert root_of_unity(2 * MAX_CONDUCTOR, 2).conductor == MAX_CONDUCTOR
+    assert parse_scalar("zeta(100000000)^100000000") == 1
+    for text in ["zeta(100000000)", "zeta(997) + zeta(991)"]:
+        with pytest.raises(ResourceBoundError):
+            parse_scalar(text)
 
 
 def test_rref_and_nullspace():

@@ -1,9 +1,9 @@
 import pytest
 
 from ydweyl.cyclo import CycScalar
-from ydweyl.errors import ValidationError
-from ydweyl.groupdata import (Cocycle3, alpha_scalar, beta_scalar,
-                              check_3cocycle, group_from_cayley,
+from ydweyl.errors import ResourceBoundError, ValidationError
+from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, alpha_scalar,
+                              beta_scalar, check_3cocycle, group_from_cayley,
                               make_abelian_group, preantipode_scalar,
                               sign_cocycle)
 
@@ -15,8 +15,18 @@ def test_make_abelian_group_orders():
 
 
 def test_make_abelian_group_rejects_empty():
-    with pytest.raises(ValueError):
-        make_abelian_group([])
+    for orders in ([], [0], [2.5], [True, 2], ["2"]):
+        with pytest.raises(ValueError):
+            make_abelian_group(orders)
+
+
+def test_group_order_limit():
+    assert make_abelian_group([2, MAX_GROUP_ORDER // 2]).order == MAX_GROUP_ORDER
+    with pytest.raises(ResourceBoundError):
+        make_abelian_group([1000000, 1000000])
+    # Checked before the table is read: these rows are not even valid.
+    with pytest.raises(ResourceBoundError):
+        group_from_cayley([None] * (MAX_GROUP_ORDER + 1))
 
 
 def test_group_check_and_names():

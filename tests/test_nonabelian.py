@@ -110,9 +110,9 @@ def test_synthetic_rank3_root_system():
                             vertices=[Vertex(0, None, ("synthetic",), a3)],
                             reflections={(i, 0): 0 for i in range(3)})
     assert check_axioms(graph).ok
-    roots, truncated = real_roots(graph, 0, 50)
+    roots, truncated = real_roots(graph, 50)
     assert not truncated
-    assert len(roots) == 12
-    assert (1, 1, 1) in roots and (-1, -1, -1) in roots
+    assert len(roots[0]) == 12
+    assert (1, 1, 1) in roots[0] and (-1, -1, -1) in roots[0]
     result = is_finite(graph, 50)
     assert result.is_finite() and result.root_counts[0] == 12

@@ -14,21 +14,37 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-def test_traced_graph_run(tmp_path):
+def _traced(tmp_path, *argv):
+    """Stdout and per-layer values of one traced run on the z2cubed session."""
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), "trace",
-         str(result), os.path.join(ROOT, "sessions", "z2cubed.json"),
-         "graph", "W12"],
+         str(result), os.path.join(ROOT, "sessions", "z2cubed.json"), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(ROOT, "tests", "golden", "graph_W12.txt")) as fh:
-        assert proc.stdout == fh.read()
     layers = {k: v[0] for k, v in json.loads(result.read_text())["layers"].items()}
+    return proc.stdout, layers
+
+
+def _golden(name):
+    with open(os.path.join(ROOT, "tests", "golden", name)) as fh:
+        return fh.read()
+
+
+def test_traced_graph_run(tmp_path):
+    stdout, layers = _traced(tmp_path, "graph", "W12")
+    assert stdout == _golden("graph_W12.txt")
     assert layers["weylgraph.vertices"] == 6
     assert layers["reflect.ad_power_module.calls"] > 0
     assert layers["ydcat.module_canonical_key.calls"] > 0
     # Graph closure is key lookups: no intertwiner search.
     assert layers["ydcat.iso_test.calls"] == 0
+
+
+def test_traced_roots_run(tmp_path):
+    stdout, layers = _traced(tmp_path, "roots", "W12")
+    assert stdout == _golden("roots_W12.txt")
+    # One closure serves every vertex and the finiteness line.
+    assert layers["weylgraph.real_roots.calls"] == 1

@@ -2,12 +2,13 @@ import pytest
 
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.groupdata import make_abelian_group, sign_cocycle
-from ydweyl.weylgraph import (build_cartan_graph, check_axioms,
-                              finite_cartan_type, infinite_dim_certificate,
-                              is_finite, is_generalized_cartan, is_standard,
-                              real_roots, to_dot)
+from ydweyl.weylgraph import (SemiCartanGraph, Vertex, build_cartan_graph,
+                              check_axioms, finite_cartan_type,
+                              infinite_dim_certificate, is_finite,
+                              is_generalized_cartan, is_standard, real_roots,
+                              to_dot)
 from ydweyl.ydcat import ModuleTuple, preset_module
-from oracles import degree_orbit
+from oracles import degree_orbit, morphism_root_sets
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,8 @@ def test_single_module_graph(w_presets):
     assert g.vertex_count() == 1
     assert check_axioms(g).ok
     assert g.cartan(0) == [[2]]
-    roots, truncated = real_roots(g, 0, 50)
-    assert roots == [(-1,), (1,)] and not truncated
+    roots, truncated = real_roots(g, 50)
+    assert roots == {0: [(-1,), (1,)]} and not truncated
     result = is_finite(g, 50)
     assert result.is_finite() and result.root_counts[0] == 2
 
@@ -47,11 +48,12 @@ def test_single_module_graph(w_presets):
 def test_pair_graph_roots(pair_graph):
     assert check_axioms(pair_graph).ok
     assert pair_graph.cartan(0) == [[2, -1], [-1, 2]]
-    for v in pair_graph.vertices:
-        roots, truncated = real_roots(pair_graph, v.vid, 50)
-        assert not truncated
-        assert set(roots) == {(1, 0), (0, 1), (1, 1),
-                              (-1, 0), (0, -1), (-1, -1)}
+    roots, truncated = real_roots(pair_graph, 50)
+    assert not truncated
+    assert sorted(roots) == [v.vid for v in pair_graph.vertices]
+    for rs in roots.values():
+        assert set(rs) == {(1, 0), (0, 1), (1, 1),
+                           (-1, 0), (0, -1), (-1, -1)}
     result = is_finite(pair_graph, 50)
     assert result.is_finite()
     assert all(c == 6 for c in result.root_counts.values())
@@ -59,9 +61,9 @@ def test_pair_graph_roots(pair_graph):
 
 def test_roots_closed_under_negation_contain_simples(pair_graph, w_graph):
     for graph in (pair_graph,):
-        roots, _ = real_roots(graph, 0, 50)
-        rootset = set(roots)
-        for r in roots:
+        roots, _ = real_roots(graph, 50)
+        rootset = set(roots[0])
+        for r in rootset:
             assert tuple(-x for x in r) in rootset
         theta = graph.theta
         for j in range(theta):
@@ -72,8 +74,59 @@ def test_w_graph_not_finite_within_bounds(w_graph):
     for bound in (10, 25, 50):
         result = is_finite(w_graph, bound)
         assert result.status == "not-finite-within-bound"
-    roots, truncated = real_roots(w_graph, 0, 50)
-    assert truncated
+    roots, truncated = real_roots(w_graph, 50)
+    assert truncated and roots == {}
+
+
+def _hand_built(cartans, reflections):
+    """A graph given by its Cartan matrices and reflections (i, vid) -> vid."""
+    return SemiCartanGraph(
+        theta=len(cartans[0]),
+        vertices=[Vertex(vid, None, ("hand-built", vid), A)
+                  for vid, A in enumerate(cartans)],
+        reflections=reflections)
+
+
+# Standard B2 at one vertex: its largest root coordinate is 2.
+B2 = _hand_built([[[2, -2], [-1, 2]]], {(0, 0): 0, (1, 0): 0})
+
+# A finite non-standard rank-2 graph: r_1 fixes v0 and swaps v1, v2; r_2
+# swaps v0, v1 and fixes v2.  Its vertex maxima are 3, 2 and 2.
+NONSTANDARD = _hand_built(
+    [[[2, -1], [-2, 2]], [[2, -1], [-2, 2]], [[2, -1], [-1, 2]]],
+    {(0, 0): 0, (0, 1): 2, (0, 2): 1, (1, 0): 1, (1, 1): 0, (1, 2): 2})
+
+
+def test_b2_truncation_is_the_largest_coordinate():
+    assert check_axioms(B2).ok
+    assert real_roots(B2, 1) == ({}, True)
+    assert is_finite(B2, 1).status == "not-finite-within-bound"
+    roots, truncated = real_roots(B2, 2)
+    assert not truncated and len(roots[0]) == 8
+    result = is_finite(B2, 2)
+    assert result.is_finite() and result.root_counts == {0: 8}
+
+
+def test_nonstandard_graph_truncates_every_vertex_together():
+    assert check_axioms(NONSTANDARD).ok and not is_standard(NONSTANDARD)
+    roots, truncated = real_roots(NONSTANDARD, 3)
+    assert not truncated
+    assert [max(abs(x) for r in roots[vid] for x in r)
+            for vid in range(3)] == [3, 2, 2]
+    assert all(len(rs) == 12 for rs in roots.values())
+    # v1 and v2 fit in the box at bound 2, but v0 does not: the closure
+    # reports no vertex's list.
+    assert real_roots(NONSTANDARD, 2) == ({}, True)
+    assert is_finite(NONSTANDARD, 2).status == "not-finite-within-bound"
+    assert is_finite(NONSTANDARD, 3).root_counts == {0: 12, 1: 12, 2: 12}
+
+
+def test_closure_matches_morphism_oracle(pair_graph):
+    for graph in (B2, NONSTANDARD, pair_graph):
+        roots, truncated = real_roots(graph, 50)
+        assert not truncated
+        assert {vid: set(rs) for vid, rs in roots.items()} \
+            == morphism_root_sets(graph)
 
 
 def test_reflection_matrices_compose_to_identity(w_graph, pair_graph):
