@@ -12,7 +12,7 @@ Exit codes:
   3  validation failure (cocycle, group, or module axioms)
   4  undecided at cutoff
   5  resource bound exceeded (vertex bound, truncation degree, group order,
-     conductor)
+     conductor, module dimension)
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ from .errors import (ResourceBoundError, UndecidedAtCutoff, ValidationError,
 from .groupdata import (Cocycle3, Group, check_3cocycle, group_from_cayley,
                         make_abelian_group, sign_cocycle)
 from .nichols import nichols_truncate
-from .reflect import ad_power_module, cartan_matrix, reflect
-from .weylgraph import (build_cartan_graph, check_axioms,
+from .reflect import (DEFAULT_AD_CUTOFF, DEFAULT_TRUNCATION_DEGREE,
+                      ad_power_module, cartan_matrix, reflect)
+from .weylgraph import (DEFAULT_ROOT_BOUND, DEFAULT_VERTEX_BOUND,
+                        build_cartan_graph, check_axioms,
                         infinite_dim_certificate, is_finite, is_standard,
                         to_dot)
 from .ydcat import (PRESET_NAMES, ModuleTuple, YDModule, preset_module,
@@ -59,8 +61,10 @@ class Session:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise SessionError("session must be a JSON object", EXIT_PARSE)
-        self.cutoffs = {"max_degree": 8, "ad_cutoff": 8,
-                        "vertex_bound": 64, "root_bound": 50}
+        self.cutoffs = {"max_degree": DEFAULT_TRUNCATION_DEGREE,
+                        "ad_cutoff": DEFAULT_AD_CUTOFF,
+                        "vertex_bound": DEFAULT_VERTEX_BOUND,
+                        "root_bound": DEFAULT_ROOT_BOUND}
         for key, value in _object(data, "cutoffs").items():
             if key not in CUTOFF_MINIMA:
                 raise SessionError(f"unknown cutoff {key!r}; expected one of "

@@ -43,6 +43,13 @@ class _Block:
         # rows[k][index[w]]: coefficient of quotient_words[k] in NF(w)
         self.rows = rows
 
+    def coords(self, vec: GradedVector) -> list:
+        """Dense row of a vector supported on this block's words."""
+        row = [CycScalar.zero()] * len(self.words)
+        for w, c in vec.items():
+            row[self.index[w]] = c
+        return row
+
 
 class NicholsTruncation:
     """Exact per-degree data of B(V) up to max_degree.

@@ -14,8 +14,9 @@ agree with the module action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
-from .cyclo import CycScalar, coords_in_rref, rref
+from .cyclo import CycScalar, coords_in_rref, nullspace, rref
 from .errors import UndecidedAtCutoff, ValidationError
 from .freebraid import GradedVector
 from .nichols import NicholsTruncation, nichols_truncate
@@ -54,9 +55,8 @@ def ad_primitive(trunc: NicholsTruncation, x: GradedVector,
 class AdLevel:
     """One homogeneous layer ad(M_i)^n(M_j), with its YD-module structure."""
     n: int
-    basis: list                      # RREF rows over block word coordinates
-    words: list                      # the block's word list (shared)
-    module: YDModule | None          # None only for the zero level
+    basis: list                      # normal-form GradedVectors
+    module: YDModule
 
 
 @dataclass
@@ -80,104 +80,65 @@ class AdLevels:
         return self.levels[self.m].module
 
 
-def _level_vectors_to_module(trunc, md, vectors, name=None) -> tuple[list, YDModule]:
-    """RREF the spanning vectors per G-degree and package as a YDModule."""
+def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
+    """Level n spanned by normal forms in block md, or None if they span 0.
+
+    One RREF over the block's words gives the basis.  The vectors are
+    G-homogeneous, rows of different degrees have disjoint word supports and
+    elimination never mixes them, so each row's degree is its pivot word's.
+    """
     ctx = trunc.ctx
     blk = trunc.block(md)
-    by_degree: dict[int, list] = {}
-    for vec in vectors:
-        coords = [_ZERO] * len(blk.words)
-        deg = None
-        for w, c in vec.items():
-            coords[blk.index[w]] = c
-            deg = ctx.word_degree(w)
-        if deg is None:
-            continue
-        by_degree.setdefault(deg, []).append(coords)
-    basis_rows = []
-    degrees = []
-    for deg in sorted(by_degree):
-        reduced, _ = rref(by_degree[deg])
-        for row in reduced:
-            basis_rows.append(row)
-            degrees.append(deg)
-    if not basis_rows:
-        return [], None
-    reduced_all, pivots = rref(basis_rows)
-    # Degrees follow the pivot words (rows of an RREF across degree groups
-    # keep homogeneous support because distinct degrees use disjoint words).
-    degrees = [ctx.word_degree(blk.words[p]) for p in pivots]
+    reduced, pivots = rref([blk.coords(v) for v in vectors])
+    if not reduced:
+        return None
+    basis = [GradedVector(zip(blk.words, row)) for row in reduced]
     action = {}
     for g in ctx.group.elements():
-        cols = []
-        for row in reduced_all:
-            vec = GradedVector()
-            for k, c in enumerate(row):
-                if not c.is_zero():
-                    vec.add_term(blk.words[k], c)
-            image = trunc.normal_form(ctx.act_vector(g, vec))
-            coords = [_ZERO] * len(blk.words)
-            for w, c in image.items():
-                coords[blk.index[w]] = c
-            col = coords_in_rref(reduced_all, pivots, coords)
-            if col is None:
-                raise ValidationError("ad level is not action-stable")
-            cols.append(col)
-        dim = len(reduced_all)
-        action[g] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    module = YDModule(trunc.ctx.group, trunc.ctx.cocycle, degrees, action,
+        cols = [coords_in_rref(reduced, pivots,
+                               blk.coords(ad_group(trunc, g, v)))
+                for v in basis]
+        if None in cols:
+            raise ValidationError("ad level is not action-stable")
+        action[g] = [list(row) for row in zip(*cols)]
+    module = YDModule(ctx.group, ctx.cocycle,
+                      [ctx.word_degree(blk.words[p]) for p in pivots], action,
                       name=name)
     report = yd_axiom_check(module)
     if not report:
         raise ValidationError(f"ad level failed YD validation: {report.summary()}")
-    return reduced_all, module
+    return AdLevel(n, basis, module)
 
 
 def ad_power_module(M: ModuleTuple, i: int, j: int,
                     cutoff: int = DEFAULT_AD_CUTOFF,
                     trunc: NicholsTruncation | None = None) -> AdLevels:
-    """Levels ad(M_i)^n(M_j) inside B(M), up to first vanishing or cutoff."""
+    """Levels ad(M_i)^n(M_j) inside B(M), up to first vanishing or cutoff.
+
+    Level 0 is M_j itself: its letters are their own normal forms, so their
+    span carries exactly M_j's matrices.
+    """
     if i == j:
         raise ValidationError("ad_power_module needs distinct slots")
     if trunc is None:
         trunc = nichols_truncate(M, min(DEFAULT_TRUNCATION_DEGREE, cutoff + 1))
-    ctx = trunc.ctx
     result = AdLevels(tuple_=M, i=i, j=j, cutoff=cutoff)
-    theta = M.theta
-    mj = M[j]
-    level_vecs = [GradedVector.from_word(((j, b),)) for b in range(mj.dim)]
-    md = tuple(1 if s == j else 0 for s in range(theta))
-    basis, module = _level_vectors_to_module(trunc, md, level_vecs,
-                                             name=f"ad^0({M[i].name},{mj.name})")
-    result.levels.append(AdLevel(0, basis, trunc.block(md).words, module))
     letters_i = [GradedVector.from_word(((i, b),)) for b in range(M[i].dim)]
-    n = 0
-    while True:
-        n += 1
-        if (n + 1) > trunc.max_degree:
+    letters_j = [GradedVector.from_word(((j, b),)) for b in range(M[j].dim)]
+    result.levels.append(AdLevel(0, letters_j, M[j]))
+    for n in count(1):
+        if n + 1 > trunc.max_degree:
             result.undecided = True
             return result
-        prev = result.levels[-1]
-        vectors = []
-        for row in prev.basis:
-            y = GradedVector()
-            for k, c in enumerate(row):
-                if not c.is_zero():
-                    y.add_term(prev.words[k], c)
-            for x in letters_i:
-                v = ad_primitive(trunc, x, y)
-                if not v.is_zero():
-                    vectors.append(v)
-        md = tuple(n if s == i else (1 if s == j else 0) for s in range(theta))
-        if not vectors:
+        md = tuple(n if s == i else (1 if s == j else 0) for s in range(M.theta))
+        vectors = [ad_primitive(trunc, x, y)
+                   for y in result.levels[-1].basis for x in letters_i]
+        level = _ad_level(trunc, md, n, vectors,
+                          name=f"ad^{n}({M[i].name},{M[j].name})")
+        if level is None:
             result.m = n - 1
             return result
-        basis, module = _level_vectors_to_module(
-            trunc, md, vectors, name=f"ad^{n}({M[i].name},{mj.name})")
-        if not basis:
-            result.m = n - 1
-            return result
-        result.levels.append(AdLevel(n, basis, trunc.block(md).words, module))
+        result.levels.append(level)
         if n >= cutoff:
             result.undecided = True
             return result
@@ -276,7 +237,6 @@ def coinvariant_dims(trunc: NicholsTruncation, coinv_slots, max_total: int) -> d
                 col_maps.append(entries)
             keys = sorted({k for m in col_maps for k in m})
             rows = [[m.get(k, _ZERO) for m in col_maps] for k in keys]
-            from .cyclo import nullspace
             out[md] = len(nullspace(rows, len(basis)))
     return out
 

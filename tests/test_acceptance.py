@@ -102,13 +102,7 @@ def test_c04_ad_pair_suite(z2cubed, w_presets):
                                  GradedVector.from_word(((1, b),)))
                     for a in range(2) for b in range(2)]
             blk = trunc.block((1, 1))
-            rows = []
-            for v in vals:
-                coords = [CycScalar.zero()] * len(blk.words)
-                for w, c in v.items():
-                    coords[blk.index[w]] = c
-                rows.append(coords)
-            reduced, _ = rref(rows)
+            reduced, _ = rref([blk.coords(v) for v in vals])
             assert len(reduced) == 2, (i, j)      # relation space has dim 2
             if (i, j) == (1, 2):
                 # Which linear relation holds among ad(X1)(Y1), ad(X1)(Y2)

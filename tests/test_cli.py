@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -133,6 +134,9 @@ def test_golden_match(capsys):
     # first, as in B(W12), so the reflected matrices keep their basis.
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "reflect", "W12", "2")
+    assert code == 0
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "ad", "W", "1", "2")
     assert code == 0
 
 
@@ -272,10 +276,17 @@ def _edited(**changes):
      "resource bound exceeded: group order 1000000"),
     (_edited(group={"abelian": [2.5]}), ["validate"], 2,
      "bad group stanza: factor orders must be"),
+    (_edited(cocycle={"trivial": True}, tuples={}, modules={"M": {
+        "degrees": [1] * 33,
+        "action": {str(g): [["1" if r == c else "0" for c in range(33)]
+                            for r in range(33)] for g in range(8)}}}),
+     ["validate"], 5, "resource bound exceeded: module dimension 33"),
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     path = tmp_path / "session.json"
     path.write_text(json.dumps(data))
+    start = time.perf_counter()
     got, out, err = run(capsys, "--session", str(path), *argv)
+    assert time.perf_counter() - start < 1.0
     assert (got, out) == (code, "")
     assert err.startswith(prefix)

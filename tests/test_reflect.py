@@ -1,17 +1,22 @@
+import json
+import os
 import random
 
 import pytest
 
-from ydweyl.cyclo import CycScalar, rref
+from ydweyl.cli import Session
+from ydweyl.cyclo import CycScalar, root_of_unity, rref
 from ydweyl.errors import UndecidedAtCutoff, ValidationError
 from ydweyl.freebraid import GradedVector
 from ydweyl.nichols import nichols_truncate
-from ydweyl.reflect import (SmashAlgebra, ad_group, ad_power_module,
-                            ad_primitive, cartan_entry, cartan_matrix,
-                            coinvariant_dims, reflect)
-from ydweyl.ydcat import ModuleTuple, iso_test, tuple_iso, yd_axiom_check
+from ydweyl.reflect import (SmashAlgebra, _ad_level, ad_group,
+                            ad_power_module, ad_primitive, cartan_entry,
+                            cartan_matrix, coinvariant_dims, reflect)
+from ydweyl.ydcat import (ModuleTuple, iso_test, module_from_generator_actions,
+                          tuple_iso, yd_axiom_check)
 
 X1, X2, Y1, Y2 = (0, 0), (0, 1), (1, 0), (1, 1)
+SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +24,20 @@ def trunc_pair(w_pair):
     return nichols_truncate(w_pair, 4)
 
 
+@pytest.fixture(scope="module")
+def z9_pair():
+    """[L, L4] over twisted Z3: lines of degree g acting by zeta(9), zeta(9)^4."""
+    with open(os.path.join(SESSIONS, "z3twisted.json")) as fh:
+        session = Session(json.load(fh))
+    line4 = module_from_generator_actions(
+        session.group, session.cocycle, 1, {1: [[root_of_unity(9, 4)]]},
+        name="L4")
+    return session.group, ModuleTuple([session.modules["L"], line4])
+
+
 def _rank(trunc, md, vectors):
     blk = trunc.block(md)
-    rows = []
-    for v in vectors:
-        coords = [CycScalar.zero()] * len(blk.words)
-        for w, c in v.items():
-            coords[blk.index[w]] = c
-        rows.append(coords)
-    reduced, _ = rref(rows)
+    reduced, _ = rref([blk.coords(v) for v in vectors])
     return len(reduced)
 
 
@@ -83,6 +93,39 @@ def test_ad_power_levels(w_presets, w_pair):
     # top level is a valid module isomorphic to W4
     assert yd_axiom_check(levels.levels[1].module).ok
     assert iso_test(levels.top_module(), w_presets[4]) is not None
+
+
+def test_tower_with_intermediate_levels(z9_pair):
+    group, pair = z9_pair
+    g = group.element_index((1,))
+    levels = ad_power_module(pair, 0, 1)
+    assert levels.dims() == (1, 1, 1, 1, 1)
+    assert levels.m == 4
+    assert [group.element_name(lv.module.degrees[0])
+            for lv in levels.levels] == ["g1", "g1^2", "1", "g1", "g1^2"]
+    zeta = root_of_unity(9, 1)
+    assert [lv.module.act_matrix(g)[0][0] for lv in levels.levels] == [
+        zeta ** 4, zeta ** 5, CycScalar.one(), zeta, zeta ** 2]
+    back = ad_power_module(pair, 1, 0)
+    assert back.dims() == (1, 1)
+    assert back.m == 1
+
+
+def test_level_zero_is_m_j(w_pair, z9_pair):
+    # The letters of slot j are their own normal forms, so the level routine
+    # applied to them rebuilds M_j's degrees and matrices entry for entry:
+    # level 0 needs no rebuild.
+    for pair in (w_pair, z9_pair[1]):
+        trunc = nichols_truncate(pair, 2)
+        for i, j in ((0, 1), (1, 0)):
+            mj = pair[j]
+            assert ad_power_module(pair, i, j).levels[0].module is mj
+            letters = [GradedVector.from_word(((j, b),)) for b in range(mj.dim)]
+            md = tuple(int(s == j) for s in range(2))
+            rebuilt = _ad_level(trunc, md, 0, letters, "rebuilt").module
+            assert rebuilt.degrees == mj.degrees
+            for g in mj.group.elements():
+                assert rebuilt.act_matrix(g) == mj.act_matrix(g)
 
 
 def test_ad_levels_strictly_graded_disjoint(w_pair):
