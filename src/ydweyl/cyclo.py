@@ -491,33 +491,43 @@ Matrix = list  # list[list[CycScalar]]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the pivot column indices."""
-    mat = [list(r) for r in rows]
-    if not mat:
+    """Reduced row echelon form (copy) and the pivot column indices.
+
+    Elimination runs on sparse rows, dicts from column to nonzero scalar: a
+    step updates only the rows holding the pivot column, over the pivot row's
+    support.  Rows stay in the dense order of a Gauss-Jordan sweep, so every
+    entry is computed by the same operations (and carries the same stored
+    conductor) as the dense elimination would give it.
+    """
+    if not rows:
         return [], []
-    ncols = len(mat[0])
+    ncols = len(rows[0])
+    mat = [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(mat)) if c in mat[i]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r] = {j: x * inv for j, x in mat[r].items()}
+        for i, row in enumerate(mat):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, y in prow.items():
+                x = row.get(j)
+                x = -(f * y) if x is None else x - f * y
+                if x.is_zero():
+                    del row[j]
+                else:
+                    row[j] = x
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [[row.get(j, _ZERO) for j in range(ncols)] for row in mat[:r]], pivots
 
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
@@ -589,7 +599,9 @@ def coords_in_rref(reduced: Matrix, pivots: list[int], vec) -> list | None:
         c = residual[p]
         coeffs.append(c)
         if not c.is_zero():
-            residual = [x - c * y for x, y in zip(residual, row)]
+            for j, y in enumerate(row):
+                if not y.is_zero():
+                    residual[j] = residual[j] - c * y
     if any(not x.is_zero() for x in residual):
         return None
     return coeffs

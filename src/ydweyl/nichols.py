@@ -16,8 +16,6 @@ letters, so all outputs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .cyclo import CycScalar, nullspace, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
@@ -70,11 +68,13 @@ class NicholsTruncation:
     # ---- block construction ---------------------------------------------
 
     def words_of_multidegree(self, md: tuple) -> list:
-        letters = self.ctx.letters
-        n = sum(md)
-        words = [w for w in product(letters, repeat=n)
-                 if self.ctx.multidegree(w) == md]
-        return words
+        """Words of multidegree md, length-lexicographic, letter by letter."""
+        level = [((), tuple(md))]  # (prefix, letters left per slot)
+        for _ in range(sum(md)):
+            level = [(w + ((s, b),), left[:s] + (left[s] - 1,) + left[s + 1:])
+                     for w, left in level
+                     for s, b in self.ctx.letters if left[s]]
+        return [w for w, _ in level]
 
     def block(self, md: tuple) -> _Block:
         md = tuple(md)

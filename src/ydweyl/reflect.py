@@ -87,11 +87,11 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
     G-homogeneous, rows of different degrees have disjoint word supports and
     elimination never mixes them, so each row's degree is its pivot word's.
     """
+    if all(v.is_zero() for v in vectors):
+        return None
     ctx = trunc.ctx
     blk = trunc.block(md)
     reduced, pivots = rref([blk.coords(v) for v in vectors])
-    if not reduced:
-        return None
     basis = [GradedVector(zip(blk.words, row)) for row in reduced]
     action = {}
     for g in ctx.group.elements():

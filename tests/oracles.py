@@ -3,6 +3,7 @@
 These deliberately avoid the code paths they check: scalars are evaluated
 with complex floats, the defining ideal is recomputed through the braided
 symmetrizer (a sum over permutation lifts, not the coproduct recursion),
+row reduction is checked against a dense Gauss-Jordan sweep,
 reflection orbits of degree tuples are enumerated with plain group
 arithmetic, and root sets are the images of the simple roots under every
 composite of generator morphisms.
@@ -21,6 +22,36 @@ from ydweyl.weylgraph import GroupoidMorphism, generator_morphism
 def complex_value(x: CycScalar) -> complex:
     z = cmath.exp(2j * cmath.pi / x.conductor)
     return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+
+
+def dense_rref(rows):
+    """Reduced row echelon form and pivots by a dense Gauss-Jordan sweep."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if not mat[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c].is_zero():
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,10 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W1", "--max-degree", "3")
     assert code == 0
+    # The three 192-word blocks of multidegree (2,1,1) and its permutations.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "nichols", "W", "--max-degree", "4")
+    assert code == 0
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "roots", "W12")
     assert code == 0

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ydweyl.cyclo import (MAX_CONDUCTOR, CycScalar, CycloDivisionError,
-                          cyclotomic_polynomial, det, euler_phi,
-                          identity_matrix, mat_mul, nullspace, parse_scalar,
-                          root_of_unity, rref)
+                          coords_in_rref, cyclotomic_polynomial, det,
+                          euler_phi, identity_matrix, mat_mul, nullspace,
+                          parse_scalar, root_of_unity, rref)
 from ydweyl.errors import ResourceBoundError
-from oracles import complex_value
+from oracles import complex_value, dense_rref
 
 
 def test_roots_of_unity_basics():
@@ -160,6 +160,71 @@ def test_rref_and_nullspace():
         for row in mat:
             s = sum((a * x for a, x in zip(row, vec)), zero)
             assert s.is_zero()
+
+
+def _random_entry(rng, conductors):
+    n = rng.choice(conductors)
+    x = (Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+         * root_of_unity(n, rng.randrange(n)))
+    if rng.random() < 0.3:
+        x = x + rng.randint(1, 3)
+    return x
+
+
+def _random_matrix(rng, nrows, ncols, density, conductors):
+    return [[_random_entry(rng, conductors) if rng.random() < density
+             else CycScalar.zero() for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _rref_cases():
+    rng = random.Random(11)
+    zero = CycScalar.zero()
+    # The sweep's pivot rows decide the stored conductor of -zeta(3) in the
+    # result: taking row 0 before row 1 for column 1 prints zeta(3), the
+    # dense sweep (rows 0 and 2 swapped) prints zeta(9)^3.
+    yield [[parse_scalar(x) for x in row] for row in
+           [["0", "zeta(3)^2", "-1"], ["0", "zeta(9)", "-zeta(9)^4"],
+            ["zeta(9)^2", "0", "1"]]]
+    for conductors in ([1], [9, 3], [4, 8]):
+        for density in (0.05, 0.15, 0.3):
+            mat = _random_matrix(rng, 10, 14, density, conductors)
+            mat.insert(3, [zero] * 14)
+            mat.append([zero] * 14)
+            mat.insert(1, list(mat[5]))
+            mat.append(list(mat[0]))
+            yield mat
+        yield [[zero] * 5 for _ in range(4)]
+        yield _random_matrix(rng, 1, 9, 0.3, conductors)
+        yield _random_matrix(rng, 9, 1, 0.3, conductors)
+        while True:  # until the square has full rank
+            square = _random_matrix(rng, 6, 6, 0.5, conductors)
+            if len(dense_rref(square)[1]) == 6:
+                yield square
+                break
+
+
+def test_rref_matches_dense_oracle():
+    rng = random.Random(5)
+    for mat in _rref_cases():
+        reduced, pivots = rref(mat)
+        oracle, oracle_pivots = dense_rref(mat)
+        assert pivots == oracle_pivots
+        assert reduced == oracle
+        # Same stored conductors too, so printed values cannot change.
+        assert ([[str(x) for x in row] for row in reduced]
+                == [[str(x) for x in row] for row in oracle])
+        # A combination of the rows has those coordinates; adding a
+        # non-pivot unit vector leaves the row space.
+        ncols = len(mat[0])
+        coeffs = [_random_entry(rng, [1, 4]) for _ in oracle]
+        vec = [sum((a * row[j] for a, row in zip(coeffs, oracle)),
+                   CycScalar.zero()) for j in range(ncols)]
+        assert coords_in_rref(reduced, pivots, vec) == coeffs
+        free = [j for j in range(ncols) if j not in oracle_pivots]
+        if free:
+            vec[free[0]] = vec[free[0]] + 1
+            assert coords_in_rref(reduced, pivots, vec) is None
 
 
 def test_det_and_matmul():

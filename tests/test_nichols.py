@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -113,6 +114,18 @@ def test_quotient_multiplicativity(trunc_pair):
         stepwise = trunc_pair.normal_form(
             ctx.mult(trunc_pair.normal_form(a), trunc_pair.normal_form(b)))
         assert direct == stepwise
+
+
+def test_words_of_multidegree_match_filtered_product(w_presets, w_pair,
+                                                      w_triple):
+    for V in (w_presets[1], w_pair, w_triple):
+        trunc = nichols_truncate(V, 5)
+        ctx = trunc.ctx
+        for n in range(6):
+            words = list(product(ctx.letters, repeat=n))
+            for md in trunc.multidegrees(n):
+                assert trunc.words_of_multidegree(md) == [
+                    w for w in words if ctx.multidegree(w) == md], md
 
 
 def test_trivial_braiding_gives_exterior_like_counts(z2cubed, w_presets):

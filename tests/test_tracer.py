@@ -48,3 +48,11 @@ def test_traced_roots_run(tmp_path):
     assert stdout == _golden("roots_W12.txt")
     # One closure serves every vertex and the finiteness line.
     assert layers["weylgraph.real_roots.calls"] == 1
+
+
+def test_traced_nichols_run(tmp_path):
+    stdout, layers = _traced(tmp_path, "nichols", "W1", "--max-degree", "3")
+    assert stdout == _golden("nichols_W1_3.txt")
+    # The tracer's input hook reads rref's dense list rows.
+    assert layers["cyclo.rref.calls"] > 0
+    assert layers["cyclo.rref.cells"] > 0
