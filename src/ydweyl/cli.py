@@ -9,10 +9,11 @@ Exit codes:
   0  success
   1  golden-file mismatch (or missing golden file)
   2  parse error (bad JSON, bad schema, bad flags)
-  3  validation failure (cocycle, group, or module axioms)
+  3  validation failure (cocycle, group, or module axioms), or any other
+     unexpected exception
   4  undecided at cutoff
   5  resource bound exceeded (vertex bound, truncation degree, group order,
-     conductor, module dimension)
+     conductor, module dimension), or MemoryError/RecursionError
 """
 
 from __future__ import annotations
@@ -425,6 +426,12 @@ def main(argv=None) -> int:
     try:
         session = load_session(args.session)
         output = COMMANDS[args.command](session, args)
+        sys.stdout.write(output)
+        if args.golden_write:
+            os.makedirs(args.golden_write, exist_ok=True)
+            path = os.path.join(args.golden_write, _golden_name(args))
+            with open(path, "w") as fh:
+                fh.write(output)
     except SessionError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
@@ -440,12 +447,10 @@ def main(argv=None) -> int:
     except YDWeylError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
-    sys.stdout.write(output)
-    if args.golden_write:
-        os.makedirs(args.golden_write, exist_ok=True)
-        path = os.path.join(args.golden_write, _golden_name(args))
-        with open(path, "w") as fh:
-            fh.write(output)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return (EXIT_RESOURCE if isinstance(exc, (MemoryError, RecursionError))
+                else EXIT_VALIDATION)
     if args.golden:
         path = os.path.join(args.golden, _golden_name(args))
         try:

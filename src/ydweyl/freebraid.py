@@ -11,9 +11,11 @@ Conventions:
     Phi(deg u, deg v, deg w)^-1, the inverse direction by Phi(...).
   * braiding c(u (x) v) = (deg u |> v) (x) u.
   * the coproduct is the unique algebra map T(V) -> T(V) (x) T(V) with
-    Delta(v) = v (x) 1 + 1 (x) v, computed by structural recursion through
-    the braided product on pairs; the shuffle expansion lives only in the
-    test oracles.
+    Delta(v) = v (x) 1 + 1 (x) v, computed by peeling the last letter x:
+    Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x), where each product by a
+    one-letter factor has a closed form (see delta_component).  Delta_{1^n}
+    peels Delta_{n-1,1}.  The shuffle expansion lives only in the test
+    oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ Word = tuple  # tuple[(slot, basis_index), ...]
 class GradedVector:
     """Finitely supported map key -> CycScalar; no zero coefficients stored.
 
-    Keys are words, or (word, word) pairs for the components of Delta.
+    Keys are any hashable: words, (word, word) pairs for the components of
+    Delta, or whatever labels a caller accumulates over (read `.terms`).
     """
 
     __slots__ = ("terms",)
@@ -47,20 +50,20 @@ class GradedVector:
         v.add_term(tuple(word), coeff)
         return v
 
-    def add_term(self, word: Word, coeff):
+    def add_term(self, key, coeff):
         if isinstance(coeff, int):
             coeff = CycScalar.from_rational(coeff)
         if coeff.is_zero():
             return
-        cur = self.terms.get(word)
+        cur = self.terms.get(key)
         if cur is None:
-            self.terms[word] = coeff
+            self.terms[key] = coeff
         else:
             s = cur + coeff
             if s.is_zero():
-                del self.terms[word]
+                del self.terms[key]
             else:
-                self.terms[word] = s
+                self.terms[key] = s
 
     def items(self):
         return self.terms.items()
@@ -249,34 +252,6 @@ class WordAlgebra:
                 out.add_term(u + v, cu * cv * self.flatten_scalar(u, v))
         return out
 
-    def pair_mult_terms(self, a: Word, b: Word, c: Word, d: Word) -> GradedVector:
-        """Product ((a (x) b)) * ((c (x) d)) in T(V) (x)bar T(V).
-
-        Route: rebracket to isolate (b (x) c), braid it, rebracket to the
-        split product, then flatten both factors; all scalars explicit.
-        """
-        g = self.group
-        phi = self.cocycle
-        da, db = self.word_degree(a), self.word_degree(b)
-        dc, dd = self.word_degree(c), self.word_degree(d)
-        s = _ONE
-        # ((A.B).(C.D)) -> (A.(B.(C.D))): Phi(da, db, dc*dd)^-1
-        s = s / phi.value(da, db, g.mul(dc, dd))
-        # (B.(C.D)) -> ((B.C).D): Phi(db, dc, dd)
-        s = s * phi.value(db, dc, dd)
-        out = GradedVector()
-        braided = self.act(db, c)
-        dc2 = g.conj(db, dc)
-        # (A.((C'.B).D)) -> (A.(C'.(B.D))): Phi(dc2, db, dd)^-1
-        # (A.(C'.(B.D))) -> ((A.C').(B.D)): Phi(da, dc2, db*dd)
-        s = s / phi.value(dc2, db, dd)
-        s = s * phi.value(da, dc2, g.mul(db, dd))
-        sb = self.flatten_scalar(b, d)
-        for cw, cc in braided.items():
-            coeff = s * cc * self.flatten_scalar(a, cw) * sb
-            out.add_term((a + cw, b + d), coeff)
-        return out
-
     # ---- coproduct components ---------------------------------------------
 
     def delta_component(self, word: Word, i: int, j: int) -> GradedVector:
@@ -291,16 +266,28 @@ class WordAlgebra:
         if n == 0:
             out = GradedVector({((), ()): _ONE})
         else:
+            # Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x).  Phi is normalized,
+            # so each product by a one-letter factor takes at most two Phi
+            # values, and a one-letter word needs no rebracketing.
             prefix, last = word[:-1], word[-1:]
+            g, phi = self.group, self.cocycle
+            dx = self.word_degree(last)
             out = GradedVector()
             if i > 0:
+                # (a (x) b)(x (x) 1)
+                #   = Phi(a, b|>x, b) Phi(a, b, x)^-1 (a (b|>x)) (x) b
                 for (a, b), c in self.delta_component(prefix, i - 1, j).items():
-                    for pair, s in self.pair_mult_terms(a, b, last, ()).items():
-                        out.add_term(pair, c * s)
+                    da, db = self.word_degree(a), self.word_degree(b)
+                    s = (_ONE / phi.value(da, db, dx)) * phi.value(
+                        da, g.conj(db, dx), db)
+                    for bx, cc in self.act(db, last).items():
+                        out.add_term((a + bx, b), c * (s * cc))
             if j > 0:
+                # (a (x) b)(1 (x) x) = Phi(a, b, x)^-1 a (x) (b x)
                 for (a, b), c in self.delta_component(prefix, i, j - 1).items():
-                    for pair, s in self.pair_mult_terms(a, b, (), last).items():
-                        out.add_term(pair, c * s)
+                    s = _ONE / phi.value(self.word_degree(a),
+                                         self.word_degree(b), dx)
+                    out.add_term((a, b + last), c * s)
         self._delta_cache[key] = out
         return out
 
@@ -309,7 +296,9 @@ class WordAlgebra:
 
         order="left" peels Delta_{1,n-1} and recurses on the right leg,
         rebracketing the peeled letter onto the left comb; order="right"
-        peels Delta_{n-1,1}.  Coassociativity makes the two agree.
+        peels Delta_{n-1,1} and needs no rebracketing.  Coassociativity
+        makes the two agree; delta_1n uses "right", and "left" stays as the
+        reference the tests compare it with.
         """
         n = len(word)
         if n <= 1:
@@ -334,7 +323,7 @@ class WordAlgebra:
         return out
 
     def delta_1n(self, word: Word) -> GradedVector:
-        return self.delta_fully_split(word, "left")
+        return self.delta_fully_split(word, "right")
 
 
 def _prod_degree(group, degrees, start, count) -> int:

@@ -157,7 +157,7 @@ class NicholsTruncation:
         Returns a dict {(word_left, word_right): scalar} with both legs
         canonical coset representatives.
         """
-        out: dict = {}
+        out = GradedVector()
         for w, c in vec.items():
             if len(w) != i + j:
                 raise ValidationError("delta_on_quotient needs length-homogeneous input")
@@ -166,14 +166,8 @@ class NicholsTruncation:
                 nb = self.normal_form(GradedVector.from_word(b))
                 for wa, ca in na.items():
                     for wb, cb in nb.items():
-                        key = (wa, wb)
-                        cur = out.get(key, CycScalar.zero())
-                        cur = cur + c * s * ca * cb
-                        if cur.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = cur
-        return out
+                        out.add_term((wa, wb), c * s * ca * cb)
+        return out.terms
 
     def check_coideal(self, n: int) -> bool:
         """Delta_{i,n-i} maps the degree-n ideal into ideal(x)T + T(x)ideal."""

@@ -145,7 +145,7 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
 
 
 class PairCache:
-    """Top ad level per ordered pair of module iso classes.
+    """Top ad level per ordered pair of module iso classes, dual per class.
 
     top(M, i, j) returns (m, module) for ad(M_i)^n(M_j): the top
     nonvanishing power m and the module at that level.  Entries are keyed
@@ -153,6 +153,7 @@ class PairCache:
     computed once, in the truncation of B(M_lo (+) M_hi) with the lower of
     slots i, j first.  That truncation holds the same blocks, in the same
     word order, as B(M) does in the multidegrees of the two slots.
+    dual(V) builds (and validates) one dual per iso class of V.
     """
 
     def __init__(self, cutoff: int = DEFAULT_AD_CUTOFF,
@@ -178,6 +179,13 @@ class PairCache:
             entry = self._entries[key] = (levels.m, levels.top_module())
         return entry
 
+    def dual(self, V: YDModule) -> YDModule:
+        key = (module_canonical_key(V),)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = dual(V)
+        return entry
+
 
 def cartan_entry(M: ModuleTuple, i: int, j: int,
                  cutoff: int = DEFAULT_AD_CUTOFF,
@@ -198,7 +206,7 @@ def reflect(M: ModuleTuple, i: int, cutoff: int = DEFAULT_AD_CUTOFF,
             pairs: PairCache | None = None) -> ModuleTuple:
     """R_i(M): dual at slot i, top nonvanishing ad level elsewhere."""
     pairs = pairs or PairCache(cutoff)
-    return ModuleTuple([dual(M[i]) if j == i else pairs.top(M, i, j)[1]
+    return ModuleTuple([pairs.dual(M[i]) if j == i else pairs.top(M, i, j)[1]
                         for j in range(M.theta)])
 
 
@@ -221,20 +229,15 @@ def coinvariant_dims(trunc: NicholsTruncation, coinv_slots, max_total: int) -> d
             n = total
             col_maps = []
             for w in basis:
-                entries: dict = {}
+                entries = GradedVector()
                 vec = GradedVector.from_word(w)
                 for s in range(1, n + 1):
                     for (a, b), c in trunc.delta_on_quotient(vec, n - s, s).items():
                         bmd = trunc.ctx.multidegree(b)
                         if all(bmd[t] == 0 or t in coinv_slots
                                for t in range(theta)):
-                            key = (s, a, b)
-                            cur = entries.get(key, _ZERO) + c
-                            if cur.is_zero():
-                                entries.pop(key, None)
-                            else:
-                                entries[key] = cur
-                col_maps.append(entries)
+                            entries.add_term((s, a, b), c)
+                col_maps.append(entries.terms)
             keys = sorted({k for m in col_maps for k in m})
             rows = [[m.get(k, _ZERO) for m in col_maps] for k in keys]
             out[md] = len(nullspace(rows, len(basis)))
@@ -263,7 +266,7 @@ class SmashAlgebra:
     def mult(self, x: dict, y: dict) -> dict:
         """(X # h)(Y # g) by the bosonization product formula."""
         G, phi = self.group, self.phi
-        out: dict = {}
+        out = GradedVector()
         for (w1, h), c1 in x.items():
             dx = self.ctx.word_degree(w1)
             for (w2, g), c2 in y.items():
@@ -277,18 +280,13 @@ class SmashAlgebra:
                                   self.ctx.act_vector(h, GradedVector.from_word(w2))))
                 hg = G.mul(h, g)
                 for w, c in core.items():
-                    key = (w, hg)
-                    cur = out.get(key, _ZERO) + c1 * c2 * scalar * c
-                    if cur.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
-        return out
+                    out.add_term((w, hg), c1 * c2 * scalar * c)
+        return out.terms
 
     def coproduct(self, x: dict) -> dict:
         """Delta(X # h) = Phi^-1(x1, x2, h) (X1 # x2 h) (x) (X2 # h)."""
         G, phi = self.group, self.phi
-        out: dict = {}
+        out = GradedVector()
         for (w, h), coeff in x.items():
             n = len(w)
             vec = GradedVector.from_word(w)
@@ -297,13 +295,8 @@ class SmashAlgebra:
                     da = self.ctx.word_degree(a)
                     db = self.ctx.word_degree(b)
                     s = phi.value(da, db, h).inv()
-                    key = ((a, G.mul(db, h)), (b, h))
-                    cur = out.get(key, _ZERO) + coeff * c * s
-                    if cur.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = cur
-        return out
+                    out.add_term(((a, G.mul(db, h)), (b, h)), coeff * c * s)
+        return out.terms
 
     def counit(self, x: dict) -> CycScalar:
         total = _ZERO

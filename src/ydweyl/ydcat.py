@@ -91,8 +91,7 @@ class YDModule:
         self.name = name
         self.basis_names = tuple(basis_names) if basis_names else tuple(
             f"{name or 'v'}{i + 1}" for i in range(self.dim))
-        # Memos for dual() and module_canonical_key(): modules are immutable.
-        self._dual = None
+        # Memo for module_canonical_key(): modules are immutable.
         self._key = None
 
     def act_matrix(self, g: int):
@@ -242,11 +241,8 @@ def dual(V: YDModule) -> YDModule:
 
     The action is pinned by requiring the evaluation pairing <f_i, v_j> =
     delta_ij to be a morphism V* (x) V -> k.  The candidate is validated;
-    an invalid twist is reported, never returned.  Modules are immutable, so
-    the result is cached per instance.
+    an invalid twist is reported, never returned.
     """
-    if V._dual is not None:
-        return V._dual
     G, phi = V.group, V.cocycle
     degrees = [G.inv(d) for d in V.degrees]
     action = {}
@@ -269,7 +265,6 @@ def dual(V: YDModule) -> YDModule:
     report = yd_axiom_check(W)
     if not report:
         raise ValidationError(f"dual twist failed validation: {report.summary()}")
-    V._dual = W
     return W
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ydweyl import cli
 from ydweyl.cli import main
 
 SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.json")
@@ -294,3 +295,29 @@ def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     assert time.perf_counter() - start < 1.0
     assert (got, out) == (code, "")
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError("boom"), 3),
+    (KeyError("k"), 3),
+    (MemoryError("no room"), 5),
+    (RecursionError("too deep"), 5),
+])
+def test_unexpected_exception_exit_codes(capsys, monkeypatch, exc, code):
+    def command(session, args):
+        raise exc
+    monkeypatch.setitem(cli.COMMANDS, "validate", command)
+    got, out, err = run(capsys, "--session", SESSION, "validate")
+    assert (got, out) == (code, "")
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in err
+
+
+def test_golden_write_failure_exit_code(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "--session", SESSION, "--golden-write",
+                         str(blocker / "sub"), "validate")
+    assert code == 3
+    assert err.startswith("internal error: NotADirectoryError:")
+    assert err.count("\n") == 1

@@ -7,7 +7,7 @@ from ydweyl.cyclo import CycScalar
 from ydweyl.errors import ValidationError
 from ydweyl.freebraid import (GradedVector, WordAlgebra, left_comb,
                               right_comb)
-from oracles import braid_at
+from oracles import braid_at, symmetrizer
 
 
 @pytest.fixture(scope="module")
@@ -27,18 +27,6 @@ def test_word_degree_and_printing(z2cubed, ctx12):
         d = group.mul(d, ctx12.letter_degree(letter))
     assert ctx12.word_degree(w) == d
     assert ctx12.word_str(()) == "1"
-
-
-def test_unit_slots_in_pair_mult(ctx12):
-    one = CycScalar.one()
-    pm = ctx12.pair_mult_terms((X1,), (), (), (Y1,))
-    assert dict(pm.items()) == {((X1,), (Y1,)): one}
-
-
-def test_braiding_term_in_pair_mult(ctx12):
-    # (1 (x) X1) * (Y1 (x) 1) = (h1 |> Y1) (x) X1 = Y2 (x) X1
-    pm = ctx12.pair_mult_terms((), (X1,), (Y1,), ())
-    assert dict(pm.items()) == {((Y2,), (X1,)): CycScalar.one()}
 
 
 def test_delta_11_cancellation(ctx12):
@@ -87,6 +75,19 @@ def test_delta_splitting_order_independence(ctx12):
             w = tuple(rng.choice(ctx12.letters) for _ in range(n))
             assert (ctx12.delta_fully_split(w, "left")
                     == ctx12.delta_fully_split(w, "right"))
+
+
+@pytest.mark.parametrize("which, max_n", [("W", 3), ("z9", 4)])
+def test_delta_1n_matches_symmetrizer(which, max_n, w_triple, z9_pair):
+    # Phi is nontrivial on the full W and on the conductor-9 pair, so every
+    # Phi factor of the one-letter products in delta_component shows here;
+    # the order test above runs where Phi is 1 on every degree it meets.
+    ctx = WordAlgebra(w_triple if which == "W" else z9_pair[1])
+    for n in range(max_n + 1):
+        for w in product(ctx.letters, repeat=n):
+            expected = symmetrizer(ctx, w)
+            for order in ("left", "right"):
+                assert ctx.delta_fully_split(w, order) == expected, (order, w)
 
 
 def test_bad_split_rejected(ctx12):

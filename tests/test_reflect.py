@@ -1,10 +1,7 @@
-import json
-import os
 import random
 
 import pytest
 
-from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, root_of_unity, rref
 from ydweyl.errors import UndecidedAtCutoff, ValidationError
 from ydweyl.freebraid import GradedVector
@@ -12,27 +9,14 @@ from ydweyl.nichols import nichols_truncate
 from ydweyl.reflect import (SmashAlgebra, _ad_level, ad_group,
                             ad_power_module, ad_primitive, cartan_entry,
                             cartan_matrix, coinvariant_dims, reflect)
-from ydweyl.ydcat import (ModuleTuple, iso_test, module_from_generator_actions,
-                          tuple_iso, yd_axiom_check)
+from ydweyl.ydcat import ModuleTuple, iso_test, tuple_iso, yd_axiom_check
 
 X1, X2, Y1, Y2 = (0, 0), (0, 1), (1, 0), (1, 1)
-SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
 @pytest.fixture(scope="module")
 def trunc_pair(w_pair):
     return nichols_truncate(w_pair, 4)
-
-
-@pytest.fixture(scope="module")
-def z9_pair():
-    """[L, L4] over twisted Z3: lines of degree g acting by zeta(9), zeta(9)^4."""
-    with open(os.path.join(SESSIONS, "z3twisted.json")) as fh:
-        session = Session(json.load(fh))
-    line4 = module_from_generator_actions(
-        session.group, session.cocycle, 1, {1: [[root_of_unity(9, 4)]]},
-        name="L4")
-    return session.group, ModuleTuple([session.modules["L"], line4])
 
 
 def _rank(trunc, md, vectors):

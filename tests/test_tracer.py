@@ -41,6 +41,8 @@ def test_traced_graph_run(tmp_path):
     assert layers["ydcat.module_canonical_key.calls"] > 0
     # Graph closure is key lookups: no intertwiner search.
     assert layers["ydcat.iso_test.calls"] == 0
+    # One dual per module class of the graph.
+    assert layers["ydcat.dual.calls"] == 3
 
 
 def test_traced_roots_run(tmp_path):
