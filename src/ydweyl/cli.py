@@ -11,7 +11,7 @@ Exit codes:
   2  parse error (bad JSON, bad schema, bad flags)
   3  validation failure (cocycle, group, or module axioms), or any other
      unexpected exception
-  4  undecided at cutoff
+  4  undecided at the ad cutoff or the truncation degree
   5  resource bound exceeded (vertex bound, truncation degree, group order,
      conductor, module dimension), or MemoryError/RecursionError
 """
@@ -26,11 +26,11 @@ import sys
 from .cyclo import CycScalar, parse_scalar
 from .errors import (ResourceBoundError, UndecidedAtCutoff, ValidationError,
                      YDWeylError)
-from .groupdata import (Cocycle3, Group, check_3cocycle, group_from_cayley,
-                        make_abelian_group, sign_cocycle)
+from .groupdata import (Cocycle3, Group, Report, check_3cocycle,
+                        group_from_cayley, make_abelian_group, sign_cocycle)
 from .nichols import nichols_truncate
 from .reflect import (DEFAULT_AD_CUTOFF, DEFAULT_TRUNCATION_DEGREE,
-                      ad_power_module, cartan_matrix, reflect)
+                      PairCache, ad_power_module, cartan_matrix, reflect)
 from .weylgraph import (DEFAULT_ROOT_BOUND, DEFAULT_VERTEX_BOUND,
                         build_cartan_graph, check_axioms,
                         infinite_dim_certificate, is_finite, is_standard,
@@ -81,6 +81,7 @@ class Session:
         self.group = self._load_group(data)
         self.cocycle = self._load_cocycle(data)
         self.modules: dict[str, YDModule] = {}
+        self.presets: set[str] = set()
         for name, stanza in sorted(_object(data, "modules").items()):
             self.modules[name] = self._load_module(name, stanza)
         self.tuples: dict[str, ModuleTuple] = {}
@@ -95,6 +96,8 @@ class Session:
                 raise SessionError(f"tuple {name!r} references unknown module "
                                    f"{exc.args[0]!r}", EXIT_PARSE)
             self.tuples[name] = ModuleTuple(mods)
+        # The lines of validate_all, set by load_session.
+        self.report: list[str] = []
 
     def _load_group(self, data) -> Group:
         stanza = data.get("group")
@@ -137,13 +140,26 @@ class Session:
                 preset = stanza["preset"]
                 if preset not in PRESET_NAMES:
                     raise SessionError(f"unknown preset {preset!r}", EXIT_PARSE)
+                self.presets.add(name)
                 return preset_module(preset, self.group, self.cocycle)
             degrees = stanza["degrees"]
             if not isinstance(stanza["action"], dict):
                 raise SessionError(f"module {name!r}: 'action' must be a JSON "
                                    f"object", EXIT_PARSE)
-            action = {int(g): [[_scalar(x) for x in row] for row in mat]
-                      for g, mat in stanza["action"].items()}
+            if not isinstance(degrees, list) or not all(map(_is_int, degrees)):
+                raise ValueError(f"'degrees' must be a list of integers, got "
+                                 f"{degrees!r}")
+            action = {}
+            for g, mat in stanza["action"].items():
+                if g != str(int(g)):
+                    raise ValueError(f"action key {g!r} is not a plain "
+                                     f"integer")
+                if not (isinstance(mat, list) and len(mat) == len(degrees)
+                        and all(isinstance(row, list)
+                                and len(row) == len(degrees) for row in mat)):
+                    raise ValueError(f"action of {g} must be a "
+                                     f"{len(degrees)}x{len(degrees)} matrix")
+                action[int(g)] = [[_scalar(x) for x in row] for row in mat]
             return YDModule(self.group, self.cocycle, degrees, action, name=name)
         except SessionError:
             raise
@@ -161,18 +177,18 @@ class Session:
         raise SessionError(f"unknown module or tuple {name!r}", EXIT_PARSE)
 
     def validate_all(self) -> list[str]:
-        lines = []
-        rep = self.group.check()
-        lines.append(f"group: order {self.group.order}: {rep.summary()}")
-        if not rep.ok:
-            raise SessionError("\n".join(lines), EXIT_VALIDATION)
+        """Check the cocycle and the explicit modules; return the report.
+
+        Every group is valid once built, and so is every preset module."""
+        lines = [f"group: order {self.group.order}: pass"]
         crep = check_3cocycle(self.cocycle)
         n4 = self.group.order ** 4
         lines.append(f"cocycle: pentagon over {n4} quadruples: {crep.summary()}")
         if not crep.ok:
             raise SessionError("\n".join(lines), EXIT_VALIDATION)
         for name, mod in sorted(self.modules.items()):
-            mrep = yd_axiom_check(mod)
+            mrep = (Report(True) if name in self.presets
+                    else yd_axiom_check(mod))
             lines.append(f"module {name}: dim {mod.dim}: {mrep.summary()}")
             if not mrep.ok:
                 raise SessionError("\n".join(lines), EXIT_VALIDATION)
@@ -198,8 +214,12 @@ def _flatten(nested):
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _scalar(x) -> CycScalar:
-    if isinstance(x, int):
+    if _is_int(x):
         return CycScalar.from_rational(x)
     if isinstance(x, str):
         return parse_scalar(x)
@@ -215,7 +235,7 @@ def load_session(path: str) -> Session:
     except json.JSONDecodeError as exc:
         raise SessionError(f"session file is not valid JSON: {exc}", EXIT_PARSE)
     session = Session(data)
-    session.validate_all()
+    session.report = session.validate_all()
     return session
 
 
@@ -224,9 +244,7 @@ def load_session(path: str) -> Session:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(session: Session, args) -> str:
-    lines = session.validate_all()
-    lines.append("all checks passed")
-    return "\n".join(lines) + "\n"
+    return "\n".join(session.report + ["all checks passed"]) + "\n"
 
 
 def cmd_nichols(session: Session, args) -> str:
@@ -261,14 +279,16 @@ def cmd_ad(session: Session, args) -> str:
     i, j = args.i - 1, args.j - 1
     if not (0 <= i < target.theta and 0 <= j < target.theta) or i == j:
         raise SessionError("ad needs distinct 1-based slot indices", EXIT_PARSE)
-    levels = ad_power_module(target, i, j, cutoff=session.cutoffs["ad_cutoff"])
+    levels = ad_power_module(
+        target, i, j, cutoff=session.cutoffs["ad_cutoff"],
+        trunc=nichols_truncate(target, session.cutoffs["max_degree"]))
     lines = [f"ad levels for slots ({args.i}, {args.j}) of {args.tuple}"]
     for level in levels.levels:
         degs = ", ".join(session.group.element_name(d)
                          for d in level.module.degrees)
         lines.append(f"level {level.n}: dim {len(level.basis)} degrees [{degs}]")
     if levels.undecided:
-        lines.append(f"undecided at cutoff {levels.cutoff}")
+        lines.append(f"undecided at {levels.bound}")
         raise SessionError("\n".join(lines), EXIT_UNDECIDED)
     lines.append(f"vanishing at level {levels.m + 1}: m = {levels.m}")
     return "\n".join(lines) + "\n"
@@ -276,7 +296,8 @@ def cmd_ad(session: Session, args) -> str:
 
 def cmd_cartan(session: Session, args) -> str:
     target = session.resolve(args.tuple)
-    A = cartan_matrix(target, cutoff=session.cutoffs["ad_cutoff"])
+    A = cartan_matrix(target, pairs=PairCache(session.cutoffs["ad_cutoff"],
+                                              session.cutoffs["max_degree"]))
     lines = [f"Cartan matrix of {args.tuple}"]
     for row in A:
         lines.append("  [" + ", ".join(f"{x:>2}" for x in row) + "]")
@@ -288,7 +309,8 @@ def cmd_reflect(session: Session, args) -> str:
     i = args.i - 1
     if not 0 <= i < target.theta:
         raise SessionError("reflect needs a 1-based slot index", EXIT_PARSE)
-    refl = reflect(target, i, cutoff=session.cutoffs["ad_cutoff"])
+    refl = reflect(target, i, pairs=PairCache(session.cutoffs["ad_cutoff"],
+                                              session.cutoffs["max_degree"]))
     payload = {"modules": {}}
     for k, mod in enumerate(refl):
         stanza = {
@@ -436,7 +458,7 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return exc.code
     except UndecidedAtCutoff as exc:
-        print(f"undecided at cutoff: {exc}", file=sys.stderr)
+        print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ResourceBoundError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)

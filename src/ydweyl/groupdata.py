@@ -21,8 +21,8 @@ from .errors import ResourceBoundError, ValidationError
 
 _ONE = CycScalar.one()
 
-# Largest group order accepted.  The pentagon check walks |G|^4 quadruples:
-# on a 2-core VM it takes 0.9 s at order 16, 13 s at 32 and 70 s at 48.
+# Largest group order accepted.  The pentagon check walks (|G|-1)^4
+# quadruples: on a 2-core VM it takes 0.5 s at order 16 and 8.9 s at 32.
 MAX_GROUP_ORDER = 32
 
 
@@ -139,10 +139,20 @@ def make_abelian_group(orders) -> Group:
 def group_from_cayley(table) -> Group:
     """Group from an explicit Cayley table; identity must be index 0."""
     _check_order(len(table))
-    cayley = tuple(tuple(int(x) for x in row) for row in table)
+    cayley = tuple(tuple(row) for row in table)
+    entries = [x for row in cayley for x in row]
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"Cayley entries must be integers, got {x!r}")
     n = len(cayley)
+    if n == 0:
+        raise ValidationError("Cayley table must be nonempty")
     if any(len(row) != n for row in cayley):
         raise ValidationError("Cayley table must be square")
+    for x in entries:
+        if not 0 <= x < n:
+            raise ValidationError(f"Cayley entry {x} is not an element index "
+                                  f"0..{n - 1}")
     inverse = []
     for a in range(n):
         inv = next((b for b in range(n) if cayley[a][b] == 0 and cayley[b][a] == 0), None)
@@ -223,34 +233,31 @@ def sign_cocycle(group: Group) -> Cocycle3:
 
 
 def check_3cocycle(phi: Cocycle3) -> Report:
-    """Exhaustive pentagon check over |G|^4 quadruples, plus normalization.
+    """Exhaustive pentagon check: the identity holds on all |G|^4 quadruples.
 
     Identity checked (group-like specialization):
     Phi(b,c,d) * Phi(a,bc,d) * Phi(a,b,c) = Phi(a,b,cd) * Phi(ab,c,d).
+
+    Only non-identity quadruples are evaluated.  Cocycle3 accepts only
+    normalized tables, and with Phi = 1 wherever an argument is 1 the
+    identity at a = 1, b = 1, c = 1 or d = 1 reads Phi(b,c,d), Phi(a,c,d),
+    Phi(a,b,d) or Phi(a,b,c) on both sides.
     """
     g = phi.group
-    n = g.order
-    bad = []
-    for a in range(n):
-        for b in range(n):
-            for (x, y, z) in ((0, a, b), (a, 0, b), (a, b, 0)):
-                if not phi.value(x, y, z) == _ONE:
-                    bad.append(f"normalization fails at ({x},{y},{z})")
-                    return Report(False, bad)
-    for a in range(n):
-        for b in range(n):
+    rest = range(1, g.order)
+    for a in rest:
+        for b in rest:
             ab = g.mul(a, b)
-            for c in range(n):
+            for c in rest:
                 bc = g.mul(b, c)
                 left_ab = phi.value(a, b, c)
-                for d in range(n):
+                for d in rest:
                     lhs = phi.value(b, c, d) * phi.value(a, bc, d) * left_ab
                     rhs = phi.value(a, b, g.mul(c, d)) * phi.value(ab, c, d)
                     if not lhs == rhs:
-                        bad.append(
+                        return Report(False, [
                             f"pentagon fails at quadruple ({a},{b},{c},{d}): "
-                            f"{lhs} != {rhs}")
-                        return Report(False, bad)
+                            f"{lhs} != {rhs}"])
     return Report(True, [])
 
 

@@ -67,8 +67,13 @@ class AdLevels:
     j: int
     levels: list = field(default_factory=list)  # nonzero levels, index = n
     m: int | None = None                        # top nonvanishing power
-    undecided: bool = False
-    cutoff: int = DEFAULT_AD_CUTOFF
+    # The bound that stopped the tower before it vanished, as
+    # "cutoff C" or "truncation degree D"; None once it vanished.
+    bound: str | None = None
+
+    @property
+    def undecided(self) -> bool:
+        return self.bound is not None
 
     def dims(self) -> tuple:
         return tuple(len(l.basis) for l in self.levels)
@@ -76,7 +81,7 @@ class AdLevels:
     def top_module(self) -> YDModule:
         if self.undecided:
             raise UndecidedAtCutoff(
-                f"ad-power of slots ({self.i},{self.j}) undecided at cutoff {self.cutoff}")
+                f"ad-power of slots ({self.i},{self.j}) undecided at {self.bound}")
         return self.levels[self.m].module
 
 
@@ -122,13 +127,13 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
         raise ValidationError("ad_power_module needs distinct slots")
     if trunc is None:
         trunc = nichols_truncate(M, min(DEFAULT_TRUNCATION_DEGREE, cutoff + 1))
-    result = AdLevels(tuple_=M, i=i, j=j, cutoff=cutoff)
+    result = AdLevels(tuple_=M, i=i, j=j)
     letters_i = [GradedVector.from_word(((i, b),)) for b in range(M[i].dim)]
     letters_j = [GradedVector.from_word(((j, b),)) for b in range(M[j].dim)]
     result.levels.append(AdLevel(0, letters_j, M[j]))
     for n in count(1):
         if n + 1 > trunc.max_degree:
-            result.undecided = True
+            result.bound = f"truncation degree {trunc.max_degree}"
             return result
         md = tuple(n if s == i else (1 if s == j else 0) for s in range(M.theta))
         vectors = [ad_primitive(trunc, x, y)
@@ -140,7 +145,7 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
             return result
         result.levels.append(level)
         if n >= cutoff:
-            result.undecided = True
+            result.bound = f"cutoff {cutoff}"
             return result
 
 
@@ -175,7 +180,7 @@ class PairCache:
             if levels.undecided:
                 raise UndecidedAtCutoff(
                     f"ad-power of ({M[i].name},{M[j].name}) undecided at "
-                    f"cutoff {self.cutoff}")
+                    f"{levels.bound}")
             entry = self._entries[key] = (levels.m, levels.top_module())
         return entry
 

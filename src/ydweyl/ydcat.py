@@ -27,7 +27,7 @@ _ZERO = CycScalar.zero()
 
 # Largest module dimension accepted.  yd_axiom_check walks G x G x basis
 # with cubic matrix work: `validate` of one module with identity actions
-# takes 2.4 s at dimension 32 over Z2^3 and 12 s at 64 on a 2-core VM.
+# takes 0.8 s at dimension 32 over Z2^3 and 15-19 s over Z2^5 on a 2-core VM.
 MAX_MODULE_DIM = 32
 
 
@@ -138,16 +138,12 @@ def yd_axiom_check(V: YDModule) -> Report:
     for e in G.elements():
         me = V.act_matrix(e)
         for f in G.elements():
-            mf = V.act_matrix(f)
+            lhs = mat_mul(me, V.act_matrix(f))
             mef = V.act_matrix(G.mul(e, f))
             for j in range(V.dim):
                 w = omega_scalar(phi, e, f, V.degrees[j])
                 for i in range(V.dim):
-                    lhs = _ZERO
-                    for k in range(V.dim):
-                        if not mf[k][j].is_zero() and not me[i][k].is_zero():
-                            lhs = lhs + me[i][k] * mf[k][j]
-                    if not lhs == w * mef[i][j]:
+                    if not lhs[i][j] == w * mef[i][j]:
                         bad.append(
                             f"twisted composition fails at (e={e}, f={f}, "
                             f"basis {j})")

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: scalars are evaluated
 with complex floats, the defining ideal is recomputed through the braided
 symmetrizer (a sum over permutation lifts, not the coproduct recursion),
-row reduction is checked against a dense Gauss-Jordan sweep,
+row reduction is checked against a dense Gauss-Jordan sweep, the pentagon
+identity is walked over every quadruple, identities included,
 reflection orbits of degree tuples are enumerated with plain group
 arithmetic, and root sets are the images of the simple roots under every
 composite of generator morphisms.
@@ -52,6 +53,14 @@ def dense_rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def pentagon_holds(phi) -> bool:
+    """The pentagon identity of phi on all |G|^4 quadruples."""
+    g, v = phi.group, phi.value
+    return all(v(b, c, d) * v(a, g.mul(b, c), d) * v(a, b, c)
+               == v(a, b, g.mul(c, d)) * v(g.mul(a, b), c, d)
+               for a, b, c, d in product(g.elements(), repeat=4))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ydweyl import cli
+from ydweyl import cli, groupdata, ydcat
 from ydweyl.cli import main
 
 SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.json")
@@ -239,6 +239,20 @@ def _edited(**changes):
     return data
 
 
+def _group(stanza):
+    """A session over the given group stanza, with nothing else to check."""
+    return _edited(group=stanza, cocycle={"trivial": True}, modules={},
+                   tuples={})
+
+
+def _module(degrees, matrix, extra=()):
+    """z2cubed with one module M acting by `matrix` at every element."""
+    action = {str(g): matrix for g in range(8)}
+    action.update(extra)
+    return _edited(modules={"M": {"degrees": degrees, "action": action}},
+                   tuples={})
+
+
 @pytest.mark.parametrize("data, argv, code, prefix", [
     (_edited(cutoffs={"ad_cutoff": "x"}), ["validate"], 2,
      "cutoff 'ad_cutoff' must be an integer"),
@@ -286,6 +300,34 @@ def _edited(**changes):
         "action": {str(g): [["1" if r == c else "0" for c in range(33)]
                             for r in range(33)] for g in range(8)}}}),
      ["validate"], 5, "resource bound exceeded: module dimension 33"),
+    (_group({"cayley": [[0, 1], [1, True]]}), ["validate"], 2,
+     "bad group stanza: Cayley entries must be integers, got True"),
+    (_group({"cayley": [[0, 1], [1, 1.7]]}), ["validate"], 2,
+     "bad group stanza: Cayley entries must be integers, got 1.7"),
+    (_group({"cayley": []}), ["validate"], 3, "Cayley table must be nonempty"),
+    (_group({"cayley": [[0, 5], [5, 0]]}), ["validate"], 3,
+     "Cayley entry 5 is not an element index 0..1"),
+    (_module("00", [["1", "0"], ["0", "1"]]), ["validate"], 2,
+     "malformed module stanza 'M': 'degrees' must be a list of integers, "
+     "got '00'"),
+    (_module([0.5], [["1"]]), ["validate"], 2,
+     "malformed module stanza 'M': 'degrees' must be a list of integers"),
+    (_module([False], [["1"]]), ["validate"], 2,
+     "malformed module stanza 'M': 'degrees' must be a list of integers"),
+    (_module([0], "1"), ["validate"], 2,
+     "malformed module stanza 'M': action of 0 must be a 1x1 matrix"),
+    (_module([0], [["1", "0"], ["0", "1"]]), ["validate"], 2,
+     "malformed module stanza 'M': action of 0 must be a 1x1 matrix"),
+    (_module([0], [["1", "0"]]), ["validate"], 2,
+     "malformed module stanza 'M': action of 0 must be a 1x1 matrix"),
+    (_module([0], [["1"]], extra={"01": [["1"]]}), ["validate"], 2,
+     "malformed module stanza 'M': action key '01' is not a plain integer"),
+    (_module([0], [[True]]), ["validate"], 2,
+     "malformed module stanza 'M': scalar literals are strings or integers, "
+     "got True"),
+    (_edited(cocycle={"table": [True] + ["1"] * 511}, modules={}, tuples={}),
+     ["validate"], 2,
+     "bad cocycle stanza: scalar literals are strings or integers, got True"),
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     path = tmp_path / "session.json"
@@ -295,6 +337,38 @@ def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     assert time.perf_counter() - start < 1.0
     assert (got, out) == (code, "")
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv", [["cartan", "W"], ["reflect", "W", "1"],
+                                  ["ad", "W", "1", "2"], ["certify", "W"]])
+def test_session_truncation_degree_bounds_every_command(capsys, tmp_path,
+                                                        argv):
+    # W needs degree 3 to see ad(W1)^2(W2) vanish; every command that builds
+    # ad towers stops at the session's truncation degree and names it.
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(_edited(cutoffs={"max_degree": 2})))
+    code, out, err = run(capsys, "--session", str(path), *argv)
+    assert (code, out) == (4, "")
+    assert "undecided at truncation degree 2" in err
+
+
+def test_validate_runs_each_check_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(arg):
+            calls.append((name, getattr(arg, "name", None)))
+            return fn(arg)
+        return wrapper
+
+    for module, name in ((groupdata, "check_3cocycle"), (cli, "check_3cocycle"),
+                         (ydcat, "yd_axiom_check"), (cli, "yd_axiom_check")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, counted(name, fn))
+    code, _, _ = run(capsys, "--session", SESSION, "validate")
+    assert code == 0
+    assert sorted(calls) == [("check_3cocycle", None)] + [
+        ("yd_axiom_check", f"W{k}") for k in range(1, 7)]
 
 
 @pytest.mark.parametrize("exc, code", [

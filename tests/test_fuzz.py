@@ -3,8 +3,9 @@
 Each case mutates one shipped session once: it replaces a leaf by a value
 of another type, deletes a key, or adds an unknown key.  Whatever the
 mutation, `validate` must end in a documented exit code, never in an
-exception.  Replacement integers are -1, 0 and 1, so no mutated group has a
-larger order than the shipped one (at most 16).
+exception, and never in `cli.main`'s "internal error" line.  Replacement
+integers are -1, 0 and 1, so no mutated group has a larger order than the
+shipped one (at most 16).
 """
 
 import copy
@@ -16,7 +17,7 @@ from ydweyl.cli import main
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 # Cases per session.  A mutated z2z2z4 session that still parses pays the
-# order-16 pentagon check (about 1 s), so it gets fewer cases.
+# order-16 pentagon check (about 0.5 s), so it gets fewer cases.
 CASES = {"z3twisted.json": 130, "z2cubed.json": 60, "z2z2z4.json": 12}
 REPLACEMENTS = [-1, 0, 1, 2.5, True, False, None, "x", "zeta(3)", "",
                 [], [1], {}, {"a": 1}]
@@ -76,8 +77,10 @@ def test_mutated_sessions_exit_with_documented_codes(tmp_path, capsys):
                 code = exc.code
             except Exception as exc:     # any other escape is the failure
                 raise AssertionError(f"{name}: {what}: {exc!r}") from exc
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code in DOCUMENTED_CODES, (name, what, code)
+            # A crash caught by cli.main's last resort also exits 3.
+            assert "internal error" not in err, (name, what, err)
             seen.add(code)
     # The mutations reach both accepted and rejected sessions.
     assert {0, 2, 3} <= seen

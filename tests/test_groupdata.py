@@ -1,6 +1,10 @@
+import random
+from itertools import product
+
 import pytest
 
-from ydweyl.cyclo import CycScalar
+from oracles import pentagon_holds
+from ydweyl.cyclo import CycScalar, root_of_unity
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, alpha_scalar,
                               beta_scalar, check_3cocycle, group_from_cayley,
@@ -128,3 +132,29 @@ def test_antipode_axiom_at_grouplikes(z2cubed):
 def test_sign_cocycle_on_224_passes():
     group = make_abelian_group([2, 2, 4])
     assert check_3cocycle(sign_cocycle(group)).ok
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2]])
+def test_check_3cocycle_agrees_with_full_pentagon_walk(orders):
+    # check_3cocycle skips quadruples with an identity argument; the oracle
+    # walks all of them.  Tables: coboundaries d(mu) of random normalized
+    # 2-cochains (cocycles), some with random non-identity entries
+    # multiplied by a fourth root of unity (mostly not cocycles).
+    group = make_abelian_group(orders)
+    n, mul = group.order, group.mul
+    rng = random.Random(len(orders) * 100 + n)
+    units = [root_of_unity(4, k) for k in range(4)]
+    verdicts = set()
+    for trial in range(24):
+        mu = {(a, b): rng.choice(units) if a and b else CycScalar.one()
+              for a, b in product(range(n), repeat=2)}
+        table = [mu[b, c] * mu[a, mul(b, c)] / (mu[mul(a, b), c] * mu[a, b])
+                 for a, b, c in product(range(n), repeat=3)]
+        for _ in range(trial % 3):
+            a, b, c = (rng.randrange(1, n) for _ in range(3))
+            table[(a * n + b) * n + c] *= rng.choice(units)
+        phi = Cocycle3(group, table)
+        expected = pentagon_holds(phi)
+        assert check_3cocycle(phi).ok == expected, (trial, expected)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
