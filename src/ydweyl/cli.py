@@ -141,7 +141,7 @@ class Session:
                 if preset not in PRESET_NAMES:
                     raise SessionError(f"unknown preset {preset!r}", EXIT_PARSE)
                 self.presets.add(name)
-                return preset_module(preset, self.group, self.cocycle)
+                return preset_module(preset, self.group, self.cocycle, name)
             degrees = stanza["degrees"]
             if not isinstance(stanza["action"], dict):
                 raise SessionError(f"module {name!r}: 'action' must be a JSON "
@@ -168,6 +168,10 @@ class Session:
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise SessionError(f"malformed module stanza {name!r}: {exc}",
                                EXIT_PARSE)
+
+    def pairs(self) -> PairCache:
+        """Pair classes' ad towers under the session's two bounds."""
+        return PairCache(self.cutoffs["ad_cutoff"], self.cutoffs["max_degree"])
 
     def resolve(self, name) -> ModuleTuple:
         if name in self.tuples:
@@ -296,8 +300,7 @@ def cmd_ad(session: Session, args) -> str:
 
 def cmd_cartan(session: Session, args) -> str:
     target = session.resolve(args.tuple)
-    A = cartan_matrix(target, pairs=PairCache(session.cutoffs["ad_cutoff"],
-                                              session.cutoffs["max_degree"]))
+    A = cartan_matrix(target, pairs=session.pairs())
     lines = [f"Cartan matrix of {args.tuple}"]
     for row in A:
         lines.append("  [" + ", ".join(f"{x:>2}" for x in row) + "]")
@@ -309,8 +312,7 @@ def cmd_reflect(session: Session, args) -> str:
     i = args.i - 1
     if not 0 <= i < target.theta:
         raise SessionError("reflect needs a 1-based slot index", EXIT_PARSE)
-    refl = reflect(target, i, pairs=PairCache(session.cutoffs["ad_cutoff"],
-                                              session.cutoffs["max_degree"]))
+    refl = reflect(target, i, pairs=session.pairs())
     payload = {"modules": {}}
     for k, mod in enumerate(refl):
         stanza = {
@@ -326,11 +328,8 @@ def cmd_reflect(session: Session, args) -> str:
 
 def _graph_for(session: Session, name: str):
     target = session.resolve(name)
-    return build_cartan_graph(
-        target,
-        ad_cutoff=session.cutoffs["ad_cutoff"],
-        max_degree=session.cutoffs["max_degree"],
-        vertex_bound=session.cutoffs["vertex_bound"])
+    return build_cartan_graph(target, pairs=session.pairs(),
+                              vertex_bound=session.cutoffs["vertex_bound"])
 
 
 def cmd_graph(session: Session, args) -> str:
@@ -366,9 +365,7 @@ def cmd_roots(session: Session, args) -> str:
 def cmd_certify(session: Session, args) -> str:
     target = session.resolve(args.tuple)
     cert = infinite_dim_certificate(
-        target,
-        ad_cutoff=session.cutoffs["ad_cutoff"],
-        max_degree=session.cutoffs["max_degree"],
+        target, pairs=session.pairs(),
         vertex_bound=session.cutoffs["vertex_bound"])
     return "\n".join(cert.lines()) + "\n"
 

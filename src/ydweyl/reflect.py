@@ -14,7 +14,6 @@ agree with the module action.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
 from .cyclo import CycScalar, coords_in_rref, nullspace, rref
 from .errors import UndecidedAtCutoff, ValidationError
@@ -61,7 +60,7 @@ class AdLevel:
 
 @dataclass
 class AdLevels:
-    """All levels of ad(M_i)^n(M_j) up to vanishing or cutoff."""
+    """All levels of ad(M_i)^n(M_j) up to vanishing or the tower's bound."""
     tuple_: ModuleTuple
     i: int
     j: int
@@ -81,7 +80,8 @@ class AdLevels:
     def top_module(self) -> YDModule:
         if self.undecided:
             raise UndecidedAtCutoff(
-                f"ad-power of slots ({self.i},{self.j}) undecided at {self.bound}")
+                f"ad-power of ({self.tuple_[self.i].name},"
+                f"{self.tuple_[self.j].name}) undecided at {self.bound}")
         return self.levels[self.m].module
 
 
@@ -118,23 +118,25 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
 def ad_power_module(M: ModuleTuple, i: int, j: int,
                     cutoff: int = DEFAULT_AD_CUTOFF,
                     trunc: NicholsTruncation | None = None) -> AdLevels:
-    """Levels ad(M_i)^n(M_j) inside B(M), up to first vanishing or cutoff.
+    """Levels ad(M_i)^n(M_j) inside B(M), up to first vanishing or a bound.
 
-    Level 0 is M_j itself: its letters are their own normal forms, so their
-    span carries exactly M_j's matrices.
+    Level n lives in degree n + 1, so levels n <= min(cutoff, D - 1) are
+    computed for the truncation degree D of trunc (default
+    DEFAULT_TRUNCATION_DEGREE); a tower still nonzero there is undecided at
+    whichever of the two is smaller, the cutoff on a tie.  Level 0 is M_j
+    itself: its letters are their own normal forms, so their span carries
+    exactly M_j's matrices.
     """
     if i == j:
         raise ValidationError("ad_power_module needs distinct slots")
     if trunc is None:
-        trunc = nichols_truncate(M, min(DEFAULT_TRUNCATION_DEGREE, cutoff + 1))
+        trunc = nichols_truncate(M, DEFAULT_TRUNCATION_DEGREE)
     result = AdLevels(tuple_=M, i=i, j=j)
     letters_i = [GradedVector.from_word(((i, b),)) for b in range(M[i].dim)]
     letters_j = [GradedVector.from_word(((j, b),)) for b in range(M[j].dim)]
     result.levels.append(AdLevel(0, letters_j, M[j]))
-    for n in count(1):
-        if n + 1 > trunc.max_degree:
-            result.bound = f"truncation degree {trunc.max_degree}"
-            return result
+    last = min(cutoff, trunc.max_degree - 1)
+    for n in range(1, last + 1):
         md = tuple(n if s == i else (1 if s == j else 0) for s in range(M.theta))
         vectors = [ad_primitive(trunc, x, y)
                    for y in result.levels[-1].basis for x in letters_i]
@@ -144,14 +146,15 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
             result.m = n - 1
             return result
         result.levels.append(level)
-        if n >= cutoff:
-            result.bound = f"cutoff {cutoff}"
-            return result
+    result.bound = (f"cutoff {cutoff}" if cutoff < trunc.max_degree
+                    else f"truncation degree {trunc.max_degree}")
+    return result
 
 
 class PairCache:
     """Top ad level per ordered pair of module iso classes, dual per class.
 
+    It holds the two bounds of every ad tower, cutoff and max_degree.
     top(M, i, j) returns (m, module) for ad(M_i)^n(M_j): the top
     nonvanishing power m and the module at that level.  Entries are keyed
     by the complete iso keys of M_i and M_j, so each pair of classes is
@@ -162,10 +165,9 @@ class PairCache:
     """
 
     def __init__(self, cutoff: int = DEFAULT_AD_CUTOFF,
-                 max_degree: int | None = None):
+                 max_degree: int = DEFAULT_TRUNCATION_DEGREE):
         self.cutoff = cutoff
-        self.max_degree = (min(DEFAULT_TRUNCATION_DEGREE, cutoff + 1)
-                           if max_degree is None else max_degree)
+        self.max_degree = max_degree
         self._entries: dict = {}
 
     def top(self, M: ModuleTuple, i: int, j: int) -> tuple:
@@ -177,10 +179,6 @@ class PairCache:
             levels = ad_power_module(pair, int(i > j), int(j > i),
                                      cutoff=self.cutoff,
                                      trunc=nichols_truncate(pair, self.max_degree))
-            if levels.undecided:
-                raise UndecidedAtCutoff(
-                    f"ad-power of ({M[i].name},{M[j].name}) undecided at "
-                    f"{levels.bound}")
             entry = self._entries[key] = (levels.m, levels.top_module())
         return entry
 
@@ -193,24 +191,21 @@ class PairCache:
 
 
 def cartan_entry(M: ModuleTuple, i: int, j: int,
-                 cutoff: int = DEFAULT_AD_CUTOFF,
                  pairs: PairCache | None = None) -> int:
     if i == j:
         return 2
-    return -(pairs or PairCache(cutoff)).top(M, i, j)[0]
+    return -(pairs or PairCache()).top(M, i, j)[0]
 
 
-def cartan_matrix(M: ModuleTuple, cutoff: int = DEFAULT_AD_CUTOFF,
-                  pairs: PairCache | None = None) -> list:
-    pairs = pairs or PairCache(cutoff)
+def cartan_matrix(M: ModuleTuple, pairs: PairCache | None = None) -> list:
+    pairs = pairs or PairCache()
     return [[cartan_entry(M, i, j, pairs=pairs) for j in range(M.theta)]
             for i in range(M.theta)]
 
 
-def reflect(M: ModuleTuple, i: int, cutoff: int = DEFAULT_AD_CUTOFF,
-            pairs: PairCache | None = None) -> ModuleTuple:
+def reflect(M: ModuleTuple, i: int, pairs: PairCache | None = None) -> ModuleTuple:
     """R_i(M): dual at slot i, top nonvanishing ad level elsewhere."""
-    pairs = pairs or PairCache(cutoff)
+    pairs = pairs or PairCache()
     return ModuleTuple([pairs.dual(M[i]) if j == i else pairs.top(M, i, j)[1]
                         for j in range(M.theta)])
 

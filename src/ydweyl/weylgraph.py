@@ -5,7 +5,8 @@ reflection sequences.  A tuple's class is the tuple of its modules' complete
 iso keys (twisted-double characters, see ydcat.module_canonical_key), so
 closing the graph is dict lookups.  Reflections of isomorphic pairs agree up
 to isomorphism, so the ad-level computations run once per pair class
-(reflect.PairCache) and only the degree bookkeeping runs per vertex.
+(reflect.PairCache, which holds the two bounds of every tower) and only the
+degree bookkeeping runs per vertex.
 
 Finiteness of the real root system is semi-decided with an explicit
 coordinate bound; for standard graphs the finite-Cartan-type classifier
@@ -20,8 +21,7 @@ from itertools import combinations
 from .cyclo import CycScalar, det
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Report
-from .reflect import (DEFAULT_AD_CUTOFF, DEFAULT_TRUNCATION_DEGREE,
-                      PairCache, cartan_matrix, reflect)
+from .reflect import PairCache, cartan_matrix, reflect
 from .ydcat import ModuleTuple, module_canonical_key
 
 DEFAULT_VERTEX_BOUND = 64
@@ -55,13 +55,12 @@ class SemiCartanGraph:
         return ",".join(self.vertices[vid].tuple_.degree_names())
 
 
-def build_cartan_graph(M: ModuleTuple, *, ad_cutoff: int = DEFAULT_AD_CUTOFF,
-                       max_degree: int = DEFAULT_TRUNCATION_DEGREE,
+def build_cartan_graph(M: ModuleTuple, *, pairs: PairCache | None = None,
                        vertex_bound: int = DEFAULT_VERTEX_BOUND) -> SemiCartanGraph:
     """BFS over reflection sequences; vertices are keyed by complete iso keys."""
     theta = M.theta
     graph = SemiCartanGraph(theta=theta)
-    pairs = PairCache(ad_cutoff, max_degree)
+    pairs = pairs or PairCache()
     index: dict = {}  # tuple of module keys -> vid
 
     def find_or_add(t: ModuleTuple) -> tuple[int, bool]:
@@ -419,8 +418,7 @@ class Certificate:
 
 
 def infinite_dim_certificate(M: ModuleTuple, *,
-                             ad_cutoff: int = DEFAULT_AD_CUTOFF,
-                             max_degree: int = DEFAULT_TRUNCATION_DEGREE,
+                             pairs: PairCache | None = None,
                              vertex_bound: int = DEFAULT_VERTEX_BOUND) -> Certificate:
     """Contrapositive of the finite-dimensionality criterion.
 
@@ -428,8 +426,7 @@ def infinite_dim_certificate(M: ModuleTuple, *,
     not of finite type, the Nichols algebra of the tuple is
     infinite-dimensional; otherwise this criterion is silent.
     """
-    graph = build_cartan_graph(M, ad_cutoff=ad_cutoff, max_degree=max_degree,
-                               vertex_bound=vertex_bound)
+    graph = build_cartan_graph(M, pairs=pairs, vertex_bound=vertex_bound)
     axioms = check_axioms(graph)
     if not axioms.ok:
         raise ValidationError("semi-Cartan axioms failed: " + axioms.summary())

@@ -406,8 +406,11 @@ def _diag(*entries):
 _SWAP = [[_ZERO, _ONE], [_ONE, _ZERO]]
 
 
-def preset_module(name: str, group: Group, cocycle: Cocycle3) -> YDModule:
+def preset_module(name: str, group: Group, cocycle: Cocycle3,
+                  module_name: str | None = None) -> YDModule:
     """Simple 2-dimensional presets W1..W6 (over Z2^3) and V1..V3.
+
+    The module is called module_name (a session's name for it), else name.
 
     V1..V3 are defined over any 3-factor abelian group with the sign
     cocycle; W1..W6 require exponent vectors of length 3 with the W4..W6
@@ -444,7 +447,7 @@ def preset_module(name: str, group: Group, cocycle: Cocycle3) -> YDModule:
     degree = group.element_index(exps)
     letter = letters[name]
     return module_from_generator_actions(
-        group, cocycle, degree, gens, name=name,
+        group, cocycle, degree, gens, name=module_name or name,
         basis_names=(f"{letter}1", f"{letter}2"))
 
 

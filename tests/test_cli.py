@@ -132,6 +132,11 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "roots", "W12")
     assert code == 0
+    # The gated roots-W20 workload: graph closure and root closure over the
+    # 24 vertices of W.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "roots", "W", "--bound", "20")
+    assert code == 0
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "graph", "W12")
     assert code == 0
@@ -220,6 +225,9 @@ def test_exit_code_undecided(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "--session", str(path), "ad", "W", "1", "2")
     assert code == 4 and "undecided" in err.lower()
+    # A cutoff of 0 computes level 0 only.
+    assert "level 0" in err and "undecided at cutoff 0" in err
+    assert "level 1" not in err
 
 
 def test_exit_code_resource_bound(capsys, tmp_path):
@@ -350,6 +358,18 @@ def test_session_truncation_degree_bounds_every_command(capsys, tmp_path,
     code, out, err = run(capsys, "--session", str(path), *argv)
     assert (code, out) == (4, "")
     assert "undecided at truncation degree 2" in err
+
+
+def test_preset_module_takes_its_session_name(capsys, tmp_path):
+    data = _edited(cutoffs={"max_degree": 2})
+    data["modules"].update({"A": {"preset": "W1"}, "B": {"preset": "W2"}})
+    data["tuples"]["T"] = ["A", "B"]
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--session", str(path), "cartan", "T")
+    assert (code, out) == (4, "")
+    assert err == ("undecided: ad-power of (A,B) undecided at truncation "
+                   "degree 2\n")
 
 
 def test_validate_runs_each_check_once(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from ydweyl.cyclo import CycScalar, root_of_unity, rref
 from ydweyl.errors import UndecidedAtCutoff, ValidationError
 from ydweyl.freebraid import GradedVector
 from ydweyl.nichols import nichols_truncate
-from ydweyl.reflect import (SmashAlgebra, _ad_level, ad_group,
+from ydweyl.reflect import (PairCache, SmashAlgebra, _ad_level, ad_group,
                             ad_power_module, ad_primitive, cartan_entry,
                             cartan_matrix, coinvariant_dims, reflect)
 from ydweyl.ydcat import ModuleTuple, iso_test, tuple_iso, yd_axiom_check
@@ -125,7 +125,33 @@ def test_ad_cutoff_reports_undecided(w_pair):
     with pytest.raises(UndecidedAtCutoff):
         levels.top_module()
     with pytest.raises(UndecidedAtCutoff):
-        cartan_entry(w_pair, 0, 1, cutoff=0)
+        cartan_entry(w_pair, 0, 1, pairs=PairCache(0))
+
+
+@pytest.mark.parametrize("which", ["w_pair", "z9_pair"])
+def test_tower_stops_at_min_of_cutoff_and_degree(request, which):
+    # Level n lives in degree n + 1: under cutoff C and truncation degree D
+    # the tower is the unbounded one cut at level min(C, D - 1), undecided at
+    # the cutoff if C <= D - 1 and at the truncation degree otherwise.
+    pair = request.getfixturevalue(which)
+    pair = pair[1] if which == "z9_pair" else pair
+    for i, j in ((0, 1), (1, 0)):
+        full = ad_power_module(pair, i, j)
+        assert not full.undecided
+        for D in (0, 1, 2, 3, 4, 5, 6, 8):
+            trunc = nichols_truncate(pair, D)
+            for C in (0, 1, 2, 3, 4, 8):
+                last = min(C, D - 1)
+                levels = ad_power_module(pair, i, j, cutoff=C, trunc=trunc)
+                case = (which, i, j, C, D)
+                if full.m < last:
+                    assert (levels.dims(), levels.m, levels.bound) == (
+                        full.dims(), full.m, None), case
+                else:
+                    bound = (f"cutoff {C}" if C <= D - 1
+                             else f"truncation degree {D}")
+                    assert (levels.dims(), levels.m, levels.bound) == (
+                        full.dims()[:max(last, 0) + 1], None, bound), case
 
 
 def test_w4_w5_level(w_presets):
