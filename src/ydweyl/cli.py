@@ -8,12 +8,13 @@ iteration orders, no timestamps.
 Exit codes:
   0  success
   1  golden-file mismatch (or missing golden file)
-  2  parse error (bad JSON, bad schema, bad flags)
+  2  parse error (bad JSON, bad schema or an unknown key, bad flags)
   3  validation failure (cocycle, group, or module axioms), or any other
      unexpected exception
   4  undecided at the ad cutoff or the truncation degree
   5  resource bound exceeded (vertex bound, truncation degree, group order,
-     conductor, module dimension), or MemoryError/RecursionError
+     conductor, module dimension, Nichols block size, root-closure states),
+     or MemoryError/RecursionError
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ class Session:
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise SessionError("session must be a JSON object", EXIT_PARSE)
+        _known_keys(data, ("group", "cocycle", "modules", "tuples", "cutoffs"),
+                    "unknown session key")
         self.cutoffs = {"max_degree": DEFAULT_TRUNCATION_DEGREE,
                         "ad_cutoff": DEFAULT_AD_CUTOFF,
                         "vertex_bound": DEFAULT_VERTEX_BOUND,
                         "root_bound": DEFAULT_ROOT_BOUND}
-        for key, value in _object(data, "cutoffs").items():
-            if key not in CUTOFF_MINIMA:
-                raise SessionError(f"unknown cutoff {key!r}; expected one of "
-                                   f"{', '.join(CUTOFF_MINIMA)}", EXIT_PARSE)
+        cutoffs = _object(data, "cutoffs")
+        _known_keys(cutoffs, CUTOFF_MINIMA, "unknown cutoff")
+        for key, value in cutoffs.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SessionError(f"cutoff {key!r} must be an integer, "
                                    f"got {value!r}", EXIT_PARSE)
@@ -103,6 +105,7 @@ class Session:
         stanza = data.get("group")
         if not isinstance(stanza, dict):
             raise SessionError("missing or malformed 'group' stanza", EXIT_PARSE)
+        _one_form(stanza, ("abelian", "cayley"), "group")
         try:
             if "abelian" in stanza:
                 return make_abelian_group(stanza["abelian"])
@@ -118,6 +121,7 @@ class Session:
         stanza = data.get("cocycle")
         if not isinstance(stanza, dict):
             raise SessionError("missing or malformed 'cocycle' stanza", EXIT_PARSE)
+        _one_form(stanza, ("sign3", "trivial", "table"), "cocycle")
         try:
             if stanza.get("sign3"):
                 return sign_cocycle(self.group)
@@ -135,6 +139,9 @@ class Session:
                            EXIT_PARSE)
 
     def _load_module(self, name, stanza) -> YDModule:
+        if isinstance(stanza, dict):
+            known = ("preset",) if "preset" in stanza else ("degrees", "action")
+            _known_keys(stanza, known, f"module {name!r}: unknown key")
         try:
             if "preset" in stanza:
                 preset = stanza["preset"]
@@ -204,6 +211,21 @@ def _object(data: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise SessionError(f"{key!r} must be a JSON object", EXIT_PARSE)
     return value
+
+
+def _known_keys(stanza: dict, known, what: str) -> None:
+    for key in stanza:
+        if key not in known:
+            raise SessionError(f"{what} {key!r}; expected one of "
+                               f"{', '.join(known)}", EXIT_PARSE)
+
+
+def _one_form(stanza: dict, forms: tuple, what: str) -> None:
+    """A group or cocycle stanza names one of its forms and nothing else."""
+    _known_keys(stanza, forms, f"{what} stanza: unknown key")
+    if len(stanza) > 1:
+        raise SessionError(f"{what} stanza names {len(stanza)} forms "
+                           f"({', '.join(stanza)}); expected one", EXIT_PARSE)
 
 
 def _flatten(nested):

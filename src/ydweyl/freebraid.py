@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .cyclo import CycScalar
 from .errors import ValidationError
-from .ydcat import ModuleTuple, YDModule, tensor_action_scalar
+from .ydcat import ModuleTuple, YDModule
 
 _ONE = CycScalar.one()
 
@@ -224,9 +224,8 @@ class WordAlgebra:
                 out.add_term(((slot, i),), c)
         else:
             prefix, last = word[:-1], word[-1:]
-            s = tensor_action_scalar(self.cocycle, g,
-                                     self.word_degree(prefix),
-                                     self.word_degree(last))
+            s = self.cocycle.tensor_action(g, self.word_degree(prefix),
+                                           self.word_degree(last))
             left = self.act(g, prefix)
             right = self.act(g, last)
             out = GradedVector()
@@ -278,15 +277,15 @@ class WordAlgebra:
                 #   = Phi(a, b|>x, b) Phi(a, b, x)^-1 (a (b|>x)) (x) b
                 for (a, b), c in self.delta_component(prefix, i - 1, j).items():
                     da, db = self.word_degree(a), self.word_degree(b)
-                    s = (_ONE / phi.value(da, db, dx)) * phi.value(
+                    s = phi.inverse(da, db, dx) * phi.value(
                         da, g.conj(db, dx), db)
                     for bx, cc in self.act(db, last).items():
                         out.add_term((a + bx, b), c * (s * cc))
             if j > 0:
                 # (a (x) b)(1 (x) x) = Phi(a, b, x)^-1 a (x) (b x)
                 for (a, b), c in self.delta_component(prefix, i, j - 1).items():
-                    s = _ONE / phi.value(self.word_degree(a),
-                                         self.word_degree(b), dx)
+                    s = phi.inverse(self.word_degree(a),
+                                    self.word_degree(b), dx)
                     out.add_term((a, b + last), c * s)
         self._delta_cache[key] = out
         return out

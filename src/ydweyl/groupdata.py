@@ -7,7 +7,9 @@ groups built from cyclic factor orders additionally carry exponent vectors.
 Cocycles are materialized as dense |G|^3 tables of exact scalars.  Only
 normalized cocycles (value 1 whenever an argument is the identity) with
 nonzero entries are accepted; the pentagon identity is checked exhaustively
-by check_3cocycle.
+by check_3cocycle.  The scalars derived from Phi (its inverse, the
+twisted-composition scalar omega and the tensor-action scalar) are
+Cocycle3 methods, memoized on the instance.
 """
 
 from __future__ import annotations
@@ -189,18 +191,45 @@ class Cocycle3:
                             f"cocycle not normalized at ({x},{y},{z})")
         if any(v.is_zero() for v in flat):
             raise ValidationError("cocycle has a zero value")
+        self._inverse: dict = {}
+        self._omega: dict = {}
+        self._tensor: dict = {}
 
     def value(self, a: int, b: int, c: int) -> CycScalar:
         n = self.group.order
         return self._table[(a * n + b) * n + c]
 
-    def scalar_cache(self, name: str) -> dict:
-        """Per-cocycle memo table for derived scalars (omega, tensor, ...)."""
-        caches = getattr(self, "_caches", None)
-        if caches is None:
-            caches = {}
-            self._caches = caches
-        return caches.setdefault(name, {})
+    def inverse(self, a: int, b: int, c: int) -> CycScalar:
+        """Phi(a, b, c)^-1: (u_a (x) v_b) (x) w_c -> u_a (x) (v_b (x) w_c)."""
+        key = (a, b, c)
+        s = self._inverse.get(key)
+        if s is None:
+            s = self._inverse[key] = self.value(a, b, c).inv()
+        return s
+
+    def omega(self, e: int, f: int, g: int) -> CycScalar:
+        """omega_g(e, f): e |> (f |> v) = omega (ef) |> v for v of degree g."""
+        key = (e, f, g)
+        s = self._omega.get(key)
+        if s is None:
+            G = self.group
+            fgf = G.conj(f, g)
+            efgfe = G.conj(e, fgf)
+            s = self._omega[key] = (self.value(e, f, g) * self.value(efgfe, e, f)
+                                    / self.value(e, fgf, f))
+        return s
+
+    def tensor_action(self, x: int, g: int, h: int) -> CycScalar:
+        """Scalar in x |> (m_g (x) n_h) = s (x |> m_g) (x) (x |> n_h)."""
+        key = (x, g, h)
+        s = self._tensor.get(key)
+        if s is None:
+            G = self.group
+            xg = G.conj(x, g)
+            xh = G.conj(x, h)
+            s = self._tensor[key] = (self.value(x, g, h) * self.value(xg, xh, x)
+                                     / self.value(xg, x, h))
+        return s
 
     @classmethod
     def from_function(cls, group: Group, fn) -> "Cocycle3":
@@ -263,7 +292,7 @@ def check_3cocycle(phi: Cocycle3) -> Report:
 
 def preantipode_scalar(phi: Cocycle3, g: int) -> CycScalar:
     """Coefficient of g^-1 in the preantipode of (kG, Phi): Phi(g, g^-1, g)^-1."""
-    return phi.value(g, phi.group.inv(g), g).inv()
+    return phi.inverse(g, phi.group.inv(g), g)
 
 
 def alpha_scalar(phi: Cocycle3, g: int) -> CycScalar:

@@ -16,9 +16,17 @@ letters, so all outputs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from math import factorial, prod
+
 from .cyclo import CycScalar, nullspace, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
+
+# Most words in one multidegree block; the block's Delta matrix is dense,
+# words x words.  On W over Z2^3 (2-core VM, one block each): 960 words
+# take 1.0 s and 48 MB peak, 1,920 take 0.7 s and 62 MB, 3,840 take 12.8 s
+# and 328 MB, 5,760 take 58 s and 819 MB.
+MAX_BLOCK_WORDS = 2048
 
 
 def _compositions(total: int, parts: int):
@@ -86,6 +94,13 @@ class NicholsTruncation:
         blk = self._blocks.get(md)
         if blk is not None:
             return blk
+        # multinomial(md) * prod(dim_s ** md_s) words
+        count = factorial(sum(md)) // prod(factorial(k) for k in md) * prod(
+            m.dim ** k for m, k in zip(self.ctx.modules, md))
+        if count > MAX_BLOCK_WORDS:
+            raise ResourceBoundError(
+                f"multidegree {md} has {count} words, exceeding the largest "
+                f"supported block of {MAX_BLOCK_WORDS} words")
         words = self.words_of_multidegree(md)
         index = {w: k for k, w in enumerate(words)}
         last = len(words) - 1

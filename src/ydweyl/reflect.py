@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .cyclo import CycScalar, coords_in_rref, nullspace, rref
 from .errors import UndecidedAtCutoff, ValidationError
 from .freebraid import GradedVector
+from .groupdata import preantipode_scalar
 from .nichols import NicholsTruncation, nichols_truncate
 from .ydcat import (ModuleTuple, YDModule, dual, module_canonical_key,
                     yd_axiom_check)
@@ -294,7 +295,7 @@ class SmashAlgebra:
                 for (a, b), c in self.trunc.delta_on_quotient(vec, i, n - i).items():
                     da = self.ctx.word_degree(a)
                     db = self.ctx.word_degree(b)
-                    s = phi.value(da, db, h).inv()
+                    s = phi.inverse(da, db, h)
                     out.add_term(((a, G.mul(db, h)), (b, h)), coeff * c * s)
         return out.terms
 
@@ -306,8 +307,7 @@ class SmashAlgebra:
         return total
 
     def preantipode_grouplike(self, g: int) -> dict:
-        return {((), self.group.inv(g)):
-                self.phi.value(g, self.group.inv(g), g).inv()}
+        return {((), self.group.inv(g)): preantipode_scalar(self.phi, g)}
 
     def ad_group_via_smash(self, g: int, x: GradedVector) -> GradedVector:
         """ad(g)(X) = [Phi(g x, g^-1, g)/Phi(g, g^-1, g)] (g X) g^-1."""

@@ -27,6 +27,12 @@ from .ydcat import ModuleTuple, module_canonical_key
 DEFAULT_VERTEX_BOUND = 64
 DEFAULT_ROOT_BOUND = 50
 
+# Most (vertex, root) states the root closure may reach.  The count grows
+# linearly with the coordinate bound B (about 288 B on W over Z2^3, 1,150 B
+# on V over Z2xZ2xZ4); on a 2-core VM W at B = 1600 reaches 460,734 states in
+# 1.3 s and V at B = 430 reaches 495,084 in 1.4 s, each adding about 100 MB.
+MAX_ROOT_STATES = 500_000
+
 
 @dataclass
 class Vertex:
@@ -180,7 +186,8 @@ def real_roots(graph: SemiCartanGraph,
     (r_i(X), s_i^X beta), reaches every root of every vertex.  It is
     truncated, with an empty dict, as soon as a reached root has a
     coordinate of absolute value above the bound: then some vertex's root
-    set leaves the box, and no vertex's list is reported.
+    set leaves the box, and no vertex's list is reported.  Reaching more
+    than MAX_ROOT_STATES states raises ResourceBoundError.
     """
     theta = graph.theta
     simple = [tuple(int(k == j) for k in range(theta)) for j in range(theta)]
@@ -197,6 +204,10 @@ def real_roots(graph: SemiCartanGraph,
                     return {}, True
                 state = (graph.r(i, vid), beta[:i] + (coord,) + beta[i + 1:])
                 if state not in seen:
+                    if len(seen) >= MAX_ROOT_STATES:
+                        raise ResourceBoundError(
+                            f"root closure exceeds {MAX_ROOT_STATES} states "
+                            f"below coordinate bound {bound}")
                     seen.add(state)
                     new.append(state)
         frontier = new

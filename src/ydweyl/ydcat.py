@@ -7,7 +7,8 @@ vector is homogeneous (degree deg(v) in G) and the action satisfies
     1 |> v = v,
     e |> v  has degree  e g e^-1,
 
-with omega_g(e, f) = Phi(e,f,g) Phi(efgf^-1e^-1,e,f) / Phi(e,fgf^-1,f).
+with omega_g(e, f) = Phi(e,f,g) Phi(efgf^-1e^-1,e,f) / Phi(e,fgf^-1,f)
+(Cocycle3.omega).
 
 Action matrices use the column convention: (g |> v_j) = sum_i A[g][i][j] v_i.
 Modules are immutable in spirit: nothing mutates them after construction, so
@@ -29,39 +30,6 @@ _ZERO = CycScalar.zero()
 # with cubic matrix work: `validate` of one module with identity actions
 # takes 0.8 s at dimension 32 over Z2^3 and 15-19 s over Z2^5 on a 2-core VM.
 MAX_MODULE_DIM = 32
-
-
-def omega_scalar(phi: Cocycle3, e: int, f: int, g: int) -> CycScalar:
-    """Twisted-composition scalar for e |> (f |> v), v of degree g."""
-    cache = phi.scalar_cache("omega")
-    key = (e, f, g)
-    s = cache.get(key)
-    if s is None:
-        G = phi.group
-        fgf = G.conj(f, g)
-        efgfe = G.conj(e, fgf)
-        s = phi.value(e, f, g) * phi.value(efgfe, e, f) / phi.value(e, fgf, f)
-        cache[key] = s
-    return s
-
-
-def tensor_action_scalar(phi: Cocycle3, x: int, g: int, h: int) -> CycScalar:
-    """Scalar in x |> (m_g (x) n_h) = s * (x |> m_g) (x) (x |> n_h)."""
-    cache = phi.scalar_cache("tensor")
-    key = (x, g, h)
-    s = cache.get(key)
-    if s is None:
-        G = phi.group
-        xg = G.conj(x, g)
-        xh = G.conj(x, h)
-        s = phi.value(x, g, h) * phi.value(xg, xh, x) / phi.value(xg, x, h)
-        cache[key] = s
-    return s
-
-
-def associator_scalar(phi: Cocycle3, e: int, f: int, g: int) -> CycScalar:
-    """Scalar by which (u_e (x) v_f) (x) w_g maps to u_e (x) (v_f (x) w_g)."""
-    return phi.value(e, f, g).inv()
 
 
 class YDModule:
@@ -141,7 +109,7 @@ def yd_axiom_check(V: YDModule) -> Report:
             lhs = mat_mul(me, V.act_matrix(f))
             mef = V.act_matrix(G.mul(e, f))
             for j in range(V.dim):
-                w = omega_scalar(phi, e, f, V.degrees[j])
+                w = phi.omega(e, f, V.degrees[j])
                 for i in range(V.dim):
                     if not lhs[i][j] == w * mef[i][j]:
                         bad.append(
@@ -171,9 +139,8 @@ def module_from_generator_actions(group: Group, cocycle: Cocycle3, degree: int,
                 se = group.mul(s, e)
                 if se in known:
                     continue
-                w = omega_scalar(cocycle, s, e, degree)
+                winv = cocycle.omega(s, e, degree).inv()
                 mat = mat_mul(gens[s], known[e])
-                winv = w.inv()
                 known[se] = [[x * winv for x in row] for row in mat]
                 new.append(se)
         frontier = new
@@ -202,7 +169,7 @@ def tensor(V: YDModule, W: YDModule) -> YDModule:
         mat = [[_ZERO] * dims for _ in range(dims)]
         for i in range(V.dim):
             for j in range(W.dim):
-                s = tensor_action_scalar(phi, x, V.degrees[i], W.degrees[j])
+                s = phi.tensor_action(x, V.degrees[i], W.degrees[j])
                 col = i * W.dim + j
                 for a in range(V.dim):
                     if mv[a][i].is_zero():
@@ -248,10 +215,8 @@ def dual(V: YDModule) -> YDModule:
         for k in range(V.dim):
             gk = V.degrees[k]
             w_deg = G.conj(G.inv(h), gk)
-            tau = (phi.value(h, G.inv(w_deg), w_deg)
-                   * phi.value(G.conj(h, G.inv(w_deg)), G.conj(h, w_deg), h)
-                   / phi.value(G.conj(h, G.inv(w_deg)), h, w_deg))
-            s = (tau * omega_scalar(phi, h, G.inv(h), gk)).inv()
+            s = (phi.tensor_action(h, G.inv(w_deg), w_deg)
+                 * phi.omega(h, G.inv(h), gk)).inv()
             for j in range(V.dim):
                 if not ah_inv[j][k].is_zero():
                     mat[k][j] = s * ah_inv[j][k]

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ydweyl import cli, groupdata, ydcat
+from ydweyl import cli, groupdata, nichols, weylgraph, ydcat
 from ydweyl.cli import main
 
 SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.json")
@@ -336,6 +336,24 @@ def _module(degrees, matrix, extra=()):
     (_edited(cocycle={"table": [True] + ["1"] * 511}, modules={}, tuples={}),
      ["validate"], 2,
      "bad cocycle stanza: scalar literals are strings or integers, got True"),
+    (_edited(cutofs={"max_degree": 2}), ["validate"], 2,
+     "unknown session key 'cutofs'; expected one of group, cocycle, modules, "
+     "tuples, cutoffs\n"),
+    (_edited(modules={"W1": {"preset": "W1", "degrees": [5, 5]}}, tuples={}),
+     ["validate"], 2,
+     "module 'W1': unknown key 'degrees'; expected one of preset\n"),
+    (_edited(modules={"W2": {"preset": "W2", "actoin": {}}}, tuples={}),
+     ["validate"], 2,
+     "module 'W2': unknown key 'actoin'; expected one of preset\n"),
+    (_edited(modules={"M": {"degrees": [0], "name": "N", "action": {
+        str(g): [["1"]] for g in range(8)}}}, tuples={}), ["validate"], 2,
+     "module 'M': unknown key 'name'; expected one of degrees, action\n"),
+    (_group({"abelian": [2], "cayley": [[0, 1], [1, 0]]}), ["validate"], 2,
+     "group stanza names 2 forms (abelian, cayley); expected one\n"),
+    (_group({"abelian": [2], "order": 2}), ["validate"], 2,
+     "group stanza: unknown key 'order'; expected one of abelian, cayley\n"),
+    (_edited(cocycle={"sign3": True, "trivial": True}), ["validate"], 2,
+     "cocycle stanza names 2 forms (sign3, trivial); expected one\n"),
 ])
 def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     path = tmp_path / "session.json"
@@ -345,6 +363,42 @@ def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     assert time.perf_counter() - start < 1.0
     assert (got, out) == (code, "")
     assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("module, cap, argv, message", [
+    (nichols, "MAX_BLOCK_WORDS", ["nichols", "W", "--max-degree", "4"],
+     "multidegree (1, 1, 2) has 192 words, exceeding the largest supported "
+     "block of 100 words"),
+    (weylgraph, "MAX_ROOT_STATES", ["roots", "W", "--bound", "20"],
+     "root closure exceeds 100 states below coordinate bound 20"),
+])
+def test_resource_caps_exit_5(capsys, monkeypatch, module, cap, argv, message):
+    monkeypatch.setattr(module, cap, 100)
+    code, out, err = run(capsys, "--session", SESSION, *argv)
+    assert (code, out) == (5, "")
+    assert err == f"resource bound exceeded: {message}\n"
+
+
+def test_reflect_conductor9_golden(capsys, tmp_path, z9_pair):
+    # [L, L4] over twisted Z3 is the shipped path that prints non-rational
+    # scalars, so a change of stored conductor in Phi's derived scalars
+    # (Cocycle3.inverse, omega, tensor_action) shows here.  This is the
+    # session perfbench/sessions.py:z9pair_session writes.
+    with open(os.path.join(os.path.dirname(SESSION), "z3twisted.json")) as fh:
+        data = json.load(fh)
+    line4 = z9_pair[1][1]
+    data["modules"]["L4"] = {
+        "degrees": list(line4.degrees),
+        "action": {str(g): [[str(x) for x in row]
+                            for row in line4.act_matrix(g)]
+                   for g in line4.group.elements()}}
+    data["tuples"] = {"P": ["L", "L4"]}
+    path = tmp_path / "z9pair.json"
+    path.write_text(json.dumps(data, sort_keys=True))
+    for i in ("1", "2"):
+        code, _, err = run(capsys, "--session", str(path), "--golden", GOLDEN,
+                           "reflect", "P", i)
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [["cartan", "W"], ["reflect", "W", "1"],

@@ -1,15 +1,20 @@
+import json
+import os
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from oracles import pentagon_holds
+from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, root_of_unity
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, alpha_scalar,
                               beta_scalar, check_3cocycle, group_from_cayley,
                               make_abelian_group, preantipode_scalar,
                               sign_cocycle)
+
+SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
 def test_make_abelian_group_orders():
@@ -118,6 +123,45 @@ def test_preantipode_scalars(z2cubed):
     g1 = group.element_index((1, 0, 0))
     assert preantipode_scalar(phi, g123) == -1
     assert preantipode_scalar(phi, g1) == 1
+
+
+def _s3_trivial():
+    perms = sorted(permutations(range(3)))  # identity first
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms]
+             for p in perms]
+    return Cocycle3.trivial(group_from_cayley(table))
+
+
+def _z3_twisted():
+    with open(os.path.join(SESSIONS, "z3twisted.json")) as fh:
+        return Session(json.load(fh)).cocycle
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sign_cocycle(make_abelian_group([2, 2, 2])), _z3_twisted,
+    _s3_trivial], ids=["sign-z2cubed", "z3twisted", "trivial-s3"])
+def test_derived_scalars_match_their_formulas(make):
+    # Each memo holds the inline formula's scalar at the same stored
+    # conductor (printed by `reflect`), and a repeated call returns it.
+    phi = make()
+    G = phi.group
+    v = phi.value
+    for a, b, c in product(G.elements(), repeat=3):
+        bcb = G.conj(b, c)
+        abcba = G.conj(a, bcb)
+        ab, ac = G.conj(a, b), G.conj(a, c)
+        cases = [
+            (phi.inverse, v(a, b, c).inv()),
+            (phi.omega, v(a, b, c) * v(abcba, a, b) / v(a, bcb, b)),
+            (phi.tensor_action, v(a, b, c) * v(ab, ac, a) / v(ab, a, c)),
+        ]
+        for method, expect in cases:
+            got = method(a, b, c)
+            assert (got.conductor, got.coeffs) == (expect.conductor,
+                                                   expect.coeffs)
+            assert method(a, b, c) is got
+    assert preantipode_scalar(phi, 1) is phi.inverse(1, G.inv(1), 1)
 
 
 def test_antipode_axiom_at_grouplikes(z2cubed):

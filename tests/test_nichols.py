@@ -64,6 +64,19 @@ def test_normal_form_degree_guard(trunc_w1):
         trunc_w1.normal_form(GradedVector.from_word((X1,) * 5))
 
 
+def test_block_word_cap_is_checked_before_enumeration(w_triple, monkeypatch):
+    # (3, 3, 2) on W has 8!/(3! 3! 2!) * 2^8 = 143,360 words, and its dense
+    # Delta matrix would have 143,360^2 entries.
+    trunc = nichols_truncate(w_triple, 8)
+
+    def enumerate_words(md):
+        raise AssertionError(f"words of {md} enumerated")
+    monkeypatch.setattr(trunc, "words_of_multidegree", enumerate_words)
+    with pytest.raises(ResourceBoundError,
+                       match=r"multidegree \(3, 3, 2\) has 143360 words"):
+        trunc.block((3, 3, 2))
+
+
 def test_oracle_equivalence_kernels(w_presets, w_pair):
     # ker Delta_{1^n} from the recursive engine equals the kernel from the
     # independent shuffle-expansion (braided symmetrizer) oracle, and the
