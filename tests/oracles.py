@@ -1,7 +1,8 @@
 """Independent test oracles.
 
 These deliberately avoid the code paths they check: scalars are evaluated
-with complex floats, the defining ideal is recomputed through the braided
+with complex floats and multiplied by schoolbook long division on Fraction
+coefficients, the defining ideal is recomputed through the braided
 symmetrizer (a sum over permutation lifts, not the coproduct recursion),
 row reduction is checked against a dense Gauss-Jordan sweep, the pentagon
 identity is walked over every quadruple, identities included,
@@ -13,7 +14,9 @@ composite of generator morphisms.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 from ydweyl.cyclo import CycScalar, nullspace, rref
 from ydweyl.freebraid import GradedVector, WordAlgebra, left_comb
@@ -23,6 +26,51 @@ from ydweyl.weylgraph import GroupoidMorphism, generator_morphism
 def complex_value(x: CycScalar) -> complex:
     z = cmath.exp(2j * cmath.pi / x.conductor)
     return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Schoolbook arithmetic in Q(zeta_n) on Fraction coefficient tuples.
+# ---------------------------------------------------------------------------
+
+def reference_cyclotomic(n: int) -> list:
+    """Phi_n multiplied out from its primitive roots in complex floats."""
+    poly = [1]
+    for k in range(n):
+        if gcd(k, n) == 1:
+            root = cmath.exp(2j * cmath.pi * k / n)
+            poly = ([-root * poly[0]]
+                    + [poly[i - 1] - root * poly[i] for i in range(1, len(poly))]
+                    + [poly[-1]])
+    return [round(c.real) for c in poly]
+
+
+def reference_reduce(coeffs, n: int) -> tuple:
+    """sum_k coeffs[k] x^k mod Phi_n by long division, as phi(n) Fractions."""
+    phi = reference_cyclotomic(n)
+    deg = len(phi) - 1
+    c = [Fraction(x) for x in coeffs] + [Fraction(0)] * deg
+    for k in range(len(c) - 1, deg - 1, -1):
+        top = c[k]
+        for j in range(deg + 1):
+            c[k - deg + j] -= top * phi[j]
+    return tuple(c[:deg])
+
+
+def reference_product(a, b, n: int) -> tuple:
+    prod = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return reference_reduce(prod, n)
+
+
+def reference_promote(coeffs, n: int, m: int) -> tuple:
+    """Coefficients in Q(zeta_n) re-expressed in Q(zeta_m), m a multiple of n."""
+    step = m // n
+    spread = [Fraction(0)] * (len(coeffs) * step)
+    for j, c in enumerate(coeffs):
+        spread[j * step] = c
+    return reference_reduce(spread, m)
 
 
 def dense_rref(rows):

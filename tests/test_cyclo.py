@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -8,7 +11,8 @@ from ydweyl.cyclo import (MAX_CONDUCTOR, CycScalar, CycloDivisionError,
                           euler_phi, identity_matrix, mat_mul, nullspace,
                           parse_scalar, root_of_unity, rref)
 from ydweyl.errors import ResourceBoundError
-from oracles import complex_value, dense_rref
+from oracles import (complex_value, dense_rref, reference_cyclotomic,
+                     reference_product, reference_promote, reference_reduce)
 
 
 def test_roots_of_unity_basics():
@@ -110,6 +114,75 @@ def test_float_oracle_agreement():
         assert abs(complex_value(a + b) - (complex_value(a) + complex_value(b))) < 1e-9
 
 
+REFERENCE_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16)
+
+
+def _assert_normal_form(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.conductor)
+    assert x.conductor == 1 or any(x.num[1:])  # a rational is at conductor 1
+    assert all(isinstance(c, Fraction) for c in x.coeffs)
+    assert x.coeffs == tuple(Fraction(a, x.den) for a in x.num)
+
+
+def _assert_matches(x, ref, m, stored):
+    """x has the reference coefficients at conductor m, and is stored at
+    conductor `stored` or, for a rational value only, at 1."""
+    _assert_normal_form(x)
+    assert x.coeffs_at(m) == ref
+    assert x.conductor == (1 if not any(ref[1:]) else stored)
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(23)
+
+    def scalar(n):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                  for _ in range(euler_phi(n))]
+        if rng.random() < 0.2:  # rational values too
+            coeffs[1:] = [0] * (len(coeffs) - 1)
+        return CycScalar(n, coeffs), reference_reduce(coeffs, n)
+
+    for n in REFERENCE_CONDUCTORS:
+        assert list(cyclotomic_polynomial(n)) == reference_cyclotomic(n)
+        for k in range(n):
+            x = root_of_unity(n, k)
+            _assert_normal_form(x)
+            assert x.coeffs_at(n) == reference_reduce([0] * k + [1], n)
+    for _ in range(150):
+        n, m = rng.choice(REFERENCE_CONDUCTORS), rng.choice(REFERENCE_CONDUCTORS)
+        l = lcm(n, m)
+        (a, ra), (b, rb) = scalar(n), scalar(m)
+        _assert_matches(-a, tuple(-x for x in ra), n, n)
+        # Operands are promoted to the lcm of their stored conductors.
+        lcm_stored = lcm(a.conductor, b.conductor)
+        ra, rb = reference_promote(ra, n, l), reference_promote(rb, m, l)
+        _assert_matches(a.promote(l), ra, l, l)
+        _assert_matches(a + b, tuple(x + y for x, y in zip(ra, rb)), l,
+                        lcm_stored)
+        _assert_matches(a - b, tuple(x - y for x, y in zip(ra, rb)), l,
+                        lcm_stored)
+        _assert_matches(a * b, reference_product(ra, rb, l), l, lcm_stored)
+        if a:
+            inv = a.inv()
+            _assert_normal_form(inv)
+            unit = (Fraction(1),) + (Fraction(0),) * (len(ra) - 1)
+            assert reference_product(ra, inv.coeffs_at(l), l) == unit
+
+
+def test_pickle_and_deepcopy_round_trip():
+    z9 = root_of_unity(9, 5) * Fraction(3, 4) + Fraction(1, 2)
+    for x in (z9, CycScalar.from_rational(Fraction(-7, 3))):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x
+            assert (y.conductor, y.coeffs) == (x.conductor, x.coeffs)
+        for name, value in (("conductor", 3), ("num", (1,)), ("den", 2),
+                            ("coeffs", (Fraction(1),))):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+    assert z9.conductor == 9
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -146,6 +219,8 @@ def test_conductor_limit():
     for text in ["zeta(100000000)", "zeta(997) + zeta(991)"]:
         with pytest.raises(ResourceBoundError):
             parse_scalar(text)
+    with pytest.raises(ResourceBoundError):
+        CycScalar(MAX_CONDUCTOR + 1, [0, 1])
 
 
 def test_rref_and_nullspace():
