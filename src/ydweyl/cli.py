@@ -410,6 +410,8 @@ def _golden_name(args) -> str:
         value = getattr(args, attr, None)
         if value is not None:
             parts.append(str(value))
+    if getattr(args, "json", False):
+        parts.append("json")
     return "_".join(parts) + ".txt"
 
 

@@ -14,8 +14,10 @@ Conventions:
     Delta(v) = v (x) 1 + 1 (x) v, computed by peeling the last letter x:
     Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x), where each product by a
     one-letter factor has a closed form (see delta_component).  Delta_{1^n}
-    peels Delta_{n-1,1}.  The shuffle expansion lives only in the test
-    oracles.
+    peels Delta_{n-1,1}.
+  * the references these are checked against live in tests/oracles.py:
+    the shuffle expansion, Delta_{1^n} peeling Delta_{1,n-1} instead, and
+    coherence scalars between arbitrary bracketings.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ class GradedVector:
         return v
 
     def add_term(self, key, coeff):
-        if isinstance(coeff, int):
-            coeff = CycScalar.from_rational(coeff)
         if coeff.is_zero():
             return
         cur = self.terms.get(key)
@@ -152,11 +152,6 @@ class WordAlgebra:
             counts[slot] += 1
         return tuple(counts)
 
-    def word_str(self, word: Word) -> str:
-        if not word:
-            return "1"
-        return "*".join(self.modules[s].basis_names[i] for s, i in word)
-
     # ---- coherence -----------------------------------------------------
 
     def flatten_scalar(self, u: Word, v: Word) -> CycScalar:
@@ -171,41 +166,6 @@ class WordAlgebra:
         for j in range(1, len(v)):
             s = s * self.cocycle.value(du, self.word_degree(v[:j]), degs[j])
         return s
-
-    def tree_to_left_scalar(self, tree, leaf_degrees) -> tuple[CycScalar, int, int]:
-        """Coherence scalar from `tree` to the left comb, with subtree degree.
-
-        Trees are nested pairs over leaf positions 0..n-1 in order; a leaf is
-        an int.  Returns (scalar, first_leaf, leaf_count).
-        """
-        if isinstance(tree, int):
-            return _ONE, tree, 1
-        left, right = tree
-        sl, l0, ln = self.tree_to_left_scalar(left, leaf_degrees)
-        sr, r0, rn = self.tree_to_left_scalar(right, leaf_degrees)
-        if r0 != l0 + ln:
-            raise ValidationError("tree leaves must appear in left-to-right order")
-        g = self.group
-        s = sl * sr
-        du = _prod_degree(self.group, leaf_degrees, l0, ln)
-        for j in range(1, rn):
-            prefix = _prod_degree(g, leaf_degrees, r0, j)
-            s = s * self.cocycle.value(du, prefix, leaf_degrees[r0 + j])
-        return s, l0, ln + rn
-
-    def rebracket_scalar(self, degrees, tree_from, tree_to) -> CycScalar:
-        """Scalar of the unique coherence map tree_from -> tree_to.
-
-        `degrees` lists the leaf degrees in order; both trees must cover
-        leaves 0..len(degrees)-1.  Mac Lane coherence makes the value
-        independent of the move path; this routes through the left comb.
-        """
-        degrees = list(degrees)
-        sf, _, nf = self.tree_to_left_scalar(tree_from, degrees)
-        st, _, nt = self.tree_to_left_scalar(tree_to, degrees)
-        if nf != len(degrees) or nt != len(degrees):
-            raise ValidationError("trees do not match the degree sequence")
-        return sf / st
 
     # ---- action and braiding -------------------------------------------
 
@@ -290,62 +250,26 @@ class WordAlgebra:
         self._delta_cache[key] = out
         return out
 
-    def delta_fully_split(self, word: Word, order: str = "left") -> GradedVector:
-        """Delta_{1^n}(word) as an endomorphism-style vector on n-letter words.
+    def delta_1n(self, word: Word) -> GradedVector:
+        """Delta_{1^n}(word) as a vector on n-letter words.
 
-        order="left" peels Delta_{1,n-1} and recurses on the right leg,
-        rebracketing the peeled letter onto the left comb; order="right"
-        peels Delta_{n-1,1} and needs no rebracketing.  Coassociativity
-        makes the two agree; delta_1n uses "right", and "left" stays as the
-        reference the tests compare it with.
+        Peels Delta_{n-1,1} and recurses on the left leg; (leftcomb (x) leaf)
+        is already the left comb, so no rebracketing is needed.
         """
+        return self._split(word)
+
+    def _split(self, word: Word) -> GradedVector:
+        # The recursion of delta_1n, cached by word.  It is kept apart so
+        # that each delta_1n call is one split asked for from outside, as
+        # perfbench/tracer.py counts them.
         n = len(word)
         if n <= 1:
             return GradedVector.from_word(word)
-        key = (word, order)
-        cached = self._split_cache.get(key)
-        if cached is not None:
-            return cached
-        out = GradedVector()
-        if order == "left":
-            for (a, b), c in self.delta_component(word, 1, n - 1).items():
-                for rest, c2 in self.delta_fully_split(b, order).items():
-                    out.add_term(a + rest, c * c2 * self.flatten_scalar(a, rest))
-        elif order == "right":
+        out = self._split_cache.get(word)
+        if out is None:
+            out = GradedVector()
             for (a, b), c in self.delta_component(word, n - 1, 1).items():
-                for rest, c2 in self.delta_fully_split(a, order).items():
-                    # (leftcomb (x) leaf) is already the left comb.
+                for rest, c2 in self._split(a).items():
                     out.add_term(rest + b, c * c2)
-        else:
-            raise ValidationError(f"unknown splitting order {order!r}")
-        self._split_cache[key] = out
+            self._split_cache[word] = out
         return out
-
-    def delta_1n(self, word: Word) -> GradedVector:
-        return self.delta_fully_split(word, "right")
-
-
-def _prod_degree(group, degrees, start, count) -> int:
-    d = group.identity
-    for k in range(start, start + count):
-        d = group.mul(d, degrees[k])
-    return d
-
-
-def left_comb(n: int):
-    """The canonical left-nested tree on n leaves (n >= 1)."""
-    if n < 1:
-        raise ValidationError("left_comb needs at least one leaf")
-    tree = 0
-    for k in range(1, n):
-        tree = (tree, k)
-    return tree
-
-
-def right_comb(n: int):
-    if n < 1:
-        raise ValidationError("right_comb needs at least one leaf")
-    tree = n - 1
-    for k in range(n - 2, -1, -1):
-        tree = (k, tree)
-    return tree

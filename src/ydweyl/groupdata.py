@@ -9,7 +9,9 @@ normalized cocycles (value 1 whenever an argument is the identity) with
 nonzero entries are accepted; the pentagon identity is checked exhaustively
 by check_3cocycle.  The scalars derived from Phi (its inverse, the
 twisted-composition scalar omega and the tensor-action scalar) are
-Cocycle3 methods, memoized on the instance.
+Cocycle3 methods, memoized on the instance.  The preantipode scalar
+Phi(g, g^-1, g)^-1 of (kG, Phi) is Cocycle3.inverse at (g, g^-1, g); only
+the bosonization references in tests/oracles.py use it.
 """
 
 from __future__ import annotations
@@ -288,16 +290,3 @@ def check_3cocycle(phi: Cocycle3) -> Report:
                             f"pentagon fails at quadruple ({a},{b},{c},{d}): "
                             f"{lhs} != {rhs}"])
     return Report(True, [])
-
-
-def preantipode_scalar(phi: Cocycle3, g: int) -> CycScalar:
-    """Coefficient of g^-1 in the preantipode of (kG, Phi): Phi(g, g^-1, g)^-1."""
-    return phi.inverse(g, phi.group.inv(g), g)
-
-
-def alpha_scalar(phi: Cocycle3, g: int) -> CycScalar:
-    return _ONE
-
-
-def beta_scalar(phi: Cocycle3, g: int) -> CycScalar:
-    return preantipode_scalar(phi, g)

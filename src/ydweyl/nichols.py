@@ -12,20 +12,23 @@ column in the pivot columns, so the normal form (the unique coset
 representative supported on quotient words) is NF(x) = sum_q (R x)_q q.
 Words are enumerated in length-lexicographic order over (slot, index)
 letters, so all outputs are reproducible bit-for-bit.
+
+The coproduct on normal forms, and the coideal, primitive, support and
+coinvariant checks built on it, are test references in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from math import factorial, prod
 
-from .cyclo import CycScalar, nullspace, rref
+from .cyclo import CycScalar, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
 
 # Most words in one multidegree block; the block's Delta matrix is dense,
-# words x words.  On W over Z2^3 (2-core VM, one block each): 960 words
-# take 1.0 s and 48 MB peak, 1,920 take 0.7 s and 62 MB, 3,840 take 12.8 s
-# and 328 MB, 5,760 take 58 s and 819 MB.
+# words x words.  On W over Z2^3 (2-core VM, one block per process): 960
+# words take 0.56 s and 45 MB peak, 1,920 take 0.5 s and 60 MB, 3,840 take
+# 6.8 s and 306 MB, 5,760 take 32 s and 761 MB.
 MAX_BLOCK_WORDS = 2048
 
 
@@ -124,10 +127,6 @@ class NicholsTruncation:
     def dim_multidegree(self, md) -> int:
         return len(self.block(md).quotient_words)
 
-    def ideal_dim_multidegree(self, md) -> int:
-        blk = self.block(md)
-        return len(blk.words) - len(blk.quotient_words)
-
     def graded_dim(self, n: int) -> int:
         if n == 0:
             return 1
@@ -135,15 +134,6 @@ class NicholsTruncation:
 
     def graded_dims(self) -> tuple:
         return tuple(self.graded_dim(n) for n in range(self.max_degree + 1))
-
-    def support(self) -> set:
-        """All Z^theta points with nonzero quotient dimension, up to the bound."""
-        pts = {tuple([0] * self.theta)}
-        for n in range(1, self.max_degree + 1):
-            for md in self.multidegrees(n):
-                if self.dim_multidegree(md) > 0:
-                    pts.add(md)
-        return pts
 
     # ---- normal forms ------------------------------------------------------
 
@@ -163,66 +153,6 @@ class NicholsTruncation:
                         total = total + row[k] * c
                 out.add_term(q, total)
         return out
-
-    # ---- coproduct on the quotient -----------------------------------------
-
-    def delta_on_quotient(self, vec: GradedVector, i: int, j: int):
-        """(i, j) component of Delta_B on a normal form, both legs reduced.
-
-        Returns a dict {(word_left, word_right): scalar} with both legs
-        canonical coset representatives.
-        """
-        out = GradedVector()
-        for w, c in vec.items():
-            if len(w) != i + j:
-                raise ValidationError("delta_on_quotient needs length-homogeneous input")
-            for (a, b), s in self.ctx.delta_component(w, i, j).items():
-                na = self.normal_form(GradedVector.from_word(a))
-                nb = self.normal_form(GradedVector.from_word(b))
-                for wa, ca in na.items():
-                    for wb, cb in nb.items():
-                        out.add_term((wa, wb), c * s * ca * cb)
-        return out.terms
-
-    def check_coideal(self, n: int) -> bool:
-        """Delta_{i,n-i} maps the degree-n ideal into ideal(x)T + T(x)ideal."""
-        for md in self.multidegrees(n):
-            blk = self.block(md)
-            quotient = set(blk.quotient_words)
-            for w in blk.words:
-                if w in quotient:
-                    continue
-                vec = GradedVector.from_word(w) - self.normal_form(
-                    GradedVector.from_word(w))
-                for i in range(1, n):
-                    if self.delta_on_quotient(vec, i, n - i):
-                        return False
-        return True
-
-    def primitive_dim(self, n: int) -> int:
-        """Dimension of the primitives of B(V) in degree n (n >= 2)."""
-        if n < 2:
-            raise ValidationError("primitive_dim is meaningful for degree >= 2")
-        total = 0
-        for md in self.multidegrees(n):
-            blk = self.block(md)
-            basis = blk.quotient_words
-            if not basis:
-                continue
-            rows = []
-            for col, w in enumerate(basis):
-                vec = GradedVector.from_word(w)
-                col_entries: dict = {}
-                for i in range(1, n):
-                    for pair, c in self.delta_on_quotient(vec, i, n - i).items():
-                        col_entries[(i, pair)] = c
-                rows.append(col_entries)
-            keys = sorted({k for r in rows for k in r},
-                          key=lambda k: (k[0], k[1]))
-            eqs = [[rows[col].get(k, CycScalar.zero()) for col in range(len(basis))]
-                   for k in keys]
-            total += len(nullspace(eqs, len(basis)))
-        return total
 
 
 def nichols_truncate(V, max_degree: int) -> NicholsTruncation:

@@ -1,30 +1,26 @@
-"""Bosonization arithmetic, adjoint actions, ad-power levels and reflections.
+"""Adjoint actions, ad-power levels and reflections.
 
 The adjoint action of a degree-1 element X on a homogeneous Y is
 
     ad(X)(Y) = X Y - (deg X |> Y) X,
 
 reduced in the ambient Nichols truncation of the full tuple direct sum, so
-vanishing means vanishing in B(M).  The smash product B(N) # kG is carried
-alongside for verification: its product and coproduct follow the
-bosonization formulas, and ad by group-likes through the smash product must
-agree with the module action.
+vanishing means vanishing in B(M).  The smash product B(N) # kG and the
+coinvariant dimensions, which the tests check these against, live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cyclo import CycScalar, coords_in_rref, nullspace, rref
+from .cyclo import coords_in_rref, rref
 from .errors import UndecidedAtCutoff, ValidationError
 from .freebraid import GradedVector
-from .groupdata import preantipode_scalar
 from .nichols import NicholsTruncation, nichols_truncate
 from .ydcat import (ModuleTuple, YDModule, dual, module_canonical_key,
                     yd_axiom_check)
 
-_ONE = CycScalar.one()
-_ZERO = CycScalar.zero()
 
 DEFAULT_AD_CUTOFF = 8
 DEFAULT_TRUNCATION_DEGREE = 8
@@ -209,118 +205,3 @@ def reflect(M: ModuleTuple, i: int, pairs: PairCache | None = None) -> ModuleTup
     pairs = pairs or PairCache()
     return ModuleTuple([pairs.dual(M[i]) if j == i else pairs.top(M, i, j)[1]
                         for j in range(M.theta)])
-
-
-def coinvariant_dims(trunc: NicholsTruncation, coinv_slots, max_total: int) -> dict:
-    """Multigraded dimensions of the right coinvariants of B -> B(N).
-
-    N is the direct sum of the slots in coinv_slots; an element x of the
-    quotient is coinvariant iff every coproduct component whose right leg is
-    a nonempty pure-N word vanishes.  Returns {multidegree: dim}.
-    """
-    coinv_slots = set(coinv_slots)
-    theta = trunc.theta
-    out = {}
-    for total in range(max_total + 1):
-        for md in trunc.multidegrees(total):
-            basis = trunc.block(md).quotient_words
-            if not basis:
-                out[md] = 0
-                continue
-            n = total
-            col_maps = []
-            for w in basis:
-                entries = GradedVector()
-                vec = GradedVector.from_word(w)
-                for s in range(1, n + 1):
-                    for (a, b), c in trunc.delta_on_quotient(vec, n - s, s).items():
-                        bmd = trunc.ctx.multidegree(b)
-                        if all(bmd[t] == 0 or t in coinv_slots
-                               for t in range(theta)):
-                            entries.add_term((s, a, b), c)
-                col_maps.append(entries.terms)
-            keys = sorted({k for m in col_maps for k in m})
-            rows = [[m.get(k, _ZERO) for m in col_maps] for k in keys]
-            out[md] = len(nullspace(rows, len(basis)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Smash product B # kG (bosonization), used for verification.
-# ---------------------------------------------------------------------------
-
-class SmashAlgebra:
-    """B(V) # kG on normal forms; elements are {(word, g): scalar} dicts."""
-
-    def __init__(self, trunc: NicholsTruncation):
-        self.trunc = trunc
-        self.ctx = trunc.ctx
-        self.group = trunc.ctx.group
-        self.phi = trunc.ctx.cocycle
-
-    def unit(self):
-        return {((), self.group.identity): _ONE}
-
-    def element(self, word, g, coeff=_ONE):
-        return {(tuple(word), g): coeff}
-
-    def mult(self, x: dict, y: dict) -> dict:
-        """(X # h)(Y # g) by the bosonization product formula."""
-        G, phi = self.group, self.phi
-        out = GradedVector()
-        for (w1, h), c1 in x.items():
-            dx = self.ctx.word_degree(w1)
-            for (w2, g), c2 in y.items():
-                dy = self.ctx.word_degree(w2)
-                hyh = G.conj(h, dy)
-                scalar = (phi.value(h, dy, g) * phi.value(dx, hyh, G.mul(h, g))
-                          / (phi.value(dx, h, G.mul(dy, g))
-                             * phi.value(hyh, h, g)))
-                core = self.trunc.normal_form(
-                    self.ctx.mult(GradedVector.from_word(w1),
-                                  self.ctx.act_vector(h, GradedVector.from_word(w2))))
-                hg = G.mul(h, g)
-                for w, c in core.items():
-                    out.add_term((w, hg), c1 * c2 * scalar * c)
-        return out.terms
-
-    def coproduct(self, x: dict) -> dict:
-        """Delta(X # h) = Phi^-1(x1, x2, h) (X1 # x2 h) (x) (X2 # h)."""
-        G, phi = self.group, self.phi
-        out = GradedVector()
-        for (w, h), coeff in x.items():
-            n = len(w)
-            vec = GradedVector.from_word(w)
-            for i in range(n + 1):
-                for (a, b), c in self.trunc.delta_on_quotient(vec, i, n - i).items():
-                    da = self.ctx.word_degree(a)
-                    db = self.ctx.word_degree(b)
-                    s = phi.inverse(da, db, h)
-                    out.add_term(((a, G.mul(db, h)), (b, h)), coeff * c * s)
-        return out.terms
-
-    def counit(self, x: dict) -> CycScalar:
-        total = _ZERO
-        for (w, _), c in x.items():
-            if not w:
-                total = total + c
-        return total
-
-    def preantipode_grouplike(self, g: int) -> dict:
-        return {((), self.group.inv(g)): preantipode_scalar(self.phi, g)}
-
-    def ad_group_via_smash(self, g: int, x: GradedVector) -> GradedVector:
-        """ad(g)(X) = [Phi(g x, g^-1, g)/Phi(g, g^-1, g)] (g X) g^-1."""
-        G, phi = self.group, self.phi
-        out = GradedVector()
-        for w, c in self.trunc.normal_form(x).items():
-            dx = self.ctx.word_degree(w)
-            pre = phi.value(G.mul(g, dx), G.inv(g), g) / phi.value(g, G.inv(g), g)
-            prod = self.mult(self.mult(self.element((), g),
-                                       self.element(w, G.identity)),
-                             self.element((), G.inv(g)))
-            for (w2, h), c2 in prod.items():
-                if h != G.identity:
-                    raise ValidationError("ad(g) left the coinvariant part")
-                out.add_term(w2, c * pre * c2)
-        return out

@@ -11,6 +11,8 @@ degree bookkeeping runs per vertex.
 Finiteness of the real root system is semi-decided with an explicit
 coordinate bound; for standard graphs the finite-Cartan-type classifier
 gives the definitive answer used by the infinite-dimensionality certificate.
+The Weyl groupoid's morphisms, whose composites the tests check the root
+closure against, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -135,48 +137,6 @@ def is_generalized_cartan(A: list) -> Report:
 # Real roots.
 # ---------------------------------------------------------------------------
 
-def _s_matrix(A: list, i: int) -> tuple:
-    """s_i^X as a matrix: alpha_j -> alpha_j - a_ij alpha_i (columns = images)."""
-    n = len(A)
-    return tuple(tuple((1 if r == c else 0) - (A[i][c] if r == i else 0)
-                       for c in range(n)) for r in range(n))
-
-
-def _mat_apply(mat, vec):
-    return tuple(sum(mat[r][c] * vec[c] for c in range(len(vec)))
-                 for r in range(len(vec)))
-
-
-def _mat_compose(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n))
-                       for c in range(n)) for r in range(n))
-
-
-@dataclass(frozen=True)
-class GroupoidMorphism:
-    """A morphism (target, f, source) of the Weyl groupoid."""
-    target: int
-    matrix: tuple  # theta x theta integer matrix, rows of tuples
-    source: int
-
-    def compose(self, other: "GroupoidMorphism") -> "GroupoidMorphism":
-        """(Z, g, Y) o (Y, f, X) = (Z, gf, X)."""
-        if self.source != other.target:
-            raise ValidationError("morphism endpoints do not match")
-        return GroupoidMorphism(self.target,
-                                _mat_compose(self.matrix, other.matrix),
-                                other.source)
-
-    def apply(self, vec):
-        return _mat_apply(self.matrix, vec)
-
-
-def generator_morphism(graph: SemiCartanGraph, i: int, vid: int) -> GroupoidMorphism:
-    """The generator (r_i(X), s_i^X, X) out of vertex X = vid."""
-    return GroupoidMorphism(graph.r(i, vid), _s_matrix(graph.cartan(vid), i), vid)
-
-
 def real_roots(graph: SemiCartanGraph,
                bound: int = DEFAULT_ROOT_BOUND) -> tuple[dict, bool]:
     """Real roots at every vertex: vid -> sorted roots, and a truncation flag.
@@ -225,10 +185,6 @@ class FinitenessResult:
 
     def is_finite(self) -> bool:
         return self.status == "finite"
-
-    @property
-    def root_counts(self) -> dict:
-        return {vid: len(rs) for vid, rs in self.roots.items()}
 
 
 def is_finite(graph: SemiCartanGraph,

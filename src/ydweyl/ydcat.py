@@ -78,11 +78,6 @@ class YDModule:
         return f"YDModule({self.name or 'unnamed'}, dim={self.dim})"
 
 
-def trivial_module(group: Group, cocycle: Cocycle3) -> YDModule:
-    action = {g: [[_ONE]] for g in group.elements()}
-    return YDModule(group, cocycle, [group.identity], action, name="triv")
-
-
 def yd_axiom_check(V: YDModule) -> Report:
     """Exhaustive check of the three YD axioms over G x G x basis."""
     G, phi = V.group, V.cocycle
@@ -153,50 +148,6 @@ def module_from_generator_actions(group: Group, cocycle: Cocycle3, degree: int,
         raise ValidationError(
             f"generator actions are inconsistent: {report.summary()}")
     return V
-
-
-def tensor(V: YDModule, W: YDModule) -> YDModule:
-    """Tensor product module on basis v_i (x) w_j, flat index i*dim(W)+j."""
-    if V.group is not W.group or V.cocycle is not W.cocycle:
-        raise ValidationError("tensor operands live over different (G, Phi)")
-    G, phi = V.group, V.cocycle
-    dims = V.dim * W.dim
-    degrees = [G.mul(V.degrees[i], W.degrees[j])
-               for i in range(V.dim) for j in range(W.dim)]
-    action = {}
-    for x in G.elements():
-        mv, mw = V.act_matrix(x), W.act_matrix(x)
-        mat = [[_ZERO] * dims for _ in range(dims)]
-        for i in range(V.dim):
-            for j in range(W.dim):
-                s = phi.tensor_action(x, V.degrees[i], W.degrees[j])
-                col = i * W.dim + j
-                for a in range(V.dim):
-                    if mv[a][i].is_zero():
-                        continue
-                    for b in range(W.dim):
-                        if mw[b][j].is_zero():
-                            continue
-                        mat[a * W.dim + b][col] = s * mv[a][i] * mw[b][j]
-        action[x] = mat
-    return YDModule(G, phi, degrees, action,
-                    name=f"({V.name or '?'}(x){W.name or '?'})")
-
-
-def braiding_matrix(V: YDModule, W: YDModule):
-    """Matrix of c: V (x) W -> W (x) V, c(v (x) w) = (deg v |> w) (x) v."""
-    if V.group is not W.group or V.cocycle is not W.cocycle:
-        raise ValidationError("braiding operands live over different (G, Phi)")
-    dims = V.dim * W.dim
-    mat = [[_ZERO] * dims for _ in range(dims)]
-    for i in range(V.dim):
-        mw = W.act_matrix(V.degrees[i])
-        for j in range(W.dim):
-            col = i * W.dim + j
-            for k in range(W.dim):
-                if not mw[k][j].is_zero():
-                    mat[k * V.dim + i][col] = mw[k][j]
-    return mat
 
 
 def dual(V: YDModule) -> YDModule:
@@ -322,13 +273,6 @@ class ModuleTuple:
         g = self.group
         return tuple(g.element_name(m.degrees[0]) if len(set(m.degrees)) == 1
                      else "mixed" for m in self.entries)
-
-
-def tuple_iso(M: ModuleTuple, N: ModuleTuple) -> bool:
-    """Componentwise isomorphism of tuples (ordered)."""
-    if M.theta != N.theta:
-        return False
-    return all(iso_test(a, b) is not None for a, b in zip(M, N))
 
 
 def module_canonical_key(V: YDModule) -> tuple:

@@ -1,26 +1,47 @@
-"""Independent test oracles.
+"""Independent test oracles and the references the tests compare against.
 
-These deliberately avoid the code paths they check: scalars are evaluated
-with complex floats and multiplied by schoolbook long division on Fraction
-coefficients, the defining ideal is recomputed through the braided
+The oracles deliberately avoid the code paths they check: scalars are
+evaluated with complex floats and multiplied by schoolbook long division on
+Fraction coefficients, the defining ideal is recomputed through the braided
 symmetrizer (a sum over permutation lifts, not the coproduct recursion),
 row reduction is checked against a dense Gauss-Jordan sweep, the pentagon
 identity is walked over every quadruple, identities included,
 reflection orbits of degree tuples are enumerated with plain group
 arithmetic, and root sets are the images of the simple roots under every
 composite of generator morphisms.
+
+The references are structure the program itself never needs, kept here
+so the tests can state the paper's identities against it:
+  * T(V): Delta_{1^n} peeling Delta_{1,n-1} (the engine peels
+    Delta_{n-1,1}), coherence scalars between arbitrary bracketings, and
+    the left and right combs;
+  * B(V): Delta on normal forms, the coideal check, primitives, supports
+    and ideal dimensions per multidegree;
+  * bosonization: the smash product B(V) # kG, the preantipode scalar of
+    (kG, Phi), and the coinvariant dimensions of B(M) -> B(N);
+  * YD modules: the trivial module, tensor products, braiding matrices and
+    componentwise isomorphism of tuples;
+  * the Weyl groupoid's morphisms and root counts per vertex.
+
+Only the standard library and ydweyl are imported: perfbench/selfcheck.py
+imports oracle_graded_dims without pytest.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
 from ydweyl.cyclo import CycScalar, nullspace, rref
-from ydweyl.freebraid import GradedVector, WordAlgebra, left_comb
-from ydweyl.weylgraph import GroupoidMorphism, generator_morphism
+from ydweyl.errors import ValidationError
+from ydweyl.freebraid import GradedVector, WordAlgebra
+from ydweyl.ydcat import YDModule, iso_test
+
+_ONE = CycScalar.one()
+_ZERO = CycScalar.zero()
 
 
 def complex_value(x: CycScalar) -> complex:
@@ -112,6 +133,89 @@ def pentagon_holds(phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# T(V) references: the other Delta_{1^n} order and arbitrary bracketings.
+# ---------------------------------------------------------------------------
+
+def delta_1n_left(ctx: WordAlgebra, word) -> GradedVector:
+    """Delta_{1^n}(word) peeling Delta_{1,n-1}, recursing on the right leg.
+
+    The peeled letter is rebracketed onto the left comb.  Coassociativity
+    makes this agree with ctx.delta_1n, which peels Delta_{n-1,1}.
+    """
+    n = len(word)
+    if n <= 1:
+        return GradedVector.from_word(word)
+    out = GradedVector()
+    for (a, b), c in ctx.delta_component(word, 1, n - 1).items():
+        for rest, c2 in delta_1n_left(ctx, b).items():
+            out.add_term(a + rest, c * c2 * ctx.flatten_scalar(a, rest))
+    return out
+
+
+def _prod_degree(group, degrees, start, count) -> int:
+    d = group.identity
+    for k in range(start, start + count):
+        d = group.mul(d, degrees[k])
+    return d
+
+
+def tree_to_left_scalar(ctx: WordAlgebra, tree, leaf_degrees) -> tuple:
+    """Coherence scalar from `tree` to the left comb, with subtree degree.
+
+    Trees are nested pairs over leaf positions 0..n-1 in order; a leaf is
+    an int.  Returns (scalar, first_leaf, leaf_count).
+    """
+    if isinstance(tree, int):
+        return _ONE, tree, 1
+    left, right = tree
+    sl, l0, ln = tree_to_left_scalar(ctx, left, leaf_degrees)
+    sr, r0, rn = tree_to_left_scalar(ctx, right, leaf_degrees)
+    if r0 != l0 + ln:
+        raise ValidationError("tree leaves must appear in left-to-right order")
+    g = ctx.group
+    s = sl * sr
+    du = _prod_degree(g, leaf_degrees, l0, ln)
+    for j in range(1, rn):
+        prefix = _prod_degree(g, leaf_degrees, r0, j)
+        s = s * ctx.cocycle.value(du, prefix, leaf_degrees[r0 + j])
+    return s, l0, ln + rn
+
+
+def rebracket_scalar(ctx: WordAlgebra, degrees, tree_from, tree_to) -> CycScalar:
+    """Scalar of the unique coherence map tree_from -> tree_to.
+
+    `degrees` lists the leaf degrees in order; both trees must cover
+    leaves 0..len(degrees)-1.  Mac Lane coherence makes the value
+    independent of the move path; this routes through the left comb.
+    """
+    degrees = list(degrees)
+    sf, _, nf = tree_to_left_scalar(ctx, tree_from, degrees)
+    st, _, nt = tree_to_left_scalar(ctx, tree_to, degrees)
+    if nf != len(degrees) or nt != len(degrees):
+        raise ValidationError("trees do not match the degree sequence")
+    return sf / st
+
+
+def left_comb(n: int):
+    """The canonical left-nested tree on n leaves (n >= 1)."""
+    if n < 1:
+        raise ValidationError("left_comb needs at least one leaf")
+    tree = 0
+    for k in range(1, n):
+        tree = (tree, k)
+    return tree
+
+
+def right_comb(n: int):
+    if n < 1:
+        raise ValidationError("right_comb needs at least one leaf")
+    tree = n - 1
+    for k in range(n - 2, -1, -1):
+        tree = (k, tree)
+    return tree
+
+
+# ---------------------------------------------------------------------------
 # Braided symmetrizer: Delta_{1^n} recomputed as sum over S_n of braid lifts.
 # ---------------------------------------------------------------------------
 
@@ -135,12 +239,12 @@ def braid_at(ctx: WordAlgebra, word, i: int) -> GradedVector:
     degs = [ctx.letter_degree(l) for l in word]
     lc = left_comb(n)
     iso = isolate_tree(n, i)
-    s1 = ctx.rebracket_scalar(degs, lc, iso)
+    s1 = rebracket_scalar(ctx, degs, lc, iso)
     out = GradedVector()
     for lw, c in ctx.act(degs[i], (word[i + 1],)).items():
         new_word = word[:i] + (lw[0], word[i]) + word[i + 2:]
         new_degs = [ctx.letter_degree(l) for l in new_word]
-        s2 = ctx.rebracket_scalar(new_degs, iso, lc)
+        s2 = rebracket_scalar(ctx, new_degs, iso, lc)
         out.add_term(new_word, s1 * c * s2)
     return out
 
@@ -233,6 +337,258 @@ def oracle_graded_dims(module, max_degree: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# B(V) references: the coproduct on normal forms and what it decides.
+# ---------------------------------------------------------------------------
+
+def ideal_dim_multidegree(trunc, md) -> int:
+    blk = trunc.block(md)
+    return len(blk.words) - len(blk.quotient_words)
+
+
+def support(trunc) -> set:
+    """All Z^theta points with nonzero quotient dimension, up to the bound."""
+    pts = {tuple([0] * trunc.theta)}
+    for n in range(1, trunc.max_degree + 1):
+        for md in trunc.multidegrees(n):
+            if trunc.dim_multidegree(md) > 0:
+                pts.add(md)
+    return pts
+
+
+def delta_on_quotient(trunc, vec: GradedVector, i: int, j: int) -> dict:
+    """(i, j) component of Delta_B on a normal form, both legs reduced.
+
+    Returns a dict {(word_left, word_right): scalar} with both legs
+    canonical coset representatives.
+    """
+    out = GradedVector()
+    for w, c in vec.items():
+        if len(w) != i + j:
+            raise ValidationError("delta_on_quotient needs length-homogeneous input")
+        for (a, b), s in trunc.ctx.delta_component(w, i, j).items():
+            na = trunc.normal_form(GradedVector.from_word(a))
+            nb = trunc.normal_form(GradedVector.from_word(b))
+            for wa, ca in na.items():
+                for wb, cb in nb.items():
+                    out.add_term((wa, wb), c * s * ca * cb)
+    return out.terms
+
+
+def check_coideal(trunc, n: int) -> bool:
+    """Delta_{i,n-i} maps the degree-n ideal into ideal(x)T + T(x)ideal."""
+    for md in trunc.multidegrees(n):
+        blk = trunc.block(md)
+        quotient = set(blk.quotient_words)
+        for w in blk.words:
+            if w in quotient:
+                continue
+            vec = GradedVector.from_word(w) - trunc.normal_form(
+                GradedVector.from_word(w))
+            for i in range(1, n):
+                if delta_on_quotient(trunc, vec, i, n - i):
+                    return False
+    return True
+
+
+def primitive_dim(trunc, n: int) -> int:
+    """Dimension of the primitives of B(V) in degree n (n >= 2)."""
+    if n < 2:
+        raise ValidationError("primitive_dim is meaningful for degree >= 2")
+    total = 0
+    for md in trunc.multidegrees(n):
+        basis = trunc.block(md).quotient_words
+        if not basis:
+            continue
+        rows = []
+        for w in basis:
+            vec = GradedVector.from_word(w)
+            col_entries: dict = {}
+            for i in range(1, n):
+                for pair, c in delta_on_quotient(trunc, vec, i, n - i).items():
+                    col_entries[(i, pair)] = c
+            rows.append(col_entries)
+        keys = sorted({k for r in rows for k in r},
+                      key=lambda k: (k[0], k[1]))
+        eqs = [[rows[col].get(k, _ZERO) for col in range(len(basis))]
+               for k in keys]
+        total += len(nullspace(eqs, len(basis)))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Bosonization references: the smash product B # kG and coinvariants.
+# ---------------------------------------------------------------------------
+
+def preantipode_scalar(phi, g: int) -> CycScalar:
+    """Coefficient of g^-1 in the preantipode of (kG, Phi): Phi(g, g^-1, g)^-1."""
+    return phi.inverse(g, phi.group.inv(g), g)
+
+
+def coinvariant_dims(trunc, coinv_slots, max_total: int) -> dict:
+    """Multigraded dimensions of the right coinvariants of B -> B(N).
+
+    N is the direct sum of the slots in coinv_slots; an element x of the
+    quotient is coinvariant iff every coproduct component whose right leg is
+    a nonempty pure-N word vanishes.  Returns {multidegree: dim}.
+    """
+    coinv_slots = set(coinv_slots)
+    theta = trunc.theta
+    out = {}
+    for total in range(max_total + 1):
+        for md in trunc.multidegrees(total):
+            basis = trunc.block(md).quotient_words
+            if not basis:
+                out[md] = 0
+                continue
+            n = total
+            col_maps = []
+            for w in basis:
+                entries = GradedVector()
+                vec = GradedVector.from_word(w)
+                for s in range(1, n + 1):
+                    for (a, b), c in delta_on_quotient(trunc, vec, n - s, s).items():
+                        bmd = trunc.ctx.multidegree(b)
+                        if all(bmd[t] == 0 or t in coinv_slots
+                               for t in range(theta)):
+                            entries.add_term((s, a, b), c)
+                col_maps.append(entries.terms)
+            keys = sorted({k for m in col_maps for k in m})
+            rows = [[m.get(k, _ZERO) for m in col_maps] for k in keys]
+            out[md] = len(nullspace(rows, len(basis)))
+    return out
+
+
+class SmashAlgebra:
+    """B(V) # kG on normal forms; elements are {(word, g): scalar} dicts."""
+
+    def __init__(self, trunc):
+        self.trunc = trunc
+        self.ctx = trunc.ctx
+        self.group = trunc.ctx.group
+        self.phi = trunc.ctx.cocycle
+
+    def unit(self):
+        return {((), self.group.identity): _ONE}
+
+    def element(self, word, g, coeff=_ONE):
+        return {(tuple(word), g): coeff}
+
+    def mult(self, x: dict, y: dict) -> dict:
+        """(X # h)(Y # g) by the bosonization product formula."""
+        G, phi = self.group, self.phi
+        out = GradedVector()
+        for (w1, h), c1 in x.items():
+            dx = self.ctx.word_degree(w1)
+            for (w2, g), c2 in y.items():
+                dy = self.ctx.word_degree(w2)
+                hyh = G.conj(h, dy)
+                scalar = (phi.value(h, dy, g) * phi.value(dx, hyh, G.mul(h, g))
+                          / (phi.value(dx, h, G.mul(dy, g))
+                             * phi.value(hyh, h, g)))
+                core = self.trunc.normal_form(
+                    self.ctx.mult(GradedVector.from_word(w1),
+                                  self.ctx.act_vector(h, GradedVector.from_word(w2))))
+                hg = G.mul(h, g)
+                for w, c in core.items():
+                    out.add_term((w, hg), c1 * c2 * scalar * c)
+        return out.terms
+
+    def coproduct(self, x: dict) -> dict:
+        """Delta(X # h) = Phi^-1(x1, x2, h) (X1 # x2 h) (x) (X2 # h)."""
+        G, phi = self.group, self.phi
+        out = GradedVector()
+        for (w, h), coeff in x.items():
+            n = len(w)
+            vec = GradedVector.from_word(w)
+            for i in range(n + 1):
+                for (a, b), c in delta_on_quotient(self.trunc, vec, i, n - i).items():
+                    da = self.ctx.word_degree(a)
+                    db = self.ctx.word_degree(b)
+                    s = phi.inverse(da, db, h)
+                    out.add_term(((a, G.mul(db, h)), (b, h)), coeff * c * s)
+        return out.terms
+
+    def preantipode_grouplike(self, g: int) -> dict:
+        return {((), self.group.inv(g)): preantipode_scalar(self.phi, g)}
+
+    def ad_group_via_smash(self, g: int, x: GradedVector) -> GradedVector:
+        """ad(g)(X) = [Phi(g x, g^-1, g)/Phi(g, g^-1, g)] (g X) g^-1."""
+        G, phi = self.group, self.phi
+        out = GradedVector()
+        for w, c in self.trunc.normal_form(x).items():
+            dx = self.ctx.word_degree(w)
+            pre = phi.value(G.mul(g, dx), G.inv(g), g) / phi.value(g, G.inv(g), g)
+            prod = self.mult(self.mult(self.element((), g),
+                                       self.element(w, G.identity)),
+                             self.element((), G.inv(g)))
+            for (w2, h), c2 in prod.items():
+                if h != G.identity:
+                    raise ValidationError("ad(g) left the coinvariant part")
+                out.add_term(w2, c * pre * c2)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# YD-module references: unit, tensor products, braidings, tuple isos.
+# ---------------------------------------------------------------------------
+
+def trivial_module(group, cocycle) -> YDModule:
+    action = {g: [[_ONE]] for g in group.elements()}
+    return YDModule(group, cocycle, [group.identity], action, name="triv")
+
+
+def tensor(V: YDModule, W: YDModule) -> YDModule:
+    """Tensor product module on basis v_i (x) w_j, flat index i*dim(W)+j."""
+    if V.group is not W.group or V.cocycle is not W.cocycle:
+        raise ValidationError("tensor operands live over different (G, Phi)")
+    G, phi = V.group, V.cocycle
+    dims = V.dim * W.dim
+    degrees = [G.mul(V.degrees[i], W.degrees[j])
+               for i in range(V.dim) for j in range(W.dim)]
+    action = {}
+    for x in G.elements():
+        mv, mw = V.act_matrix(x), W.act_matrix(x)
+        mat = [[_ZERO] * dims for _ in range(dims)]
+        for i in range(V.dim):
+            for j in range(W.dim):
+                s = phi.tensor_action(x, V.degrees[i], W.degrees[j])
+                col = i * W.dim + j
+                for a in range(V.dim):
+                    if mv[a][i].is_zero():
+                        continue
+                    for b in range(W.dim):
+                        if mw[b][j].is_zero():
+                            continue
+                        mat[a * W.dim + b][col] = s * mv[a][i] * mw[b][j]
+        action[x] = mat
+    return YDModule(G, phi, degrees, action,
+                    name=f"({V.name or '?'}(x){W.name or '?'})")
+
+
+def braiding_matrix(V: YDModule, W: YDModule):
+    """Matrix of c: V (x) W -> W (x) V, c(v (x) w) = (deg v |> w) (x) v."""
+    if V.group is not W.group or V.cocycle is not W.cocycle:
+        raise ValidationError("braiding operands live over different (G, Phi)")
+    dims = V.dim * W.dim
+    mat = [[_ZERO] * dims for _ in range(dims)]
+    for i in range(V.dim):
+        mw = W.act_matrix(V.degrees[i])
+        for j in range(W.dim):
+            col = i * W.dim + j
+            for k in range(W.dim):
+                if not mw[k][j].is_zero():
+                    mat[k * V.dim + i][col] = mw[k][j]
+    return mat
+
+
+def tuple_iso(M, N) -> bool:
+    """Componentwise isomorphism of tuples (ordered)."""
+    if M.theta != N.theta:
+        return False
+    return all(iso_test(a, b) is not None for a, b in zip(M, N))
+
+
+# ---------------------------------------------------------------------------
 # Degree bookkeeping oracle for the reflection BFS.
 # ---------------------------------------------------------------------------
 
@@ -258,6 +614,53 @@ def degree_orbit(group, start_degrees) -> set:
 # ---------------------------------------------------------------------------
 # Root-set oracle: morphisms of the Weyl groupoid, not (vertex, root) pairs.
 # ---------------------------------------------------------------------------
+
+def _s_matrix(A: list, i: int) -> tuple:
+    """s_i^X as a matrix: alpha_j -> alpha_j - a_ij alpha_i (columns = images)."""
+    n = len(A)
+    return tuple(tuple((1 if r == c else 0) - (A[i][c] if r == i else 0)
+                       for c in range(n)) for r in range(n))
+
+
+def _mat_apply(mat, vec):
+    return tuple(sum(mat[r][c] * vec[c] for c in range(len(vec)))
+                 for r in range(len(vec)))
+
+
+def _mat_compose(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n))
+                       for c in range(n)) for r in range(n))
+
+
+@dataclass(frozen=True)
+class GroupoidMorphism:
+    """A morphism (target, f, source) of the Weyl groupoid."""
+    target: int
+    matrix: tuple  # theta x theta integer matrix, rows of tuples
+    source: int
+
+    def compose(self, other: "GroupoidMorphism") -> "GroupoidMorphism":
+        """(Z, g, Y) o (Y, f, X) = (Z, gf, X)."""
+        if self.source != other.target:
+            raise ValidationError("morphism endpoints do not match")
+        return GroupoidMorphism(self.target,
+                                _mat_compose(self.matrix, other.matrix),
+                                other.source)
+
+    def apply(self, vec):
+        return _mat_apply(self.matrix, vec)
+
+
+def generator_morphism(graph, i: int, vid: int) -> GroupoidMorphism:
+    """The generator (r_i(X), s_i^X, X) out of vertex X = vid."""
+    return GroupoidMorphism(graph.r(i, vid), _s_matrix(graph.cartan(vid), i), vid)
+
+
+def root_counts(result) -> dict:
+    """vid -> number of real roots, from a weylgraph.FinitenessResult."""
+    return {vid: len(rs) for vid, rs in result.roots.items()}
+
 
 def morphism_root_sets(graph, max_morphisms: int = 100_000) -> dict:
     """vid -> R^X as a set: f(alpha_j) over every morphism f into X.

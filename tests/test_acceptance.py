@@ -14,15 +14,14 @@ from ydweyl.freebraid import GradedVector, WordAlgebra
 from ydweyl.groupdata import (Cocycle3, check_3cocycle, make_abelian_group,
                               sign_cocycle)
 from ydweyl.nichols import nichols_truncate
-from ydweyl.reflect import (SmashAlgebra, ad_group, ad_power_module,
-                            ad_primitive, cartan_matrix, coinvariant_dims,
-                            reflect)
+from ydweyl.reflect import (ad_group, ad_power_module, ad_primitive,
+                            cartan_matrix, reflect)
 from ydweyl.weylgraph import (build_cartan_graph, check_axioms,
                               finite_cartan_type, infinite_dim_certificate,
                               is_finite, is_standard, real_roots)
-from ydweyl.ydcat import (ModuleTuple, iso_test, preset_module, tuple_iso,
-                          yd_axiom_check)
-from oracles import oracle_graded_dims
+from ydweyl.ydcat import ModuleTuple, iso_test, preset_module, yd_axiom_check
+from oracles import (SmashAlgebra, coinvariant_dims, delta_1n_left,
+                     oracle_graded_dims, rebracket_scalar, tuple_iso)
 
 AFFINE = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
@@ -277,9 +276,8 @@ def test_c13_coherence_property(z2cubed, w_presets):
                       * phi.value(d0, d1, d2))
             path_b = phi.value(group.mul(d0, d1), d2, d3)
             assert path_a == path_b, degs
-            assert ctx.rebracket_scalar(degs, ((0, 1), (2, 3)),
-                                        (((0, 1), 2), 3)) == path_b
+            assert rebracket_scalar(ctx, degs, ((0, 1), (2, 3)),
+                                    (((0, 1), 2), 3)) == path_b
         for n in range(2, 6):
             for w in product(ctx.letters, repeat=n):
-                assert (ctx.delta_fully_split(w, "left")
-                        == ctx.delta_fully_split(w, "right")), w
+                assert delta_1n_left(ctx, w) == ctx.delta_1n(w), w

@@ -148,6 +148,37 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "ad", "W", "1", "2")
     assert code == 0
+    # The other two shipped sessions: the twisted line L acts by zeta(9)
+    # (exact conductor-9 arithmetic), and V closes a 96-vertex graph.
+    sessions = os.path.dirname(SESSION)
+    code, _, _ = run(capsys, "--session",
+                     os.path.join(sessions, "z3twisted.json"),
+                     "--golden", GOLDEN, "nichols", "L", "--max-degree", "10")
+    assert code == 0
+    code, _, _ = run(capsys, "--session", os.path.join(sessions, "z2z2z4.json"),
+                     "--golden", GOLDEN, "certify", "V")
+    assert code == 0
+    # certify V is also the certify-V benchmark workload.
+    with open(os.path.join(GOLDEN, "certify_V.txt")) as fh:
+        golden = fh.read()
+    with open(os.path.join(sessions, "..", "perfbench", "expected",
+                           "certify-V.txt")) as fh:
+        assert fh.read() == golden
+
+
+def test_json_golden_has_its_own_file(capsys, tmp_path):
+    # The text and --json emissions of one command are two golden files.
+    argv = ["nichols", "W1", "--max-degree", "3"]
+    for extra in ([], ["--json"]):
+        code, _, _ = run(capsys, "--session", SESSION, "--golden-write",
+                         str(tmp_path), *argv, *extra)
+        assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "nichols_W1_3.txt", "nichols_W1_3_json.txt"]
+    for extra in ([], ["--json"]):
+        code, _, err = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                           *argv, *extra)
+        assert (code, err) == (0, "")
 
 
 def test_golden_mismatch_and_missing(capsys, tmp_path):

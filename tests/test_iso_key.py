@@ -20,7 +20,8 @@ from ydweyl.groupdata import Cocycle3, group_from_cayley, make_abelian_group
 from ydweyl.reflect import ad_power_module
 from ydweyl.ydcat import (ModuleTuple, YDModule, dual, iso_test,
                           module_canonical_key, module_from_generator_actions,
-                          tensor, yd_axiom_check)
+                          yd_axiom_check)
+from oracles import tensor
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
