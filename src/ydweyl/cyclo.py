@@ -423,7 +423,7 @@ def scalar_to_str(x: CycScalar) -> str:
     return out
 
 
-_RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # a zero denominator is malformed
+_RAT = r"\d+(?:/0*[1-9]\d*)?"  # a zero denominator is malformed
 _TERM_RE = re.compile(
     rf"^(?:(?P<coef>{_RAT})\s*\*\s*)?"
     r"(?:zeta\((?P<n>\d+)\)(?:\^(?P<k>-?\d+))?)$"
@@ -436,30 +436,13 @@ def parse_scalar(text: str) -> CycScalar:
     s = text.strip()
     if not s:
         raise ValueError("empty scalar literal")
-    # Split into signed terms at top level (no parens beyond zeta(N)).
-    terms: list[tuple[int, str]] = []
-    i, sign = 0, 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    start = i
-    depth = 0
-    while i <= len(s):
-        if i == len(s) or (s[i] in "+-" and depth == 0 and i > start):
-            terms.append((sign, s[start:i].strip()))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                start = i + 1
-            i += 1
-            continue
-        if i < len(s):
-            if s[i] == "(":
-                depth += 1
-            elif s[i] == ")":
-                depth -= 1
-        i += 1
+    # Signed terms: split at every sign except an exponent's.
+    if s[0] not in "+-":
+        s = "+" + s
+    parts = re.split(r"(?<!\^)([+-])", s)[1:]
     total = _ZERO
-    for sgn, term in terms:
+    for sgn, term in zip(parts[::2], parts[1::2]):
+        term = term.strip()
         if not term:
             raise ValueError(f"malformed scalar literal: {text!r}")
         if _RAT_RE.match(term):
@@ -473,7 +456,7 @@ def parse_scalar(text: str) -> CycScalar:
             val = root_of_unity(n, k)
             if m.group("coef") is not None:
                 val = val * Fraction(m.group("coef"))
-        total = total + (val if sgn > 0 else -val)
+        total = total + (val if sgn == "+" else -val)
     return total
 
 
@@ -561,7 +544,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def det(mat: Matrix) -> CycScalar:
-    """Determinant by fraction-free-ish elimination over the field."""
+    """Determinant by Gaussian elimination over the field."""
     n = len(mat)
     m = [list(r) for r in mat]
     result = _ONE

@@ -47,9 +47,9 @@ class GradedVector:
                 self.add_term(w, c)
 
     @classmethod
-    def from_word(cls, word: Word, coeff=_ONE):
+    def from_word(cls, word: Word):
         v = cls()
-        v.add_term(tuple(word), coeff)
+        v.add_term(tuple(word), _ONE)
         return v
 
     def add_term(self, key, coeff):

@@ -71,9 +71,6 @@ class AdLevels:
     def undecided(self) -> bool:
         return self.bound is not None
 
-    def dims(self) -> tuple:
-        return tuple(len(l.basis) for l in self.levels)
-
     def top_module(self) -> YDModule:
         if self.undecided:
             raise UndecidedAtCutoff(

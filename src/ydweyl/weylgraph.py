@@ -9,8 +9,9 @@ to isomorphism, so the ad-level computations run once per pair class
 degree bookkeeping runs per vertex.
 
 Finiteness of the real root system is semi-decided with an explicit
-coordinate bound; for standard graphs the finite-Cartan-type classifier
-gives the definitive answer used by the infinite-dimensionality certificate.
+coordinate bound.  The infinite-dimensionality certificate reads the Cartan
+type of a standard graph off the Dynkin diagram of its Cartan matrix, by the
+bonds and arms of Kac's Table Fin, on integers alone.
 The Weyl groupoid's morphisms, whose composites the tests check the root
 closure against, live in tests/oracles.py.
 """
@@ -18,9 +19,7 @@ closure against, live in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .cyclo import CycScalar, det
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Report
 from .reflect import PairCache, cartan_matrix, reflect
@@ -204,17 +203,6 @@ def is_standard(graph: SemiCartanGraph) -> bool:
 # Finite-Cartan-type classification.
 # ---------------------------------------------------------------------------
 
-def _principal_minor_positive(A: list) -> bool:
-    n = len(A)
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sub = [[CycScalar.from_rational(A[r][c]) for c in subset]
-                   for r in subset]
-            if det(sub).rational_value() <= 0:
-                return False
-    return True
-
-
 def _components(A: list) -> list:
     n = len(A)
     seen = [False] * n
@@ -236,86 +224,49 @@ def _components(A: list) -> list:
     return comps
 
 
-def _catalog(n: int) -> list:
-    """Finite-type Cartan matrices of rank n, with their names."""
-    def chain(n):
-        return [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                 for j in range(n)] for i in range(n)]
-    out = []
-    out.append((f"A{n}", chain(n)))
-    if n >= 2:
-        b = chain(n)
-        b[n - 2][n - 1] = -2
-        out.append((f"B{n}", b))
-    if n >= 3:
-        c = chain(n)
-        c[n - 1][n - 2] = -2
-        out.append((f"C{n}", c))
-    if n >= 4:
-        d = chain(n - 1)
-        for row in d:
-            row.append(0)
-        d.append([0] * n)
-        d[n - 1][n - 1] = 2
-        # nodes n-2 and n-1 both attach to node n-3
-        d[n - 3][n - 1] = d[n - 1][n - 3] = -1
-        out.append((f"D{n}", d))
-    if n == 2:
-        out.append(("G2", [[2, -1], [-3, 2]]))
-    if n == 4:
-        f = chain(4)
-        f[1][2] = -2
-        out.append(("F4", f))
-    if n in (6, 7, 8):
-        e = chain(n - 1)
-        for row in e:
-            row.append(0)
-        e.append([0] * n)
-        e[n - 1][n - 1] = 2
-        # branch node: attach the last simple root to node 2 (0-indexed)
-        e[2][n - 1] = e[n - 1][2] = -1
-        out.append((f"E{n}", e))
-    return out
+def _dynkin_name(A: list, comp: list) -> str | None:
+    """Name of a connected component's Dynkin diagram, or None if not finite.
 
+    Kac's Table Fin (Infinite-dimensional Lie algebras, 4.8): a finite-type
+    diagram is a tree with at most one multiple bond, of product 2 or 3,
+    and a multiple bond never meets a branch node.  B_n and C_n differ by
+    the bond's direction: B_n has a_{inner, leaf} = -2.
+    """
+    n = len(comp)
+    nbrs = {x: [y for y in comp if y != x and A[x][y] != 0] for x in comp}
+    bonds = [(x, y) for x in comp for y in nbrs[x] if x < y]
+    multiple = [(x, y) for x, y in bonds if A[x][y] * A[y][x] > 1]
+    branches = [x for x in comp if len(nbrs[x]) > 2]
+    if (len(bonds) != n - 1 or len(multiple) > 1
+            or any(A[x][y] * A[y][x] >= 4 for x, y in multiple)
+            or (multiple and branches)):
+        return None
+    if multiple:
+        (x, y), = multiple
+        if A[x][y] * A[y][x] == 3:
+            return "G2" if n == 2 else None
+        if n == 2:
+            return "B2"
+        if len(nbrs[x]) == len(nbrs[y]) == 2:
+            return "F4" if n == 4 else None
+        inner, leaf = (x, y) if len(nbrs[y]) == 1 else (y, x)
+        return f"B{n}" if A[inner][leaf] == -2 else f"C{n}"
+    if not branches:
+        return f"A{n}"
+    if len(branches) > 1 or len(nbrs[branches[0]]) > 3:
+        return None
 
-def _permutation_match(A: list, B: list) -> bool:
-    """Simultaneous row/column permutation equivalence of integer matrices."""
-    n = len(A)
-    if len(B) != n:
-        return False
+    def arm(prev, cur):
+        length = 1
+        while len(nbrs[cur]) == 2:
+            prev, cur = cur, next(z for z in nbrs[cur] if z != prev)
+            length += 1
+        return length
 
-    def signature(M, k):
-        offdiag = sorted((M[k][j], M[j][k]) for j in range(n) if j != k)
-        return tuple(offdiag)
-
-    siga = [signature(A, k) for k in range(n)]
-    sigb = [signature(B, k) for k in range(n)]
-    if sorted(siga) != sorted(sigb):
-        return False
-
-    assignment = [-1] * n
-    used = [False] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or siga[i] != sigb[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if A[i][k] != B[j][assignment[k]] or A[k][i] != B[assignment[k]][j]:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = j
-                used[j] = True
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return backtrack(0)
+    arms = sorted(arm(branches[0], y) for y in nbrs[branches[0]])
+    if arms[:2] == [1, 1]:
+        return f"D{n}"
+    return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(arms))
 
 
 @dataclass
@@ -332,29 +283,15 @@ class CartanTypeResult:
 def finite_cartan_type(A: list) -> CartanTypeResult:
     """Classify a generalized Cartan matrix: Dynkin components or not finite.
 
-    Finite type iff all principal minors are positive; component names are
-    then matched against the rank-n catalog under simultaneous permutation.
+    The matrix is of finite type iff every connected component of its
+    diagram is; each component is named by _dynkin_name.
     """
     rep = is_generalized_cartan(A)
     if not rep.ok:
         raise ValidationError("not a generalized Cartan matrix: " + rep.summary())
-    if not _principal_minor_positive(A):
+    names = [_dynkin_name(A, comp) for comp in _components(A)]
+    if None in names:
         return CartanTypeResult(False, None)
-    names = []
-    for comp in _components(A):
-        sub = [[A[r][c] for c in comp] for r in comp]
-        n = len(comp)
-        if n > 8:
-            raise ValidationError(
-                f"finite-type component of rank {n} > 8 cannot exist; "
-                "classification inconsistency")
-        name = next((nm for nm, cat in _catalog(n)
-                     if _permutation_match(sub, cat)), None)
-        if name is None:
-            raise ValidationError(
-                "positive-definite GCM matches no Dynkin diagram; "
-                "classification inconsistency")
-        names.append(name)
     return CartanTypeResult(True, sorted(names))
 
 

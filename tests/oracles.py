@@ -7,8 +7,10 @@ symmetrizer (a sum over permutation lifts, not the coproduct recursion),
 row reduction is checked against a dense Gauss-Jordan sweep, the pentagon
 identity is walked over every quadruple, identities included,
 reflection orbits of degree tuples are enumerated with plain group
-arithmetic, and root sets are the images of the simple roots under every
-composite of generator morphisms.
+arithmetic, root sets are the images of the simple roots under every
+composite of generator morphisms, and the Cartan type is decided by
+principal minors and named by matching a generated catalog of Dynkin
+matrices under simultaneous permutation.
 
 The references are structure the program itself never needs, kept here
 so the tests can state the paper's identities against it:
@@ -19,6 +21,7 @@ so the tests can state the paper's identities against it:
     and ideal dimensions per multidegree;
   * bosonization: the smash product B(V) # kG, the preantipode scalar of
     (kG, Phi), and the coinvariant dimensions of B(M) -> B(N);
+  * reflections: the dimension of each ad level;
   * YD modules: the trivial module, tensor products, braiding matrices and
     componentwise isomorphism of tuples;
   * the Weyl groupoid's morphisms and root counts per vertex.
@@ -35,9 +38,10 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
-from ydweyl.cyclo import CycScalar, nullspace, rref
+from ydweyl.cyclo import CycScalar, det, nullspace, rref
 from ydweyl.errors import ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
+from ydweyl.weylgraph import CartanTypeResult, _components
 from ydweyl.ydcat import YDModule, iso_test
 
 _ONE = CycScalar.one()
@@ -424,6 +428,11 @@ def preantipode_scalar(phi, g: int) -> CycScalar:
     return phi.inverse(g, phi.group.inv(g), g)
 
 
+def level_dims(levels) -> tuple:
+    """Dimension of each nonzero ad level, from a reflect.AdLevels."""
+    return tuple(len(level.basis) for level in levels.levels)
+
+
 def coinvariant_dims(trunc, coinv_slots, max_total: int) -> dict:
     """Multigraded dimensions of the right coinvariants of B -> B(N).
 
@@ -691,3 +700,140 @@ def morphism_root_sets(graph, max_morphisms: int = 100_000) -> dict:
             frontier = new
         out[v.vid] = {mor.apply(a) for mor in seen.values() for a in simple}
     return out
+
+
+# ---------------------------------------------------------------------------
+# Cartan-type oracle: principal minors and a catalog, not the Dynkin diagram.
+# ---------------------------------------------------------------------------
+
+def _connected_subsets(A: list) -> set:
+    """Every index set whose Dynkin subdiagram is connected."""
+    found = {frozenset([k]) for k in range(len(A))}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for s in frontier:
+            for x in s:
+                for y in range(len(A)):
+                    t = s | {y}
+                    if A[x][y] != 0 and t not in found:
+                        found.add(t)
+                        new.append(t)
+        frontier = new
+    return found
+
+
+def _principal_minors_positive(A: list) -> bool:
+    """All principal minors of A are positive.
+
+    A principal submatrix is block diagonal over the connected pieces of
+    its index set, so its determinant is the product of theirs: checking
+    the connected index sets decides all of them, and a chain of rank n has
+    n(n + 1)/2 of them instead of 2^n - 1 subsets.
+    """
+    for subset in _connected_subsets(A):
+        subset = sorted(subset)
+        sub = [[CycScalar.from_rational(A[r][c]) for c in subset]
+               for r in subset]
+        if det(sub).rational_value() <= 0:
+            return False
+    return True
+
+
+def cartan_catalog(n: int) -> list:
+    """Finite-type Cartan matrices of rank n, with their names."""
+    def chain(n):
+        return [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
+                 for j in range(n)] for i in range(n)]
+    out = []
+    out.append((f"A{n}", chain(n)))
+    if n >= 2:
+        b = chain(n)
+        b[n - 2][n - 1] = -2
+        out.append((f"B{n}", b))
+    if n >= 3:
+        c = chain(n)
+        c[n - 1][n - 2] = -2
+        out.append((f"C{n}", c))
+    if n >= 4:
+        d = chain(n - 1)
+        for row in d:
+            row.append(0)
+        d.append([0] * n)
+        d[n - 1][n - 1] = 2
+        # nodes n-2 and n-1 both attach to node n-3
+        d[n - 3][n - 1] = d[n - 1][n - 3] = -1
+        out.append((f"D{n}", d))
+    if n == 2:
+        out.append(("G2", [[2, -1], [-3, 2]]))
+    if n == 4:
+        f = chain(4)
+        f[1][2] = -2
+        out.append(("F4", f))
+    if n in (6, 7, 8):
+        e = chain(n - 1)
+        for row in e:
+            row.append(0)
+        e.append([0] * n)
+        e[n - 1][n - 1] = 2
+        # branch node: attach the last simple root to node 2 (0-indexed)
+        e[2][n - 1] = e[n - 1][2] = -1
+        out.append((f"E{n}", e))
+    return out
+
+
+def _permutation_match(A: list, B: list) -> bool:
+    """Simultaneous row/column permutation equivalence of integer matrices."""
+    n = len(A)
+    if len(B) != n:
+        return False
+
+    def signature(M, k):
+        offdiag = sorted((M[k][j], M[j][k]) for j in range(n) if j != k)
+        return tuple(offdiag)
+
+    siga = [signature(A, k) for k in range(n)]
+    sigb = [signature(B, k) for k in range(n)]
+    if sorted(siga) != sorted(sigb):
+        return False
+
+    assignment = [-1] * n
+    used = [False] * n
+
+    def backtrack(i):
+        if i == n:
+            return True
+        for j in range(n):
+            if used[j] or siga[i] != sigb[j]:
+                continue
+            ok = True
+            for k in range(i):
+                if A[i][k] != B[j][assignment[k]] or A[k][i] != B[assignment[k]][j]:
+                    ok = False
+                    break
+            if ok:
+                assignment[i] = j
+                used[j] = True
+                if backtrack(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return backtrack(0)
+
+
+def oracle_cartan_type(A: list) -> CartanTypeResult:
+    """Finite type iff all principal minors are positive; each component is
+    then named by the catalog matrix it matches under permutation."""
+    if not _principal_minors_positive(A):
+        return CartanTypeResult(False, None)
+    names = []
+    for comp in _components(A):
+        sub = [[A[r][c] for c in comp] for r in comp]
+        name = next((nm for nm, cat in cartan_catalog(len(comp))
+                     if _permutation_match(sub, cat)), None)
+        if name is None:
+            raise AssertionError(f"positive-definite GCM {sub} matches no "
+                                 "catalog Dynkin matrix")
+        names.append(name)
+    return CartanTypeResult(True, sorted(names))

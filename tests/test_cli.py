@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -121,6 +123,10 @@ def test_golden_match(capsys):
     assert code == 0
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "cartan", "W")
+    assert code == 0
+    # The finite-type branch of certify: W12 has Cartan type A2.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "certify", "W12")
     assert code == 0
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W1", "--max-degree", "3")
@@ -408,6 +414,25 @@ def test_resource_caps_exit_5(capsys, monkeypatch, module, cap, argv, message):
     code, out, err = run(capsys, "--session", SESSION, *argv)
     assert (code, out) == (5, "")
     assert err == f"resource bound exceeded: {message}\n"
+
+
+def test_certify_many_slots_reads_the_diagram(tmp_path):
+    # 24 copies of a line over Z2 with a_ij = 0: the Cartan type is 24 A1
+    # components, named without enumerating the 2^24 principal minors.
+    data = {"group": {"abelian": [2]}, "cocycle": {"trivial": True},
+            "modules": {"M": {"degrees": [1],
+                              "action": {"0": [["1"]], "1": [["-1"]]}}},
+            "tuples": {"T": ["M"] * 24}}
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(SESSION), "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ydweyl.cli", "--session", str(path),
+         "certify", "T"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: no conclusion from this criterion" in proc.stdout
+    assert "Cartan type: " + " + ".join(["A1"] * 24) + "\n" in proc.stdout
 
 
 def test_reflect_conductor9_golden(capsys, tmp_path, z9_pair):

@@ -204,10 +204,14 @@ def test_string_round_trip():
         assert parse_scalar(str(x)) == x
     assert parse_scalar("zeta(4)^2") == -1
     assert parse_scalar("-2/3*zeta(3)^2") == root_of_unity(3, 2) * Fraction(-2, 3)
+    # A negative exponent's sign does not start a new term.
+    assert parse_scalar("zeta(8)^-1") == root_of_unity(8, -1)
+    assert parse_scalar("1 - zeta(8)^-3") == 1 - root_of_unity(8, -3)
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "zeta", "1 + + 2", "zeta(0)^1", "1/0", "1/0*zeta(3)"]:
+    for bad in ["", "zeta", "1 + + 2", "--1", "zeta(8)^ -1", "zeta(0)^1",
+                "1/0", "1/0*zeta(3)"]:
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

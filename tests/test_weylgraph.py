@@ -1,15 +1,19 @@
+import random
+from itertools import combinations, product
+
 import pytest
 
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.groupdata import make_abelian_group, sign_cocycle
-from ydweyl.weylgraph import (SemiCartanGraph, Vertex, build_cartan_graph,
-                              check_axioms, finite_cartan_type,
+from ydweyl.weylgraph import (CartanTypeResult, SemiCartanGraph, Vertex,
+                              build_cartan_graph, check_axioms,
+                              finite_cartan_type,
                               infinite_dim_certificate, is_finite,
                               is_generalized_cartan, is_standard, real_roots,
                               to_dot)
 from ydweyl.ydcat import ModuleTuple, preset_module
-from oracles import (degree_orbit, generator_morphism, morphism_root_sets,
-                     root_counts)
+from oracles import (cartan_catalog, degree_orbit, generator_morphism,
+                     morphism_root_sets, oracle_cartan_type, root_counts)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +206,89 @@ def test_finite_type_permutation_invariance():
     for p in perms:
         permuted = [[base[p[i]][p[j]] for j in range(3)] for i in range(3)]
         assert finite_cartan_type(permuted).components == ["B3"]
+
+
+def _shuffled(A, rng):
+    """A under a seeded simultaneous permutation of rows and columns."""
+    perm = list(range(len(A)))
+    rng.shuffle(perm)
+    return [[A[r][c] for c in perm] for r in perm]
+
+
+def _direct_sum(A, B):
+    n = len(A)
+    return ([row + [0] * len(B) for row in A]
+            + [[0] * n + row for row in B])
+
+
+def test_finite_types_of_every_rank_are_named():
+    # A_n, B_n, C_n and D_n exist at every rank; only E, F and G stop at 8.
+    for name in ("A9", "B10", "C9", "D12"):
+        A = dict(cartan_catalog(int(name[1:])))[name]
+        assert finite_cartan_type(A).components == [name]
+
+
+def test_classifier_matches_oracle_on_every_small_gcm():
+    # Every GCM of rank <= 3 with off-diagonal entries in 0..-4.
+    bonds = [(0, 0)] + list(product(range(-4, 0), repeat=2))
+    count = finite = 0
+    for n in (1, 2, 3):
+        pairs = list(combinations(range(n), 2))
+        for choice in product(bonds, repeat=len(pairs)):
+            A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for (i, j), (a, b) in zip(pairs, choice):
+                A[i][j], A[j][i] = a, b
+            result = finite_cartan_type(A)
+            assert result == oracle_cartan_type(A), A
+            count += 1
+            finite += result.is_finite_type
+    assert (count, finite) == (4931, 38)
+
+
+def test_classifier_matches_oracle_on_permuted_catalog():
+    rng = random.Random(13)
+    # Every type of rank <= 8, and A, B, C and D at ranks 9-12.
+    cases = [case for n in range(1, 13) for case in cartan_catalog(n)]
+    for name, A in cases:
+        for _ in range(3):
+            P = _shuffled(A, rng)
+            assert finite_cartan_type(P) == oracle_cartan_type(P) \
+                == CartanTypeResult(True, [name]), (name, P)
+
+
+def test_classifier_matches_oracle_on_direct_sums():
+    rng = random.Random(14)
+    blocks = [A for n in range(1, 5) for _, A in cartan_catalog(n)]
+    # Affine A1, A2, C2 and G2, and a rank-2 matrix of bond product 5.
+    blocks += [[[2, -2], [-2, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+               [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+               [[2, -1, 0], [-1, 2, -1], [0, -3, 2]], [[2, -5], [-1, 2]]]
+    for A, B in combinations(blocks, 2):
+        S = _shuffled(_direct_sum(A, B), rng)
+        expect = oracle_cartan_type(S)
+        assert finite_cartan_type(S) == expect, S
+        parts = [finite_cartan_type(A), finite_cartan_type(B)]
+        if all(p.is_finite_type for p in parts):
+            assert expect.components == sorted(parts[0].components
+                                               + parts[1].components)
+        else:
+            assert not expect.is_finite_type
+
+
+def test_classifier_matches_oracle_on_random_gcms():
+    rng = random.Random(15)
+    bonds = [(0, 0)] * 9 + [(-1, -1)] * 6 + [(-1, -2), (-2, -1), (-1, -3),
+                                              (-3, -1), (-2, -2), (-1, -4)]
+    finite = 0
+    for k in range(2000):
+        n = 4 + k % 2
+        A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            A[i][j], A[j][i] = rng.choice(bonds)
+        result = finite_cartan_type(A)
+        assert result == oracle_cartan_type(A), A
+        finite += result.is_finite_type
+    assert 100 < finite < 1900
 
 
 def test_finite_type_rejects_non_gcm():
