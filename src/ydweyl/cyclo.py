@@ -154,6 +154,8 @@ class CycScalar:
 
     @classmethod
     def from_rational(cls, x) -> "CycScalar":
+        if type(x) is int:
+            return _make(1, [x], 1)
         f = _coerce_fraction(x)
         return _make(1, [f.numerator], f.denominator)
 
@@ -272,17 +274,22 @@ class CycScalar:
         return _make(n, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return CycScalar.from_rational(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
+            if other == 1:
+                return self
             other = CycScalar.from_rational(other)
         if len(self.num) == 1:
             self, other = other, self
-        den = self.den * other.den
         if len(other.num) == 1:  # a rational factor scales the numerators
             p = other.num[0]
-            return _make(self.conductor, [p * x for x in self.num], den)
+            if p == other.den:  # times 1: self is already in normal form
+                return self
+            return _make(self.conductor, [p * x for x in self.num],
+                         self.den * other.den)
+        den = self.den * other.den
         n, a, b = self._aligned(other)
         terms = [(j, y) for j, y in enumerate(b) if y]
         prod = [0] * (2 * len(a) - 1)
@@ -347,7 +354,7 @@ class CycScalar:
         return a == b and self.den == other.den
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.num != (0,)
 
     # ---- text ----------------------------------------------------------
 
@@ -470,16 +477,22 @@ Matrix = list  # list[list[CycScalar]]
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (copy) and the pivot column indices.
 
-    Elimination runs on sparse rows, dicts from column to nonzero scalar: a
+    Elimination runs on sparse rows, dicts from column to nonzero entry: a
     step updates only the rows holding the pivot column, over the pivot row's
     support.  Rows stay in the dense order of a Gauss-Jordan sweep, so every
-    entry is computed by the same operations (and carries the same stored
-    conductor) as the dense elimination would give it.
+    entry is computed by the same operations as the dense elimination would
+    give it.  A rational entry is eliminated as an int (a Fraction if it is
+    not an integer), an irrational one as a CycScalar.  That cannot change a
+    result or its stored conductor: a rational value has the one encoding at
+    conductor 1, and arithmetic between a CycScalar at conductor n and an int
+    promotes to lcm(1, n) = n, as it does with a conductor-1 CycScalar.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    mat = [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows]
+    # Testing identity first skips a dense row's shared zero without a call.
+    mat = [{c: _plain(x) for c, x in enumerate(r) if x is not _ZERO and x}
+           for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -487,8 +500,11 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c].inv()
-        prow = mat[r] = {j: x * inv for j, x in mat[r].items()}
+        p = mat[r][c]
+        if p != 1:
+            inv = p.inv() if isinstance(p, CycScalar) else 1 / Fraction(p)
+            mat[r] = {j: _int_if_whole(x * inv) for j, x in mat[r].items()}
+        prow = mat[r]
         for i, row in enumerate(mat):
             f = row.get(c)
             if f is None or i == r:
@@ -496,15 +512,33 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
             for j, y in prow.items():
                 x = row.get(j)
                 x = -(f * y) if x is None else x - f * y
-                if x.is_zero():
+                if not x:
                     del row[j]
                 else:
-                    row[j] = x
+                    row[j] = _int_if_whole(x)
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [[row.get(j, _ZERO) for j in range(ncols)] for row in mat[:r]], pivots
+    return [[_scalar(row[j]) if j in row else _ZERO for j in range(ncols)]
+            for row in mat[:r]], pivots
+
+
+def _plain(x: CycScalar):
+    """x as an int or Fraction if it is rational, else x itself."""
+    if x.conductor != 1:
+        return x
+    return x.num[0] if x.den == 1 else Fraction(x.num[0], x.den)
+
+
+def _int_if_whole(x):
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _scalar(x) -> CycScalar:
+    if isinstance(x, CycScalar):
+        return x
+    return _ONE if x == 1 else CycScalar.from_rational(x)
 
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:

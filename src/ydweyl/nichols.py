@@ -26,9 +26,10 @@ from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
 
 # Most words in one multidegree block; the block's Delta matrix is dense,
-# words x words.  On W over Z2^3 (2-core VM, one block per process): 960
-# words take 0.56 s and 45 MB peak, 1,920 take 0.5 s and 60 MB, 3,840 take
-# 6.8 s and 306 MB, 5,760 take 32 s and 761 MB.
+# words x words.  On W over Z2^3 (2-core VM, one block per process, median
+# of three): 960 words take 0.46 s and 39 MB peak, 1,920 take 0.98 s and
+# 57 MB; in one run each, 3,840 take 3.9 s and 209 MB, 5,760 take 20 s and
+# 613 MB.
 MAX_BLOCK_WORDS = 2048
 
 

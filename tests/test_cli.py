@@ -435,11 +435,8 @@ def test_certify_many_slots_reads_the_diagram(tmp_path):
     assert "Cartan type: " + " + ".join(["A1"] * 24) + "\n" in proc.stdout
 
 
-def test_reflect_conductor9_golden(capsys, tmp_path, z9_pair):
-    # [L, L4] over twisted Z3 is the shipped path that prints non-rational
-    # scalars, so a change of stored conductor in Phi's derived scalars
-    # (Cocycle3.inverse, omega, tensor_action) shows here.  This is the
-    # session perfbench/sessions.py:z9pair_session writes.
+def _z9pair_session(tmp_path, z9_pair) -> str:
+    """The session perfbench/sessions.py:z9pair_session writes: [L, L4]."""
     with open(os.path.join(os.path.dirname(SESSION), "z3twisted.json")) as fh:
         data = json.load(fh)
     line4 = z9_pair[1][1]
@@ -451,10 +448,33 @@ def test_reflect_conductor9_golden(capsys, tmp_path, z9_pair):
     data["tuples"] = {"P": ["L", "L4"]}
     path = tmp_path / "z9pair.json"
     path.write_text(json.dumps(data, sort_keys=True))
+    return str(path)
+
+
+def test_reflect_conductor9_golden(capsys, tmp_path, z9_pair):
+    # [L, L4] over twisted Z3 is the shipped path that prints non-rational
+    # scalars, so a change of stored conductor in Phi's derived scalars
+    # (Cocycle3.inverse, omega, tensor_action) shows here.
+    path = _z9pair_session(tmp_path, z9_pair)
     for i in ("1", "2"):
-        code, _, err = run(capsys, "--session", str(path), "--golden", GOLDEN,
+        code, _, err = run(capsys, "--session", path, "--golden", GOLDEN,
                            "reflect", "P", i)
         assert (code, err) == (0, "")
+
+
+def test_nichols_conductor9_golden(capsys, tmp_path, z9_pair):
+    # Nichols blocks of [L, L4] mix rational and conductor-9 entries, so
+    # elimination over such rows shows here; it is also the
+    # nichols-z9pair7 benchmark workload.
+    path = _z9pair_session(tmp_path, z9_pair)
+    code, _, err = run(capsys, "--session", path, "--golden", GOLDEN,
+                       "nichols", "P", "--max-degree", "7")
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, "nichols_P_7.txt")) as fh:
+        golden = fh.read()
+    with open(os.path.join(os.path.dirname(SESSION), "..", "perfbench",
+                           "expected", "nichols-z9pair7.txt")) as fh:
+        assert fh.read() == golden
 
 
 @pytest.mark.parametrize("argv", [["cartan", "W"], ["reflect", "W", "1"],

@@ -97,6 +97,19 @@ def test_canonical_key_matches_equality():
             assert (a.canonical_key() == b.canonical_key()) == (a == b)
 
 
+def test_multiplying_by_one_keeps_the_stored_conductor():
+    # zeta(9) * zeta(9)^2 equals zeta(3) but is stored at conductor 9.
+    x = root_of_unity(9, 1) * root_of_unity(9, 2)
+    assert (x.conductor, str(x)) == (9, "zeta(9)^3")
+    for y in (x * 1, 1 * x, x * Fraction(1), x * CycScalar.one(),
+              CycScalar.one() * x):
+        assert (y.conductor, y.num, y.den, str(y)) == (9, x.num, x.den, str(x))
+    for r in (3, -2, 0):
+        a, b = CycScalar.from_rational(r), CycScalar.from_rational(Fraction(r))
+        assert (a.conductor, a.num, a.den) == (b.conductor, b.num, b.den)
+        assert type(a.num[0]) is int
+
+
 def test_promotion_example_mixed_conductors():
     # zeta_2 over conductor 4 times zeta_4 is zeta_4^3; float cross-check.
     lhs = root_of_unity(2, 1).promote(4) * root_of_unity(4, 1)
@@ -265,7 +278,21 @@ def _rref_cases():
     yield [[parse_scalar(x) for x in row] for row in
            [["0", "zeta(3)^2", "-1"], ["0", "zeta(9)", "-zeta(9)^4"],
             ["zeta(9)^2", "0", "1"]]]
-    for conductors in ([1], [9, 3], [4, 8]):
+    # Non-unit rational pivots (2, -1/3), rational entries in conductor-9
+    # and conductor-8 rows, and entries that cancel to 0: row 3 of the
+    # first is twice row 0, and in the second zeta(9) cancels out of
+    # column 2, leaving a rational pivot -2 that the sweep reached as a
+    # CycScalar.
+    for mat in ([["2", "1", "-1", "0"], ["0", "-1/3", "1", "1/2"],
+                 ["-1/3", "0", "2/3", "1"], ["4", "2", "-2", "0"]],
+                [["zeta(9)", "1/3", "zeta(9) + 2", "-1"],
+                 ["zeta(9)", "1/3", "zeta(9)", "zeta(9)^4 - 1/3"],
+                 ["2", "-zeta(9)^2", "1", "0"]],
+                [["0", "-1/3", "zeta(8)", "1"],
+                 ["zeta(8)^2", "2", "0", "-1"],
+                 ["1", "zeta(8)^3", "1/2", "zeta(8)"]]):
+        yield [[parse_scalar(x) for x in row] for row in mat]
+    for conductors in ([1], [9, 3], [4, 8], [1, 9], [1, 8]):
         for density in (0.05, 0.15, 0.3):
             mat = _random_matrix(rng, 10, 14, density, conductors)
             mat.insert(3, [zero] * 14)
@@ -289,6 +316,7 @@ def test_rref_matches_dense_oracle():
         reduced, pivots = rref(mat)
         oracle, oracle_pivots = dense_rref(mat)
         assert pivots == oracle_pivots
+        assert all(isinstance(x, CycScalar) for row in reduced for x in row)
         assert reduced == oracle
         # Same stored conductors too, so printed values cannot change.
         assert ([[str(x) for x in row] for row in reduced]
@@ -304,6 +332,13 @@ def test_rref_matches_dense_oracle():
         if free:
             vec[free[0]] = vec[free[0]] + 1
             assert coords_in_rref(reduced, pivots, vec) is None
+        kernel = nullspace(mat, ncols)
+        assert len(kernel) == len(free)
+        for vec in kernel:
+            assert all(isinstance(x, CycScalar) for x in vec)
+            for row in mat:
+                assert sum((a * x for a, x in zip(row, vec)),
+                           CycScalar.zero()).is_zero()
 
 
 def test_det_and_matmul():
