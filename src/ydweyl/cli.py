@@ -14,7 +14,10 @@ Exit codes:
   4  undecided at the ad cutoff or the truncation degree
   5  resource bound exceeded (vertex bound, truncation degree, group order,
      conductor, module dimension, Nichols block size, root-closure states),
-     or MemoryError/RecursionError
+     or MemoryError/RecursionError.  A truncation degree (--max-degree or
+     the max_degree cutoff) above nichols.MAX_TRUNCATION_DEGREE = 64 exits
+     5; at 64 a never-vanishing ad tower over two one-letter slots takes
+     about 4 s.
 """
 
 from __future__ import annotations
@@ -277,26 +280,24 @@ def cmd_nichols(session: Session, args) -> str:
     target = session.resolve(args.name)
     trunc = nichols_truncate(target, args.max_degree)
     lines = [f"graded dimensions of B({args.name}) up to degree {args.max_degree}"]
+    dims = trunc.graded_dims()
+    support = [(md, d) for n in range(1, args.max_degree + 1)
+               for md in trunc.multidegrees(n)
+               if (d := trunc.dim_multidegree(md))]
     if args.json:
         payload = {
-            "dims": list(trunc.graded_dims()),
-            "multidegree_dims": {
-                " ".join(map(str, md)): trunc.dim_multidegree(md)
-                for n in range(1, args.max_degree + 1)
-                for md in trunc.multidegrees(n)
-                if trunc.dim_multidegree(md) > 0},
+            "dims": list(dims),
+            "multidegree_dims": {" ".join(map(str, md)): d
+                                 for md, d in support},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     lines.append("degree  dim")
-    for n, d in enumerate(trunc.graded_dims()):
+    for n, d in enumerate(dims):
         lines.append(f"{n:>6}  {d}")
     if target.theta > 1:
         lines.append("support (multidegree: dim):")
-        for n in range(1, args.max_degree + 1):
-            for md in trunc.multidegrees(n):
-                d = trunc.dim_multidegree(md)
-                if d:
-                    lines.append(f"  ({', '.join(map(str, md))}): {d}")
+        for md, d in support:
+            lines.append(f"  ({', '.join(map(str, md))}): {d}")
     return "\n".join(lines) + "\n"
 
 

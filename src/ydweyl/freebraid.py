@@ -11,13 +11,13 @@ Conventions:
     Phi(deg u, deg v, deg w)^-1, the inverse direction by Phi(...).
   * braiding c(u (x) v) = (deg u |> v) (x) u.
   * the coproduct is the unique algebra map T(V) -> T(V) (x) T(V) with
-    Delta(v) = v (x) 1 + 1 (x) v, computed by peeling the last letter x:
-    Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x), where each product by a
-    one-letter factor has a closed form (see delta_component).  Delta_{1^n}
-    peels Delta_{n-1,1}.
+    Delta(v) = v (x) 1 + 1 (x) v.  Only its (n-1, 1) component is computed
+    (delta_last), by peeling the last letter x of w x, and Delta_{1^n}
+    peels that component again and again.
   * the references these are checked against live in tests/oracles.py:
-    the shuffle expansion, Delta_{1^n} peeling Delta_{1,n-1} instead, and
-    coherence scalars between arbitrary bracketings.
+    the shuffle expansion, the general (i, j) component of Delta,
+    Delta_{1^n} peeling Delta_{1,n-1} instead, and coherence scalars
+    between arbitrary bracketings.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ class GradedVector:
     def is_zero(self):
         return not self.terms
 
-    def scale(self, c) -> "GradedVector":
-        out = GradedVector()
-        for w, x in self.terms.items():
-            out.add_term(w, x * c)
-        return out
-
     def __add__(self, other):
         out = GradedVector(dict(self.terms))
         for w, c in other.terms.items():
@@ -88,9 +82,6 @@ class GradedVector:
         for w, c in other.terms.items():
             out.add_term(w, -c)
         return out
-
-    def __neg__(self):
-        return self.scale(CycScalar.from_rational(-1))
 
     def __eq__(self, other):
         if not isinstance(other, GradedVector):
@@ -211,43 +202,31 @@ class WordAlgebra:
                 out.add_term(u + v, cu * cv * self.flatten_scalar(u, v))
         return out
 
-    # ---- coproduct components ---------------------------------------------
+    # ---- coproduct -------------------------------------------------------
 
-    def delta_component(self, word: Word, i: int, j: int) -> GradedVector:
-        """The (i, j) component of Delta(word); requires i + j = len(word)."""
-        n = len(word)
-        if i < 0 or j < 0 or i + j != n:
-            raise ValidationError(f"bad split ({i},{j}) for a word of length {n}")
-        key = (word, i)
-        cached = self._delta_cache.get(key)
-        if cached is not None:
-            return cached
-        if n == 0:
-            out = GradedVector({((), ()): _ONE})
-        else:
-            # Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x).  Phi is normalized,
-            # so each product by a one-letter factor takes at most two Phi
-            # values, and a one-letter word needs no rebracketing.
-            prefix, last = word[:-1], word[-1:]
+    def delta_last(self, word: Word) -> GradedVector:
+        """The (n-1, 1) component of Delta(word), n = len(word) >= 1."""
+        out = self._delta_cache.get(word)
+        if out is not None:
+            return out
+        # Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x).  Only the (n-2, 1) part
+        # of Delta(w) times x (x) 1 and its (n-1, 0) part w (x) 1 times
+        # 1 (x) x land here.  Phi is normalized and 1 acts trivially, so the
+        # latter is w (x) x with coefficient 1, and the former is
+        #   (a (x) b)(x (x) 1)
+        #     = Phi(a, b|>x, b) Phi(a, b, x)^-1 (a (b|>x)) (x) b.
+        prefix, last = word[:-1], word[-1:]
+        out = GradedVector()
+        if prefix:
             g, phi = self.group, self.cocycle
             dx = self.word_degree(last)
-            out = GradedVector()
-            if i > 0:
-                # (a (x) b)(x (x) 1)
-                #   = Phi(a, b|>x, b) Phi(a, b, x)^-1 (a (b|>x)) (x) b
-                for (a, b), c in self.delta_component(prefix, i - 1, j).items():
-                    da, db = self.word_degree(a), self.word_degree(b)
-                    s = phi.inverse(da, db, dx) * phi.value(
-                        da, g.conj(db, dx), db)
-                    for bx, cc in self.act(db, last).items():
-                        out.add_term((a + bx, b), c * (s * cc))
-            if j > 0:
-                # (a (x) b)(1 (x) x) = Phi(a, b, x)^-1 a (x) (b x)
-                for (a, b), c in self.delta_component(prefix, i, j - 1).items():
-                    s = phi.inverse(self.word_degree(a),
-                                    self.word_degree(b), dx)
-                    out.add_term((a, b + last), c * s)
-        self._delta_cache[key] = out
+            for (a, b), c in self.delta_last(prefix).items():
+                da, db = self.word_degree(a), self.word_degree(b)
+                s = phi.inverse(da, db, dx) * phi.value(da, g.conj(db, dx), db)
+                for bx, cc in self.act(db, last).items():
+                    out.add_term((a + bx, b), c * (s * cc))
+        out.add_term((prefix, last), _ONE)
+        self._delta_cache[word] = out
         return out
 
     def delta_1n(self, word: Word) -> GradedVector:
@@ -268,7 +247,7 @@ class WordAlgebra:
         out = self._split_cache.get(word)
         if out is None:
             out = GradedVector()
-            for (a, b), c in self.delta_component(word, n - 1, 1).items():
+            for (a, b), c in self.delta_last(word).items():
                 for rest, c2 in self._split(a).items():
                     out.add_term(rest + b, c * c2)
             self._split_cache[word] = out

@@ -32,6 +32,12 @@ from .freebraid import GradedVector, WordAlgebra
 # 613 MB.
 MAX_BLOCK_WORDS = 2048
 
+# Largest truncation degree.  Level n of an ad tower over two 1-dimensional
+# slots reads a block of n + 1 words, under the block cap at any degree, so
+# this is what bounds a tower that never vanishes: one over Z2 x Z2 with the
+# trivial cocycle runs to the truncation degree 64 in 3.75 s (2-core VM).
+MAX_TRUNCATION_DEGREE = 64
+
 
 def _compositions(total: int, parts: int):
     """All multidegrees of a given total, lexicographic."""
@@ -44,14 +50,14 @@ def _compositions(total: int, parts: int):
 
 
 class _Block:
-    __slots__ = ("words", "index", "quotient_words", "rows")
+    __slots__ = ("words", "index", "quotient_words", "nf")
 
-    def __init__(self, words, index, quotient_words, rows):
+    def __init__(self, words, index, quotient_words, nf):
         self.words = words
         self.index = index
         self.quotient_words = quotient_words
-        # rows[k][index[w]]: coefficient of quotient_words[k] in NF(w)
-        self.rows = rows
+        # nf[index[w]]: NF(w) as (quotient word, nonzero coefficient) pairs
+        self.nf = nf
 
     def coords(self, vec: GradedVector) -> list:
         """Dense row of a vector supported on this block's words."""
@@ -72,6 +78,10 @@ class NicholsTruncation:
     def __init__(self, modules, max_degree: int):
         if max_degree < 0:
             raise ValidationError("max_degree must be >= 0")
+        if max_degree > MAX_TRUNCATION_DEGREE:
+            raise ResourceBoundError(
+                f"truncation degree {max_degree} exceeds the largest "
+                f"supported degree {MAX_TRUNCATION_DEGREE}")
         self.ctx = WordAlgebra(modules)
         self.max_degree = max_degree
         self.theta = self.ctx.theta
@@ -114,9 +124,13 @@ class NicholsTruncation:
             for tw, c in self.ctx.delta_1n(w).items():
                 delta[index[tw]][last - k] = c
         reduced, pivots = rref(delta)
-        blk = _Block(words, index,
-                     [words[last - p] for p in reversed(pivots)],
-                     [row[::-1] for row in reversed(reduced)])
+        quotient = [words[last - p] for p in reversed(pivots)]
+        nf = [[] for _ in words]
+        for q, row in zip(quotient, reversed(reduced)):
+            for k, c in enumerate(row):
+                if not c.is_zero():
+                    nf[last - k].append((q, c))
+        blk = _Block(words, index, quotient, nf)
         self._blocks[md] = blk
         return blk
 
@@ -140,19 +154,15 @@ class NicholsTruncation:
 
     def normal_form(self, vec: GradedVector) -> GradedVector:
         """Canonical coset representative modulo the ideal; 0 iff vec in I(V)."""
-        by_md: dict[tuple, dict] = {}
-        for w, c in vec.items():
-            by_md.setdefault(self.ctx.multidegree(w), {})[w] = c
+        blocks: dict[tuple, _Block] = {}
         out = GradedVector()
-        for md, terms in by_md.items():
-            blk = self.block(md)
-            cols = [(blk.index[w], c) for w, c in terms.items()]
-            for q, row in zip(blk.quotient_words, blk.rows):
-                total = CycScalar.zero()
-                for k, c in cols:
-                    if not row[k].is_zero():
-                        total = total + row[k] * c
-                out.add_term(q, total)
+        for w, c in vec.items():
+            md = self.ctx.multidegree(w)
+            blk = blocks.get(md)
+            if blk is None:
+                blk = blocks[md] = self.block(md)
+            for q, r in blk.nf[blk.index[w]]:
+                out.add_term(q, r * c)
         return out
 
 

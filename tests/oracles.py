@@ -14,9 +14,10 @@ matrices under simultaneous permutation.
 
 The references are structure the program itself never needs, kept here
 so the tests can state the paper's identities against it:
-  * T(V): Delta_{1^n} peeling Delta_{1,n-1} (the engine peels
-    Delta_{n-1,1}), coherence scalars between arbitrary bracketings, and
-    the left and right combs;
+  * T(V): the general (i, j) component of Delta (the engine computes
+    only the (n-1, 1) one), Delta_{1^n} peeling Delta_{1,n-1} (the engine
+    peels Delta_{n-1,1}), coherence scalars between arbitrary bracketings,
+    and the left and right combs;
   * B(V): Delta on normal forms, the coideal check, primitives, supports
     and ideal dimensions per multidegree;
   * bosonization: the smash product B(V) # kG, the preantipode scalar of
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
+from weakref import WeakKeyDictionary
 
 from ydweyl.cyclo import CycScalar, det, nullspace, rref
 from ydweyl.errors import ValidationError
@@ -137,8 +139,60 @@ def pentagon_holds(phi) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# T(V) references: the other Delta_{1^n} order and arbitrary bracketings.
+# T(V) references: the general Delta component, the other Delta_{1^n} order
+# and arbitrary bracketings.
 # ---------------------------------------------------------------------------
+
+# Components already computed, per WordAlgebra: (word, i) -> Delta_{i,j}.
+# A component depends only on the algebra's immutable modules, so an entry
+# never goes stale, and it is dropped with its algebra.
+_component_memo: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def delta_component(ctx: WordAlgebra, word, i: int, j: int) -> GradedVector:
+    """The (i, j) component of Delta(word); requires i + j = len(word).
+
+    The general recursion Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x): the
+    engine computes only the (n-1, 1) component (ctx.delta_last).
+    """
+    n = len(word)
+    if i < 0 or j < 0 or i + j != n:
+        raise ValidationError(f"bad split ({i},{j}) for a word of length {n}")
+    g, phi = ctx.group, ctx.cocycle
+    memo = _component_memo.setdefault(ctx, {})
+
+    def component(word, i, j):
+        key = (word, i)
+        if key in memo:
+            return memo[key]
+        if not word:
+            out = GradedVector({((), ()): _ONE})
+        else:
+            # Phi is normalized, so each product by a one-letter factor
+            # takes at most two Phi values, and a one-letter word needs no
+            # rebracketing.
+            prefix, last = word[:-1], word[-1:]
+            dx = ctx.word_degree(last)
+            out = GradedVector()
+            if i > 0:
+                # (a (x) b)(x (x) 1)
+                #   = Phi(a, b|>x, b) Phi(a, b, x)^-1 (a (b|>x)) (x) b
+                for (a, b), c in component(prefix, i - 1, j).items():
+                    da, db = ctx.word_degree(a), ctx.word_degree(b)
+                    s = phi.inverse(da, db, dx) * phi.value(
+                        da, g.conj(db, dx), db)
+                    for bx, cc in ctx.act(db, last).items():
+                        out.add_term((a + bx, b), c * (s * cc))
+            if j > 0:
+                # (a (x) b)(1 (x) x) = Phi(a, b, x)^-1 a (x) (b x)
+                for (a, b), c in component(prefix, i, j - 1).items():
+                    s = phi.inverse(ctx.word_degree(a), ctx.word_degree(b), dx)
+                    out.add_term((a, b + last), c * s)
+        memo[key] = out
+        return out
+
+    return component(tuple(word), i, j)
+
 
 def delta_1n_left(ctx: WordAlgebra, word) -> GradedVector:
     """Delta_{1^n}(word) peeling Delta_{1,n-1}, recursing on the right leg.
@@ -150,7 +204,7 @@ def delta_1n_left(ctx: WordAlgebra, word) -> GradedVector:
     if n <= 1:
         return GradedVector.from_word(word)
     out = GradedVector()
-    for (a, b), c in ctx.delta_component(word, 1, n - 1).items():
+    for (a, b), c in delta_component(ctx, word, 1, n - 1).items():
         for rest, c2 in delta_1n_left(ctx, b).items():
             out.add_term(a + rest, c * c2 * ctx.flatten_scalar(a, rest))
     return out
@@ -369,7 +423,7 @@ def delta_on_quotient(trunc, vec: GradedVector, i: int, j: int) -> dict:
     for w, c in vec.items():
         if len(w) != i + j:
             raise ValidationError("delta_on_quotient needs length-homogeneous input")
-        for (a, b), s in trunc.ctx.delta_component(w, i, j).items():
+        for (a, b), s in delta_component(trunc.ctx, w, i, j).items():
             na = trunc.normal_form(GradedVector.from_word(a))
             nb = trunc.normal_form(GradedVector.from_word(b))
             for wa, ca in na.items():

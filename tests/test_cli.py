@@ -435,6 +435,62 @@ def test_certify_many_slots_reads_the_diagram(tmp_path):
     assert "Cartan type: " + " + ".join(["A1"] * 24) + "\n" in proc.stdout
 
 
+def _run_subprocess(session_path, *argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(SESSION), "..", "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ydweyl.cli", "--session", str(session_path),
+         *argv], env=env, capture_output=True, text=True, timeout=60)
+    return proc, time.perf_counter() - start
+
+
+def _tower_session(max_degree: int) -> dict:
+    # Over Z2 x Z2 with the trivial cocycle, X of degree g1 fixed by every
+    # element and Y of degree g2 negated by g1: ad(X)^n(Y) never vanishes.
+    ones = {str(g): [["1"]] for g in range(4)}
+    return {"group": {"abelian": [2, 2]}, "cocycle": {"trivial": True},
+            "modules": {"X": {"degrees": [2], "action": ones},
+                        "Y": {"degrees": [1],
+                              "action": {"0": [["1"]], "1": [["1"]],
+                                         "2": [["-1"]], "3": [["-1"]]}}},
+            "tuples": {"P": ["X", "Y"]},
+            "cutoffs": {"max_degree": max_degree, "ad_cutoff": 100000}}
+
+
+@pytest.mark.parametrize("degree", [nichols.MAX_TRUNCATION_DEGREE + 1, 100000])
+def test_truncation_degree_cap_on_nichols_flag(degree):
+    proc, elapsed = _run_subprocess(SESSION, "nichols", "W1",
+                                    "--max-degree", str(degree))
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == (
+        f"resource bound exceeded: truncation degree {degree} exceeds the "
+        f"largest supported degree {nichols.MAX_TRUNCATION_DEGREE}\n")
+    assert elapsed < 10
+
+
+@pytest.mark.parametrize("degree", [nichols.MAX_TRUNCATION_DEGREE + 1, 100000])
+def test_truncation_degree_cap_on_session_cutoff(tmp_path, degree):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(_tower_session(degree)))
+    proc, elapsed = _run_subprocess(path, "ad", "P", "1", "2")
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == (
+        f"resource bound exceeded: truncation degree {degree} exceeds the "
+        f"largest supported degree {nichols.MAX_TRUNCATION_DEGREE}\n")
+    assert elapsed < 10
+
+
+def test_tower_below_the_cap_is_undecided_at_the_truncation_degree(capsys,
+                                                                    tmp_path):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(_tower_session(8)))
+    code, out, err = run(capsys, "--session", str(path), "ad", "P", "1", "2")
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-2:] == ["level 7: dim 1 degrees [g1*g2]",
+                                     "undecided at truncation degree 8"]
+
+
 def _z9pair_session(tmp_path, z9_pair) -> str:
     """The session perfbench/sessions.py:z9pair_session writes: [L, L4]."""
     with open(os.path.join(os.path.dirname(SESSION), "z3twisted.json")) as fh:

@@ -6,8 +6,9 @@ import pytest
 from ydweyl.cyclo import CycScalar
 from ydweyl.errors import ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
-from oracles import (braid_at, delta_1n_left, left_comb, rebracket_scalar,
-                     right_comb, symmetrizer, trivial_module)
+from oracles import (braid_at, delta_1n_left, delta_component, left_comb,
+                     rebracket_scalar, right_comb, symmetrizer,
+                     trivial_module)
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +29,11 @@ def test_word_degree(z2cubed, ctx12):
 
 
 def test_delta_11_cancellation(ctx12):
-    assert ctx12.delta_component((X1, X1), 1, 1).is_zero()
+    assert delta_component(ctx12, (X1, X1), 1, 1).is_zero()
 
 
 def test_delta_11_mixed(ctx12):
-    d = ctx12.delta_component((X1, Y1), 1, 1)
+    d = delta_component(ctx12, (X1, Y1), 1, 1)
     one = CycScalar.one()
     assert dict(d.items()) == {((X1,), (Y1,)): one, ((Y2,), (X1,)): one}
 
@@ -40,8 +41,8 @@ def test_delta_11_mixed(ctx12):
 def test_delta_counit_components(ctx12):
     for w in [(X1,), (X1, Y2), (Y1, X2, X1)]:
         n = len(w)
-        top = ctx12.delta_component(w, n, 0)
-        bottom = ctx12.delta_component(w, 0, n)
+        top = delta_component(ctx12, w, n, 0)
+        bottom = delta_component(ctx12, w, 0, n)
         assert dict(top.items()) == {(w, ()): CycScalar.one()}
         assert dict(bottom.items()) == {((), w): CycScalar.one()}
 
@@ -61,7 +62,7 @@ def test_delta_degree_additivity(z2cubed, ctx12):
             w = tuple(rng.choice(ctx12.letters) for _ in range(n))
             dw = ctx12.word_degree(w)
             for i in range(n + 1):
-                for (a, b), _c in ctx12.delta_component(w, i, n - i).items():
+                for (a, b), _c in delta_component(ctx12, w, i, n - i).items():
                     assert group.mul(ctx12.word_degree(a),
                                      ctx12.word_degree(b)) == dw
 
@@ -77,7 +78,7 @@ def test_delta_splitting_order_independence(ctx12):
 @pytest.mark.parametrize("which, max_n", [("W", 3), ("z9", 4)])
 def test_delta_1n_matches_symmetrizer(which, max_n, w_triple, z9_pair):
     # Phi is nontrivial on the full W and on the conductor-9 pair, so every
-    # Phi factor of the one-letter products in delta_component shows here;
+    # Phi factor of the one-letter products in delta_last shows here;
     # the order test above runs where Phi is 1 on every degree it meets.
     ctx = WordAlgebra(w_triple if which == "W" else z9_pair[1])
     for n in range(max_n + 1):
@@ -87,9 +88,26 @@ def test_delta_1n_matches_symmetrizer(which, max_n, w_triple, z9_pair):
             assert ctx.delta_1n(w) == expected, ("right", w)
 
 
+@pytest.mark.parametrize("which, max_n", [("W", 4), ("z9", 6)])
+def test_delta_last_matches_general_component(which, max_n, w_triple,
+                                              z9_pair):
+    # delta_last computes only the (n-1, 1) component of Delta: the same
+    # terms in the same order, each coefficient with the same normal form
+    # and stored conductor as the general recursion's.
+    ctx = WordAlgebra(w_triple if which == "W" else z9_pair[1])
+    for n in range(1, max_n + 1):
+        for w in product(ctx.letters, repeat=n):
+            got = list(ctx.delta_last(w).items())
+            expected = list(delta_component(ctx, w, n - 1, 1).items())
+            assert [k for k, _ in got] == [k for k, _ in expected], w
+            for (_, c), (_, d) in zip(got, expected):
+                assert c == d and str(c) == str(d), w
+                assert c.conductor == d.conductor, w
+
+
 def test_bad_split_rejected(ctx12):
     with pytest.raises(ValidationError):
-        ctx12.delta_component((X1, Y1), 1, 2)
+        delta_component(ctx12, (X1, Y1), 1, 2)
 
 
 def test_rebracket_examples(z2cubed, ctx12):

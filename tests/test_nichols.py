@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
+from ydweyl.cyclo import CycScalar
 from ydweyl.errors import ResourceBoundError
 from ydweyl.freebraid import GradedVector
 from ydweyl.nichols import nichols_truncate
 from ydweyl.ydcat import dual
-from oracles import (check_against_symmetrizer, check_coideal,
+from oracles import (check_against_symmetrizer, check_coideal, dense_rref,
                      ideal_dim_multidegree, oracle_graded_dims, primitive_dim,
                      support, trivial_module)
 
@@ -64,6 +65,82 @@ def test_supports(trunc_w1, trunc_pair):
 def test_normal_form_degree_guard(trunc_w1):
     with pytest.raises(ResourceBoundError):
         trunc_w1.normal_form(GradedVector.from_word((X1,) * 5))
+
+
+def _dense_normal_forms(trunc, md):
+    """NF of each word of a block from a dense RREF of its Delta matrix.
+
+    Column last - k holds Delta_{1^n}(words[k]); the pivot columns are the
+    quotient words, and the RREF row of quotient word q holds the
+    coefficient of q in NF(w) at the column of w.
+    """
+    words = trunc.block(md).words
+    index = {w: k for k, w in enumerate(words)}
+    last = len(words) - 1
+    delta = [[CycScalar.zero()] * len(words) for _ in words]
+    for k, w in enumerate(words):
+        for tw, c in trunc.ctx.delta_1n(w).items():
+            delta[index[tw]][last - k] = c
+    reduced, pivots = dense_rref(delta)
+    quotient = [words[last - p] for p in reversed(pivots)]
+    forms = {}
+    for k, w in enumerate(words):
+        nf = GradedVector()
+        for q, row in zip(quotient, reversed(reduced)):
+            nf.add_term(q, row[last - k])
+        forms[w] = nf
+    return quotient, forms
+
+
+@pytest.mark.parametrize("which, max_n", [("W", 3), ("z9", 7)])
+def test_normal_forms_match_dense_rref(which, max_n, w_triple, z9_pair):
+    trunc = nichols_truncate(w_triple if which == "W" else z9_pair[1], max_n)
+    for n in range(max_n + 1):
+        for md in trunc.multidegrees(n):
+            blk = trunc.block(md)
+            quotient, forms = _dense_normal_forms(trunc, md)
+            assert blk.quotient_words == quotient, md
+            for w in blk.words:
+                nf = trunc.normal_form(GradedVector.from_word(w))
+                assert set(nf.terms) <= set(quotient), w
+                if w in quotient:
+                    assert nf == GradedVector.from_word(w), w
+                assert list(nf.terms) == list(forms[w].terms), w
+                assert all(str(c) == str(forms[w].terms[q])
+                           for q, c in nf.items()), w
+
+
+def test_normal_form_sums_word_forms_in_term_order(w_triple):
+    # Terms of two multidegrees, interleaved, whose word normal forms share
+    # quotient words: NF(vec) is sum c NF(w) added in the vector's order.
+    trunc = nichols_truncate(w_triple, 3)
+    picked = []
+    for md in [(1, 1, 1), (2, 1, 0)]:
+        blk = trunc.block(md)
+        quotient = set(blk.quotient_words)
+        picked.append([w for w in blk.words if w not in quotient][:3])
+    rng = random.Random(7)
+    vec = GradedVector()
+    for u, v in zip(*picked):
+        vec.add_term(u, CycScalar.from_rational(rng.randint(1, 3)))
+        vec.add_term(v, CycScalar.from_rational(-rng.randint(1, 3)))
+    forms = [(trunc.normal_form(GradedVector.from_word(w)), c)
+             for w, c in vec.items()]
+    seen = [q for nf, _ in forms for q in nf.terms]
+    assert len(seen) > len(set(seen))
+    expected = GradedVector()
+    for nf, c in forms:
+        for q, r in nf.items():
+            expected.add_term(q, r * c)
+    got = trunc.normal_form(vec)
+    assert got == expected
+    assert {q: str(c) for q, c in got.items()} == {
+        q: str(c) for q, c in expected.items()}
+    # A word minus its normal form lies in the ideal.
+    w = picked[0][0]
+    rel = (GradedVector.from_word(w)
+           - trunc.normal_form(GradedVector.from_word(w)))
+    assert trunc.normal_form(vec + rel) == got
 
 
 def test_block_word_cap_is_checked_before_enumeration(w_triple, monkeypatch):
