@@ -12,8 +12,8 @@ Conventions:
   * braiding c(u (x) v) = (deg u |> v) (x) u.
   * the coproduct is the unique algebra map T(V) -> T(V) (x) T(V) with
     Delta(v) = v (x) 1 + 1 (x) v.  Only its (n-1, 1) component is computed
-    (delta_last), by peeling the last letter x of w x, and Delta_{1^n}
-    peels that component again and again.
+    (delta_last), by peeling the last letter x of w x.  The Nichols blocks
+    build on it; delta_1n, which peels it again and again, is a reference.
   * the references these are checked against live in tests/oracles.py:
     the shuffle expansion, the general (i, j) component of Delta,
     Delta_{1^n} peeling Delta_{1,n-1} instead, and coherence scalars
@@ -72,16 +72,10 @@ class GradedVector:
         return not self.terms
 
     def __add__(self, other):
-        out = GradedVector(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, c)
-        return out
+        return GradedVector([*self.items(), *other.items()])
 
     def __sub__(self, other):
-        out = GradedVector(dict(self.terms))
-        for w, c in other.terms.items():
-            out.add_term(w, -c)
-        return out
+        return self + GradedVector((w, -c) for w, c in other.items())
 
     def __eq__(self, other):
         if not isinstance(other, GradedVector):
@@ -120,7 +114,6 @@ class WordAlgebra:
         self._deg_cache: dict = {}
         self._act_cache: dict = {}
         self._delta_cache: dict = {}
-        self._split_cache: dict = {}
 
     # ---- degrees -------------------------------------------------------
 
@@ -230,25 +223,13 @@ class WordAlgebra:
         return out
 
     def delta_1n(self, word: Word) -> GradedVector:
-        """Delta_{1^n}(word) as a vector on n-letter words.
-
-        Peels Delta_{n-1,1} and recurses on the left leg; (leftcomb (x) leaf)
-        is already the left comb, so no rebracketing is needed.
-        """
-        return self._split(word)
-
-    def _split(self, word: Word) -> GradedVector:
-        # The recursion of delta_1n, cached by word.  It is kept apart so
-        # that each delta_1n call is one split asked for from outside, as
-        # perfbench/tracer.py counts them.
-        n = len(word)
-        if n <= 1:
+        """Delta_{1^n}(word), an uncached reference no engine code calls:
+        tests check the Nichols blocks against it, perfbench/tracer.py wraps
+        it by name.  Peels Delta_{n-1,1}, recursing on the left leg."""
+        if len(word) <= 1:
             return GradedVector.from_word(word)
-        out = self._split_cache.get(word)
-        if out is None:
-            out = GradedVector()
-            for (a, b), c in self.delta_last(word).items():
-                for rest, c2 in self._split(a).items():
-                    out.add_term(rest + b, c * c2)
-            self._split_cache[word] = out
+        out = GradedVector()
+        for (a, b), c in self.delta_last(word).items():
+            for rest, c2 in self.delta_1n(a).items():
+                out.add_term(rest + b, c * c2)
         return out

@@ -1,15 +1,20 @@
 """Nichols algebra truncations: B(V) = T(V)/I(V) degree by degree.
 
-The degree-n piece of the defining ideal is ker(Delta_{1^n}).  Everything is
-computed blockwise per Z^theta multidegree (the fully split coproduct
-preserves the count of letters per slot) from one exact elimination: the RREF
-of the Delta_{1^n} matrix of the block, with its word columns in reverse
-order.  A word lies in the ideal plus the span of the words after it exactly
-when its Delta column depends on the columns after it, so the pivot columns
-of that RREF are the quotient words: the words left over once each
-relation's leading word is eliminated.  The RREF rows R express every Delta
-column in the pivot columns, so the normal form (the unique coset
-representative supported on quotient words) is NF(x) = sum_q (R x)_q q.
+The degree-n piece of the defining ideal is ker(Delta_{1^n}), computed per
+Z^theta multidegree md (the fully split coproduct keeps the letter count per
+slot) from the blocks one degree down.  On the left comb Delta_{1^n} =
+(Delta_{1^{n-1}} (x) id) Delta_{n-1,1}, and Delta_{1^{n-1}} is injective on
+the span of the quotient words, so Delta_{1^n} has the kernel and RREF of
+M = (NF (x) id) Delta_{n-1,1}, with rows (q, b), q a quotient word of
+md - e_s and b a letter of slot s.  WordAlgebra.delta_1n, the dense
+Delta_{1^n}, is the tests' reference.
+
+M's word columns are eliminated in reverse order.  A word lies in the ideal
+plus the span of the words after it exactly when its column depends on the
+columns after it, so the pivot columns are the quotient words: the words
+left over once each relation's leading word is eliminated.  The RREF rows R
+express every column in the pivot columns, so the normal form (the unique
+coset representative supported on quotient words) is NF(x) = sum_q (R x)_q q.
 Words are enumerated in length-lexicographic order over (slot, index)
 letters, so all outputs are reproducible bit-for-bit.
 
@@ -25,17 +30,23 @@ from .cyclo import CycScalar, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
 
-# Most words in one multidegree block; the block's Delta matrix is dense,
-# words x words.  On W over Z2^3 (2-core VM, one block per process, median
-# of three): 960 words take 0.46 s and 39 MB peak, 1,920 take 0.98 s and
-# 57 MB; in one run each, 3,840 take 3.9 s and 209 MB, 5,760 take 20 s and
-# 613 MB.
-MAX_BLOCK_WORDS = 2048
+_ZERO = CycScalar.zero()
+
+# Most words in one multidegree block, counted before any is enumerated.  On
+# W over Z2^3 (2-core VM, one block per process with the lower blocks it
+# reads, median of three): 3,840 words (M has 206 rows) take 0.55 s and 40 MB
+# peak, 5,760 (461 rows) 4.1 s and 87 MB, 13,440 (132 rows) 2.5 s and 85 MB.
+MAX_BLOCK_WORDS = 16384
+
+# Most cells, rows x words, in one block's elimination, with rows counted as
+# sum_s dim B(md - e_s) dim M_s from the lower blocks before any Delta of the
+# block (M may use fewer).  W's largest block at degree 6 has 468 x 5,760.
+MAX_BLOCK_CELLS = 2048 * 2048
 
 # Largest truncation degree.  Level n of an ad tower over two 1-dimensional
-# slots reads a block of n + 1 words, under the block cap at any degree, so
-# this is what bounds a tower that never vanishes: one over Z2 x Z2 with the
-# trivial cocycle runs to the truncation degree 64 in 3.75 s (2-core VM).
+# slots reads an (n + 1) x (n + 1) block, under both block caps, so this bounds
+# a tower that never vanishes: `ad P 1 2` on one over Z2 x Z2 with the trivial
+# cocycle runs to degree 64 in 1.2-1.4 s (CLI, 2-core VM).
 MAX_TRUNCATION_DEGREE = 64
 
 
@@ -52,16 +63,16 @@ def _compositions(total: int, parts: int):
 class _Block:
     __slots__ = ("words", "index", "quotient_words", "nf")
 
-    def __init__(self, words, index, quotient_words, nf):
+    def __init__(self, words, quotient_words, nf):
         self.words = words
-        self.index = index
+        self.index = {w: k for k, w in enumerate(words)}
         self.quotient_words = quotient_words
         # nf[index[w]]: NF(w) as (quotient word, nonzero coefficient) pairs
         self.nf = nf
 
     def coords(self, vec: GradedVector) -> list:
         """Dense row of a vector supported on this block's words."""
-        row = [CycScalar.zero()] * len(self.words)
+        row = [_ZERO] * len(self.words)
         for w, c in vec.items():
             row[self.index[w]] = c
         return row
@@ -85,7 +96,9 @@ class NicholsTruncation:
         self.ctx = WordAlgebra(modules)
         self.max_degree = max_degree
         self.theta = self.ctx.theta
-        self._blocks: dict[tuple, _Block] = {}
+        # Degree 0 is the empty word, its own normal form.
+        self._blocks = {(0,) * self.theta:
+                        _Block([()], [()], [[((), CycScalar.one())]])}
 
     # ---- block construction ---------------------------------------------
 
@@ -105,9 +118,8 @@ class NicholsTruncation:
         if sum(md) > self.max_degree:
             raise ResourceBoundError(
                 f"multidegree {md} exceeds the truncation degree {self.max_degree}")
-        blk = self._blocks.get(md)
-        if blk is not None:
-            return blk
+        if md in self._blocks:
+            return self._blocks[md]
         # multinomial(md) * prod(dim_s ** md_s) words
         count = factorial(sum(md)) // prod(factorial(k) for k in md) * prod(
             m.dim ** k for m, k in zip(self.ctx.modules, md))
@@ -115,23 +127,38 @@ class NicholsTruncation:
             raise ResourceBoundError(
                 f"multidegree {md} has {count} words, exceeding the largest "
                 f"supported block of {MAX_BLOCK_WORDS} words")
+        # lower[s]: block md - e_s, with NF(a) for c a (x) b, b in slot s
+        lower = {s: self.block(md[:s] + (k - 1,) + md[s + 1:])
+                 for s, k in enumerate(md) if k}
+        rows = sum(len(blk.quotient_words) * self.ctx.modules[s].dim
+                   for s, blk in lower.items())
+        if rows * count > MAX_BLOCK_CELLS:
+            raise ResourceBoundError(
+                f"multidegree {md} needs a {rows} x {count} elimination, "
+                f"exceeding the largest supported {MAX_BLOCK_CELLS} cells")
         words = self.words_of_multidegree(md)
-        index = {w: k for k, w in enumerate(words)}
         last = len(words) - 1
-        # Column last - k holds Delta_{1^n}(words[k]).
-        delta = [[CycScalar.zero()] * len(words) for _ in words]
+        # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(words[k]); its
+        # rows (q, b) are numbered in order of first appearance.
+        m_rows: dict = {}
         for k, w in enumerate(words):
-            for tw, c in self.ctx.delta_1n(w).items():
-                delta[index[tw]][last - k] = c
-        reduced, pivots = rref(delta)
+            col = GradedVector()
+            for (a, b), c in self.ctx.delta_last(w).items():
+                low = lower[b[0][0]]
+                for q, r in low.nf[low.index[a]]:
+                    col.add_term((q, b), c * r)
+            for key, c in col.items():
+                if key not in m_rows:
+                    m_rows[key] = [_ZERO] * len(words)
+                m_rows[key][last - k] = c
+        reduced, pivots = rref(list(m_rows.values()))
         quotient = [words[last - p] for p in reversed(pivots)]
         nf = [[] for _ in words]
         for q, row in zip(quotient, reversed(reduced)):
             for k, c in enumerate(row):
-                if not c.is_zero():
+                if c is not _ZERO and not c.is_zero():
                     nf[last - k].append((q, c))
-        blk = _Block(words, index, quotient, nf)
-        self._blocks[md] = blk
+        blk = self._blocks[md] = _Block(words, quotient, nf)
         return blk
 
     def multidegrees(self, n: int):
@@ -142,25 +169,17 @@ class NicholsTruncation:
     def dim_multidegree(self, md) -> int:
         return len(self.block(md).quotient_words)
 
-    def graded_dim(self, n: int) -> int:
-        if n == 0:
-            return 1
-        return sum(self.dim_multidegree(md) for md in self.multidegrees(n))
-
     def graded_dims(self) -> tuple:
-        return tuple(self.graded_dim(n) for n in range(self.max_degree + 1))
+        return tuple(sum(map(self.dim_multidegree, self.multidegrees(n)))
+                     for n in range(self.max_degree + 1))
 
     # ---- normal forms ------------------------------------------------------
 
     def normal_form(self, vec: GradedVector) -> GradedVector:
         """Canonical coset representative modulo the ideal; 0 iff vec in I(V)."""
-        blocks: dict[tuple, _Block] = {}
         out = GradedVector()
         for w, c in vec.items():
-            md = self.ctx.multidegree(w)
-            blk = blocks.get(md)
-            if blk is None:
-                blk = blocks[md] = self.block(md)
+            blk = self.block(self.ctx.multidegree(w))
             for q, r in blk.nf[blk.index[w]]:
                 out.add_term(q, r * c)
         return out

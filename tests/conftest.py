@@ -43,3 +43,29 @@ def z9_pair():
         session.group, session.cocycle, 1, {1: [[root_of_unity(9, 4)]]},
         name="L4")
     return session.group, ModuleTuple([session.modules["L"], line4])
+
+
+def tower_session(max_degree: int) -> dict:
+    """Z2 x Z2, trivial cocycle, X of degree g1 fixed by every element and Y
+    of degree g2 negated by g1: ad(X)^n(Y) never vanishes."""
+    ones = {str(g): [["1"]] for g in range(4)}
+    return {"group": {"abelian": [2, 2]}, "cocycle": {"trivial": True},
+            "modules": {"X": {"degrees": [2], "action": ones},
+                        "Y": {"degrees": [1],
+                              "action": {"0": [["1"]], "1": [["1"]],
+                                         "2": [["-1"]], "3": [["-1"]]}}},
+            "tuples": {"P": ["X", "Y"]},
+            "cutoffs": {"max_degree": max_degree, "ad_cutoff": 100000}}
+
+
+@pytest.fixture(scope="session")
+def tower_pair():
+    """[X, Y] of tower_session: B is infinite and its Delta entries grow."""
+    return Session(tower_session(8)).tuples["P"]
+
+
+@pytest.fixture(scope="session")
+def v_triple():
+    """The tuple V of the z2z2z4 session (Z2 x Z2 x Z4, sign cocycle)."""
+    with open(os.path.join(SESSIONS, "z2z2z4.json")) as fh:
+        return Session(json.load(fh)).tuples["V"]

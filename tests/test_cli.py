@@ -8,6 +8,7 @@ import pytest
 
 from ydweyl import cli, groupdata, nichols, weylgraph, ydcat
 from ydweyl.cli import main
+from conftest import tower_session
 
 SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.json")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -134,6 +135,11 @@ def test_golden_match(capsys):
     # The three 192-word blocks of multidegree (2,1,1) and its permutations.
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W", "--max-degree", "4")
+    assert code == 0
+    # The 5,760-word block (2, 2, 2) is a 468 x 5,760 elimination, under
+    # both block caps.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "nichols", "W", "--max-degree", "6")
     assert code == 0
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "roots", "W12")
@@ -408,6 +414,9 @@ def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
      "block of 100 words"),
     (weylgraph, "MAX_ROOT_STATES", ["roots", "W", "--bound", "20"],
      "root closure exceeds 100 states below coordinate bound 20"),
+    (nichols, "MAX_BLOCK_CELLS", ["nichols", "W", "--max-degree", "4"],
+     "multidegree (0, 1, 2) needs a 14 x 24 elimination, exceeding the "
+     "largest supported 100 cells"),
 ])
 def test_resource_caps_exit_5(capsys, monkeypatch, module, cap, argv, message):
     monkeypatch.setattr(module, cap, 100)
@@ -445,19 +454,6 @@ def _run_subprocess(session_path, *argv):
     return proc, time.perf_counter() - start
 
 
-def _tower_session(max_degree: int) -> dict:
-    # Over Z2 x Z2 with the trivial cocycle, X of degree g1 fixed by every
-    # element and Y of degree g2 negated by g1: ad(X)^n(Y) never vanishes.
-    ones = {str(g): [["1"]] for g in range(4)}
-    return {"group": {"abelian": [2, 2]}, "cocycle": {"trivial": True},
-            "modules": {"X": {"degrees": [2], "action": ones},
-                        "Y": {"degrees": [1],
-                              "action": {"0": [["1"]], "1": [["1"]],
-                                         "2": [["-1"]], "3": [["-1"]]}}},
-            "tuples": {"P": ["X", "Y"]},
-            "cutoffs": {"max_degree": max_degree, "ad_cutoff": 100000}}
-
-
 @pytest.mark.parametrize("degree", [nichols.MAX_TRUNCATION_DEGREE + 1, 100000])
 def test_truncation_degree_cap_on_nichols_flag(degree):
     proc, elapsed = _run_subprocess(SESSION, "nichols", "W1",
@@ -472,7 +468,7 @@ def test_truncation_degree_cap_on_nichols_flag(degree):
 @pytest.mark.parametrize("degree", [nichols.MAX_TRUNCATION_DEGREE + 1, 100000])
 def test_truncation_degree_cap_on_session_cutoff(tmp_path, degree):
     path = tmp_path / "session.json"
-    path.write_text(json.dumps(_tower_session(degree)))
+    path.write_text(json.dumps(tower_session(degree)))
     proc, elapsed = _run_subprocess(path, "ad", "P", "1", "2")
     assert (proc.returncode, proc.stdout) == (5, "")
     assert proc.stderr == (
@@ -484,7 +480,7 @@ def test_truncation_degree_cap_on_session_cutoff(tmp_path, degree):
 def test_tower_below_the_cap_is_undecided_at_the_truncation_degree(capsys,
                                                                     tmp_path):
     path = tmp_path / "session.json"
-    path.write_text(json.dumps(_tower_session(8)))
+    path.write_text(json.dumps(tower_session(8)))
     code, out, err = run(capsys, "--session", str(path), "ad", "P", "1", "2")
     assert (code, out) == (4, "")
     assert err.splitlines()[-2:] == ["level 7: dim 1 degrees [g1*g2]",

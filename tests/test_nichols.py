@@ -6,7 +6,7 @@ import pytest
 from ydweyl.cyclo import CycScalar
 from ydweyl.errors import ResourceBoundError
 from ydweyl.freebraid import GradedVector
-from ydweyl.nichols import nichols_truncate
+from ydweyl.nichols import MAX_TRUNCATION_DEGREE, nichols_truncate
 from ydweyl.ydcat import dual
 from oracles import (check_against_symmetrizer, check_coideal, dense_rref,
                      ideal_dim_multidegree, oracle_graded_dims, primitive_dim,
@@ -92,9 +92,19 @@ def _dense_normal_forms(trunc, md):
     return quotient, forms
 
 
-@pytest.mark.parametrize("which, max_n", [("W", 3), ("z9", 7)])
-def test_normal_forms_match_dense_rref(which, max_n, w_triple, z9_pair):
-    trunc = nichols_truncate(w_triple if which == "W" else z9_pair[1], max_n)
+@pytest.mark.parametrize("which, max_n",
+                         [("W", 4), ("z9", 7), ("V", 3), ("tower", 7)])
+def test_normal_forms_match_dense_rref(which, max_n, w_triple, z9_pair,
+                                       v_triple, tower_pair):
+    # Each block eliminates (NF (x) id) Delta_{n-1,1}, read off the
+    # normal forms one degree down; the dense Delta_{1^n} matrix must give
+    # the same quotient words and normal forms, key order and printed
+    # coefficients included.  The tower has non-unit pivots and growing
+    # integers; the conductor-9 pair's stored conductors depend on the
+    # order in which products are summed.
+    modules = {"W": w_triple, "z9": z9_pair[1], "V": v_triple,
+               "tower": tower_pair}[which]
+    trunc = nichols_truncate(modules, max_n)
     for n in range(max_n + 1):
         for md in trunc.multidegrees(n):
             blk = trunc.block(md)
@@ -143,9 +153,19 @@ def test_normal_form_sums_word_forms_in_term_order(w_triple):
     assert trunc.normal_form(vec + rel) == got
 
 
+def test_deep_block_recursion(tower_pair):
+    # Block (63, 1) reads (62, 1) and (63, 0), and so on down to degree 0:
+    # the recursion is as deep as the largest truncation degree allows.
+    # No relation of B(P) has multidegree (63, 1): all 64 words stay in the
+    # quotient.
+    trunc = nichols_truncate(tower_pair, MAX_TRUNCATION_DEGREE)
+    assert trunc.dim_multidegree((63, 1)) == 64
+
+
 def test_block_word_cap_is_checked_before_enumeration(w_triple, monkeypatch):
-    # (3, 3, 2) on W has 8!/(3! 3! 2!) * 2^8 = 143,360 words, and its dense
-    # Delta matrix would have 143,360^2 entries.
+    # (3, 3, 2) on W has 8!/(3! 3! 2!) * 2^8 = 143,360 words.  The cap is
+    # checked before the block reads its lower blocks, so no block of any
+    # degree enumerates a word.
     trunc = nichols_truncate(w_triple, 8)
 
     def enumerate_words(md):
