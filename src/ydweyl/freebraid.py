@@ -92,7 +92,9 @@ class WordAlgebra:
     """Tensor-algebra arithmetic over an ordered list of module slots.
 
     Caches are per-instance; all methods are pure with respect to the
-    immutable modules, so instances may be shared read-only.
+    immutable modules, so instances may be shared read-only.  A word evicted
+    from the delta_last cache (NicholsTruncation drops its top-degree words)
+    is recomputed from its cached prefix in the same order, to equal values.
     """
 
     def __init__(self, modules):

@@ -16,7 +16,6 @@ the bosonization references in tests/oracles.py use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 
@@ -36,15 +35,17 @@ def _check_order(n: int) -> None:
                                  f"supported order {MAX_GROUP_ORDER}")
 
 
-@dataclass(frozen=True)
 class Group:
-    order: int
-    cayley: tuple  # tuple of tuples of element indices
-    inverse: tuple
-    abelian_orders: tuple | None = None
-    exponents: tuple | None = None  # per-element exponent vectors when abelian
+    """A finite group by its Cayley table, with per-element exponent vectors
+    when abelian.  Fields are never reassigned; compared by identity."""
 
     identity = 0
+
+    def __init__(self, order: int, cayley: tuple, inverse: tuple,
+                 abelian_orders: tuple | None = None,
+                 exponents: tuple | None = None):
+        self.order, self.cayley, self.inverse = order, cayley, inverse
+        self.abelian_orders, self.exponents = abelian_orders, exponents
 
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
@@ -103,10 +104,9 @@ class Group:
         return Report(not bad, bad)
 
 
-@dataclass
 class Report:
-    ok: bool
-    violations: list = field(default_factory=list)
+    def __init__(self, ok: bool, violations: list | None = None):
+        self.ok, self.violations = ok, [] if violations is None else violations
 
     def __bool__(self):
         return self.ok

@@ -7,7 +7,9 @@ slot) from the blocks one degree down.  On the left comb Delta_{1^n} =
 the span of the quotient words, so Delta_{1^n} has the kernel and RREF of
 M = (NF (x) id) Delta_{n-1,1}, with rows (q, b), q a quotient word of
 md - e_s and b a letter of slot s.  WordAlgebra.delta_1n, the dense
-Delta_{1^n}, is the tests' reference.
+Delta_{1^n}, is the tests' reference.  A word's Delta_{n-1,1} is read for its
+own block and for words one letter longer, so a block of the truncation
+degree evicts its words' entries from the delta_last cache once read.
 
 M's word columns are eliminated in reverse order.  A word lies in the ideal
 plus the span of the words after it exactly when its column depends on the
@@ -34,8 +36,8 @@ _ZERO = CycScalar.zero()
 
 # Most words in one multidegree block, counted before any is enumerated.  On
 # W over Z2^3 (2-core VM, one block per process with the lower blocks it
-# reads, median of three): 3,840 words (M has 206 rows) take 0.55 s and 40 MB
-# peak, 5,760 (461 rows) 4.1 s and 87 MB, 13,440 (132 rows) 2.5 s and 85 MB.
+# reads, medians of 3-4): 3,840 words (206 rows of M) take 0.68 s and 32 MB
+# peak, 5,760 (461 rows) 4.4 s and 71 MB, 13,440 (132 rows) 2.3 s and 58 MB.
 MAX_BLOCK_WORDS = 16384
 
 # Most cells, rows x words, in one block's elimination, with rows counted as
@@ -46,7 +48,7 @@ MAX_BLOCK_CELLS = 2048 * 2048
 # Largest truncation degree.  Level n of an ad tower over two 1-dimensional
 # slots reads an (n + 1) x (n + 1) block, under both block caps, so this bounds
 # a tower that never vanishes: `ad P 1 2` on one over Z2 x Z2 with the trivial
-# cocycle runs to degree 64 in 1.2-1.4 s (CLI, 2-core VM).
+# cocycle runs to degree 64 in about 1.6 s (CLI, 2-core VM).
 MAX_TRUNCATION_DEGREE = 64
 
 
@@ -138,6 +140,7 @@ class NicholsTruncation:
                 f"exceeding the largest supported {MAX_BLOCK_CELLS} cells")
         words = self.words_of_multidegree(md)
         last = len(words) - 1
+        top = sum(md) == self.max_degree
         # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(words[k]); its
         # rows (q, b) are numbered in order of first appearance.
         m_rows: dict = {}
@@ -147,6 +150,8 @@ class NicholsTruncation:
                 low = lower[b[0][0]]
                 for q, r in low.nf[low.index[a]]:
                     col.add_term((q, b), c * r)
+            if top:
+                del self.ctx._delta_cache[w]
             for key, c in col.items():
                 if key not in m_rows:
                     m_rows[key] = [_ZERO] * len(words)

@@ -12,8 +12,6 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cyclo import coords_in_rref, rref
 from .errors import UndecidedAtCutoff, ValidationError
 from .freebraid import GradedVector
@@ -47,25 +45,24 @@ def ad_primitive(trunc: NicholsTruncation, x: GradedVector,
     return trunc.normal_form(left - right)
 
 
-@dataclass
 class AdLevel:
     """One homogeneous layer ad(M_i)^n(M_j), with its YD-module structure."""
-    n: int
-    basis: list                      # normal-form GradedVectors
-    module: YDModule
+
+    def __init__(self, n: int, basis: list, module: YDModule):
+        # basis: normal-form GradedVectors
+        self.n, self.basis, self.module = n, basis, module
 
 
-@dataclass
 class AdLevels:
     """All levels of ad(M_i)^n(M_j) up to vanishing or the tower's bound."""
-    tuple_: ModuleTuple
-    i: int
-    j: int
-    levels: list = field(default_factory=list)  # nonzero levels, index = n
-    m: int | None = None                        # top nonvanishing power
-    # The bound that stopped the tower before it vanished, as
-    # "cutoff C" or "truncation degree D"; None once it vanished.
-    bound: str | None = None
+
+    def __init__(self, tuple_: ModuleTuple, i: int, j: int):
+        self.tuple_, self.i, self.j = tuple_, i, j
+        self.levels: list = []          # nonzero levels, index = n
+        self.m: int | None = None       # top nonvanishing power
+        # The bound that stopped the tower before it vanished, as
+        # "cutoff C" or "truncation degree D"; None once it vanished.
+        self.bound: str | None = None
 
     @property
     def undecided(self) -> bool:

@@ -18,8 +18,6 @@ closure against, live in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Report
 from .reflect import PairCache, cartan_matrix, reflect
@@ -35,19 +33,16 @@ DEFAULT_ROOT_BOUND = 50
 MAX_ROOT_STATES = 500_000
 
 
-@dataclass
 class Vertex:
-    vid: int
-    tuple_: ModuleTuple
-    key: tuple
-    cartan: list  # theta x theta integer matrix
+    def __init__(self, vid: int, tuple_: ModuleTuple, key: tuple, cartan: list):
+        self.vid, self.tuple_, self.key = vid, tuple_, key
+        self.cartan = cartan  # theta x theta integer matrix
 
 
-@dataclass
 class SemiCartanGraph:
-    theta: int
-    vertices: list = field(default_factory=list)
-    reflections: dict = field(default_factory=dict)  # (i, vid) -> vid
+    def __init__(self, theta: int, vertices=(), reflections=()):
+        self.theta, self.vertices = theta, list(vertices)
+        self.reflections = dict(reflections)  # (i, vid) -> vid
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -176,11 +171,10 @@ def real_roots(graph: SemiCartanGraph,
     return roots, False
 
 
-@dataclass
 class FinitenessResult:
-    status: str                  # "finite" | "not-finite-within-bound"
-    bound: int
-    roots: dict                  # vid -> sorted real roots (empty unless finite)
+    def __init__(self, status: str, bound: int, roots: dict):
+        # "finite" | "not-finite-within-bound"; vid -> real roots if finite
+        self.status, self.bound, self.roots = status, bound, roots
 
     def is_finite(self) -> bool:
         return self.status == "finite"
@@ -269,10 +263,16 @@ def _dynkin_name(A: list, comp: list) -> str | None:
     return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(arms))
 
 
-@dataclass
 class CartanTypeResult:
-    is_finite_type: bool
-    components: list | None  # sorted Dynkin component names when finite type
+    def __init__(self, is_finite_type: bool, components: list | None):
+        self.is_finite_type = is_finite_type
+        self.components = components  # sorted Dynkin names when finite type
+
+    def __eq__(self, other):
+        if not isinstance(other, CartanTypeResult):
+            return NotImplemented
+        return (self.is_finite_type, self.components) == (
+            other.is_finite_type, other.components)
 
     def describe(self) -> str:
         if not self.is_finite_type:
@@ -299,14 +299,14 @@ def finite_cartan_type(A: list) -> CartanTypeResult:
 # Certificates.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Certificate:
-    verdict: str            # "infinite-dimensional" | "no conclusion from this criterion"
-    standard: bool
-    cartan: list
-    cartan_type: CartanTypeResult | None
-    vertex_count: int
-    axioms: Report
+    def __init__(self, verdict: str, standard: bool, cartan: list,
+                 cartan_type: CartanTypeResult | None, vertex_count: int,
+                 axioms: Report):
+        # "infinite-dimensional" | "no conclusion from this criterion"
+        self.verdict = verdict
+        self.standard, self.cartan, self.cartan_type = standard, cartan, cartan_type
+        self.vertex_count, self.axioms = vertex_count, axioms
 
     def lines(self) -> list:
         out = [f"verdict: {self.verdict}",

@@ -17,8 +17,6 @@ they can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclo import CycScalar, det, identity_matrix, mat_mul, nullspace
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Cocycle3, Group, Report
@@ -238,11 +236,9 @@ def iso_test(V: YDModule, W: YDModule):
     return None
 
 
-@dataclass
 class ModuleTuple:
-    entries: list
-
-    def __post_init__(self):
+    def __init__(self, entries: list):
+        self.entries = entries
         if not self.entries:
             raise ValidationError("tuples must be nonempty")
         g = self.entries[0].group

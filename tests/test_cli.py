@@ -597,3 +597,16 @@ def test_golden_write_failure_exit_code(capsys, tmp_path):
     assert code == 3
     assert err.startswith("internal error: NotADirectoryError:")
     assert err.count("\n") == 1
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize: about 1 MB and
+    # 10 ms on every command.  -S keeps site's own imports out of the check.
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(SESSION), "..", "src"))
+    code = ("import sys, ydweyl.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

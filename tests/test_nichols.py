@@ -107,17 +107,66 @@ def test_normal_forms_match_dense_rref(which, max_n, w_triple, z9_pair,
     trunc = nichols_truncate(modules, max_n)
     for n in range(max_n + 1):
         for md in trunc.multidegrees(n):
-            blk = trunc.block(md)
-            quotient, forms = _dense_normal_forms(trunc, md)
-            assert blk.quotient_words == quotient, md
-            for w in blk.words:
-                nf = trunc.normal_form(GradedVector.from_word(w))
-                assert set(nf.terms) <= set(quotient), w
-                if w in quotient:
-                    assert nf == GradedVector.from_word(w), w
-                assert list(nf.terms) == list(forms[w].terms), w
-                assert all(str(c) == str(forms[w].terms[q])
-                           for q, c in nf.items()), w
+            _assert_block_matches_dense(trunc, md)
+
+
+def _assert_block_matches_dense(trunc, md):
+    blk = trunc.block(md)
+    quotient, forms = _dense_normal_forms(trunc, md)
+    assert blk.quotient_words == quotient, md
+    for w in blk.words:
+        nf = trunc.normal_form(GradedVector.from_word(w))
+        assert set(nf.terms) <= set(quotient), w
+        if w in quotient:
+            assert nf == GradedVector.from_word(w), w
+        assert list(nf.terms) == list(forms[w].terms), w
+        assert all(str(c) == str(forms[w].terms[q])
+                   for q, c in nf.items()), w
+
+
+def test_top_degree_deltas_are_evicted(w_triple):
+    # A word of the truncation degree is no word's prefix, so its
+    # Delta_{n-1,1} leaves the cache once its block is built.
+    trunc = nichols_truncate(w_triple, 4)
+    trunc.graded_dims()
+    assert {len(w) for w in trunc.ctx._delta_cache} == {1, 2, 3}
+
+
+def test_blocks_built_out_of_order_after_eviction(w_triple):
+    # A top-degree block, then a lower block it did not read, then a second
+    # top-degree block that reads both; all built before any is checked,
+    # since the dense reference refills the cache.
+    trunc = nichols_truncate(w_triple, 4)
+    order = [(2, 1, 1), (0, 2, 1), (1, 2, 1)]
+    trunc.block(order[0])
+    assert order[1] not in trunc._blocks
+    for md in order[1:]:
+        trunc.block(md)
+    assert all(len(w) < 4 for w in trunc.ctx._delta_cache)
+    for md in order:
+        _assert_block_matches_dense(trunc, md)
+
+
+@pytest.mark.parametrize("which, degree", [("z9", 6), ("tower", 7)])
+def test_evicted_delta_recomputes_identically(which, degree, z9_pair,
+                                              tower_pair):
+    # Stored conductors depend on the order of summation, so the value
+    # recomputed after eviction must match term by term: keys, key order,
+    # printed coefficients and conductors.
+    trunc = nichols_truncate(z9_pair[1] if which == "z9" else tower_pair,
+                             degree)
+    ctx = trunc.ctx
+
+    def terms(vec):
+        return [(k, str(c), c.conductor) for k, c in vec.items()]
+
+    for md in trunc.multidegrees(degree):
+        words = trunc.words_of_multidegree(md)
+        before = {w: terms(ctx.delta_last(w)) for w in words}
+        trunc.block(md)
+        assert not any(w in ctx._delta_cache for w in words), md
+        for w in words:
+            assert terms(ctx.delta_last(w)) == before[w], w
 
 
 def test_normal_form_sums_word_forms_in_term_order(w_triple):
