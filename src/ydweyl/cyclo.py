@@ -229,7 +229,7 @@ class CycScalar:
         return CycScalar(d, sol)
 
     def canonical_key(self) -> tuple:
-        """Hashable encoding that equal values share: (d, coeffs) in Q(zeta_d).
+        """Hashable encoding that equal values share: (d, num, den) in Q(zeta_d).
 
         Only rational values are stored at their minimal conductor, so
         zeta(8)^2 keeps conductor 8 while the equal zeta(4) has 4.  The key
@@ -242,8 +242,8 @@ class CycScalar:
             if n % d == 0:
                 low = self.try_demote(d)
                 if low is not None:
-                    return low.conductor, low.coeffs
-        return n, self.coeffs
+                    return low.conductor, low.num, low.den
+        return n, self.num, self.den
 
     # ---- arithmetic ---------------------------------------------------
 

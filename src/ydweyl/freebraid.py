@@ -92,9 +92,7 @@ class WordAlgebra:
     """Tensor-algebra arithmetic over an ordered list of module slots.
 
     Caches are per-instance; all methods are pure with respect to the
-    immutable modules, so instances may be shared read-only.  A word evicted
-    from the delta_last cache (NicholsTruncation drops its top-degree words)
-    is recomputed from its cached prefix in the same order, to equal values.
+    immutable modules, so instances may be shared read-only.
     """
 
     def __init__(self, modules):
@@ -115,7 +113,6 @@ class WordAlgebra:
                         for i in range(m.dim)]
         self._deg_cache: dict = {}
         self._act_cache: dict = {}
-        self._delta_cache: dict = {}
 
     # ---- degrees -------------------------------------------------------
 
@@ -199,11 +196,9 @@ class WordAlgebra:
 
     # ---- coproduct -------------------------------------------------------
 
-    def delta_last(self, word: Word) -> GradedVector:
-        """The (n-1, 1) component of Delta(word), n = len(word) >= 1."""
-        out = self._delta_cache.get(word)
-        if out is not None:
-            return out
+    def delta_last(self, word: Word, prefix_delta=None) -> GradedVector:
+        """The (n-1, 1) component of Delta(word), n = len(word) >= 1, from
+        prefix_delta = Delta_{n-2,1}(word[:-1]), recomputed if not given."""
         # Delta(w x) = Delta(w) (x (x) 1 + 1 (x) x).  Only the (n-2, 1) part
         # of Delta(w) times x (x) 1 and its (n-1, 0) part w (x) 1 times
         # 1 (x) x land here.  Phi is normalized and 1 acts trivially, so the
@@ -213,15 +208,16 @@ class WordAlgebra:
         prefix, last = word[:-1], word[-1:]
         out = GradedVector()
         if prefix:
+            if prefix_delta is None:
+                prefix_delta = self.delta_last(prefix)
             g, phi = self.group, self.cocycle
             dx = self.word_degree(last)
-            for (a, b), c in self.delta_last(prefix).items():
+            for (a, b), c in prefix_delta.items():
                 da, db = self.word_degree(a), self.word_degree(b)
                 s = phi.inverse(da, db, dx) * phi.value(da, g.conj(db, dx), db)
                 for bx, cc in self.act(db, last).items():
                     out.add_term((a + bx, b), c * (s * cc))
         out.add_term((prefix, last), _ONE)
-        self._delta_cache[word] = out
         return out
 
     def delta_1n(self, word: Word) -> GradedVector:

@@ -7,9 +7,9 @@ slot) from the blocks one degree down.  On the left comb Delta_{1^n} =
 the span of the quotient words, so Delta_{1^n} has the kernel and RREF of
 M = (NF (x) id) Delta_{n-1,1}, with rows (q, b), q a quotient word of
 md - e_s and b a letter of slot s.  WordAlgebra.delta_1n, the dense
-Delta_{1^n}, is the tests' reference.  A word's Delta_{n-1,1} is read for its
-own block and for words one letter longer, so a block of the truncation
-degree evicts its words' entries from the delta_last cache once read.
+Delta_{1^n}, is the tests' reference.  A block keeps its words' Delta_{n-1,1},
+the prefixes' Delta of the theta blocks md + e_t, until those are all built;
+a block of the truncation degree, with no blocks above it, keeps none.
 
 M's word columns are eliminated in reverse order.  A word lies in the ideal
 plus the span of the words after it exactly when its column depends on the
@@ -63,14 +63,18 @@ def _compositions(total: int, parts: int):
 
 
 class _Block:
-    __slots__ = ("words", "index", "quotient_words", "nf")
+    __slots__ = ("words", "index", "quotient_words", "nf", "delta", "unbuilt")
 
-    def __init__(self, words, quotient_words, nf):
+    def __init__(self, words, quotient_words, nf, delta, unbuilt):
         self.words = words
         self.index = {w: k for k, w in enumerate(words)}
         self.quotient_words = quotient_words
         # nf[index[w]]: NF(w) as (quotient word, nonzero coefficient) pairs
         self.nf = nf
+        # delta[index[w]]: Delta_{n-1,1}(w), which the unbuilt blocks md + e_t
+        # read; dropped when none is left (at the truncation degree, always).
+        self.delta = delta if unbuilt else None
+        self.unbuilt = unbuilt
 
     def coords(self, vec: GradedVector) -> list:
         """Dense row of a vector supported on this block's words."""
@@ -98,9 +102,10 @@ class NicholsTruncation:
         self.ctx = WordAlgebra(modules)
         self.max_degree = max_degree
         self.theta = self.ctx.theta
-        # Degree 0 is the empty word, its own normal form.
-        self._blocks = {(0,) * self.theta:
-                        _Block([()], [()], [[((), CycScalar.one())]])}
+        # Degree 0 is the empty word, its own normal form; Delta_{-1,1} is 0.
+        self._blocks = {(0,) * self.theta: _Block(
+            [()], [()], [[((), CycScalar.one())]], [GradedVector()],
+            self.theta if max_degree else 0)}
 
     # ---- block construction ---------------------------------------------
 
@@ -140,18 +145,21 @@ class NicholsTruncation:
                 f"exceeding the largest supported {MAX_BLOCK_CELLS} cells")
         words = self.words_of_multidegree(md)
         last = len(words) - 1
-        top = sum(md) == self.max_degree
+        unbuilt = self.theta if sum(md) < self.max_degree else 0
+        delta = []
         # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(words[k]); its
         # rows (q, b) are numbered in order of first appearance.
         m_rows: dict = {}
         for k, w in enumerate(words):
+            low = lower[w[-1][0]]
+            dw = self.ctx.delta_last(w, low.delta[low.index[w[:-1]]])
+            if unbuilt:
+                delta.append(dw)
             col = GradedVector()
-            for (a, b), c in self.ctx.delta_last(w).items():
+            for (a, b), c in dw.items():
                 low = lower[b[0][0]]
                 for q, r in low.nf[low.index[a]]:
                     col.add_term((q, b), c * r)
-            if top:
-                del self.ctx._delta_cache[w]
             for key, c in col.items():
                 if key not in m_rows:
                     m_rows[key] = [_ZERO] * len(words)
@@ -163,7 +171,11 @@ class NicholsTruncation:
             for k, c in enumerate(row):
                 if c is not _ZERO and not c.is_zero():
                     nf[last - k].append((q, c))
-        blk = self._blocks[md] = _Block(words, quotient, nf)
+        blk = self._blocks[md] = _Block(words, quotient, nf, delta, unbuilt)
+        for low in lower.values():
+            low.unbuilt -= 1
+            if not low.unbuilt:
+                low.delta = None
         return blk
 
     def multidegrees(self, n: int):

@@ -34,8 +34,8 @@ MAX_ROOT_STATES = 500_000
 
 
 class Vertex:
-    def __init__(self, vid: int, tuple_: ModuleTuple, key: tuple, cartan: list):
-        self.vid, self.tuple_, self.key = vid, tuple_, key
+    def __init__(self, vid: int, tuple_: ModuleTuple, cartan: list):
+        self.vid, self.tuple_ = vid, tuple_
         self.cartan = cartan  # theta x theta integer matrix
 
 
@@ -73,7 +73,7 @@ def build_cartan_graph(M: ModuleTuple, *, pairs: PairCache | None = None,
             raise ResourceBoundError(
                 f"vertex bound {vertex_bound} exceeded while closing the graph")
         vid = index[key] = len(graph.vertices)
-        graph.vertices.append(Vertex(vid, t, key, cartan_matrix(t, pairs=pairs)))
+        graph.vertices.append(Vertex(vid, t, cartan_matrix(t, pairs=pairs)))
         return vid, True
 
     root, _ = find_or_add(M)

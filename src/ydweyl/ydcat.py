@@ -32,7 +32,7 @@ MAX_MODULE_DIM = 32
 
 class YDModule:
     def __init__(self, group: Group, cocycle: Cocycle3, degrees, action,
-                 name: str | None = None, basis_names=None):
+                 name: str | None = None):
         if cocycle.group is not group:
             raise ValidationError("cocycle is not defined on the given group")
         self.group = group
@@ -55,8 +55,6 @@ class YDModule:
         if sorted(self.action) != list(group.elements()):
             raise ValidationError("action must be given for every group element")
         self.name = name
-        self.basis_names = tuple(basis_names) if basis_names else tuple(
-            f"{name or 'v'}{i + 1}" for i in range(self.dim))
         # Memo for module_canonical_key(): modules are immutable.
         self._key = None
 
@@ -113,8 +111,8 @@ def yd_axiom_check(V: YDModule) -> Report:
 
 
 def module_from_generator_actions(group: Group, cocycle: Cocycle3, degree: int,
-                                  generator_actions: dict, name=None,
-                                  basis_names=None) -> YDModule:
+                                  generator_actions: dict,
+                                  name=None) -> YDModule:
     """Extend generator action matrices over the whole group.
 
     All basis vectors share the single degree `degree` (the simple-module
@@ -139,8 +137,7 @@ def module_from_generator_actions(group: Group, cocycle: Cocycle3, degree: int,
         frontier = new
     if len(known) != group.order:
         raise ValidationError("generator set does not generate the group")
-    V = YDModule(group, cocycle, [degree] * dim, known, name=name,
-                 basis_names=basis_names)
+    V = YDModule(group, cocycle, [degree] * dim, known, name=name)
     report = yd_axiom_check(V)
     if not report:
         raise ValidationError(
@@ -170,8 +167,7 @@ def dual(V: YDModule) -> YDModule:
                 if not ah_inv[j][k].is_zero():
                     mat[k][j] = s * ah_inv[j][k]
         action[h] = mat
-    W = YDModule(G, phi, degrees, action, name=f"{V.name or '?'}*",
-                 basis_names=[f"{b}*" for b in V.basis_names])
+    W = YDModule(G, phi, degrees, action, name=f"{V.name or '?'}*")
     report = yd_axiom_check(W)
     if not report:
         raise ValidationError(f"dual twist failed validation: {report.summary()}")
@@ -329,8 +325,6 @@ def preset_module(name: str, group: Group, cocycle: Cocycle3,
     g3 = group.element_index((0, 0, 1))
     minus = _diag(-1, -1)
     plusminus = _diag(1, -1)
-    letters = {"W1": "X", "W2": "Y", "W3": "Z", "W4": "R", "W5": "T",
-               "W6": "S", "V1": "X", "V2": "Y", "V3": "Z"}
     specs = {
         "V1": ((1, 0, 0), {g1: minus, g2: plusminus, g3: _SWAP}),
         "V2": ((0, 1, 0), {g2: minus, g3: plusminus, g1: _SWAP}),
@@ -350,10 +344,8 @@ def preset_module(name: str, group: Group, cocycle: Cocycle3,
         raise ValidationError(f"unknown preset {name!r}")
     exps, gens = specs[name]
     degree = group.element_index(exps)
-    letter = letters[name]
     return module_from_generator_actions(
-        group, cocycle, degree, gens, name=module_name or name,
-        basis_names=(f"{letter}1", f"{letter}2"))
+        group, cocycle, degree, gens, name=module_name or name)
 
 
 PRESET_NAMES = ("W1", "W2", "W3", "W4", "W5", "W6", "V1", "V2", "V3")

@@ -82,9 +82,9 @@ def test_canonical_key_matches_equality():
     # Values stored above their minimal conductor share the key of the
     # minimal form: zeta_8^2 = zeta_4, zeta_6 = 1 + zeta_3, zeta_9^3 = zeta_3.
     assert root_of_unity(8, 1) ** 2 == root_of_unity(4, 1)
-    assert (root_of_unity(8, 1) ** 2).canonical_key() == (4, (0, 1))
-    assert root_of_unity(6, 1).canonical_key() == (3, (1, 1))
-    assert (root_of_unity(9, 1) ** 3).canonical_key() == (3, (0, 1))
+    assert (root_of_unity(8, 1) ** 2).canonical_key() == (4, (0, 1), 1)
+    assert root_of_unity(6, 1).canonical_key() == (3, (1, 1), 1)
+    assert (root_of_unity(9, 1) ** 3).canonical_key() == (3, (0, 1), 1)
     rng = random.Random(5)
     values = []
     for _ in range(40):

@@ -124,49 +124,56 @@ def _assert_block_matches_dense(trunc, md):
                    for q, c in nf.items()), w
 
 
-def test_top_degree_deltas_are_evicted(w_triple):
-    # A word of the truncation degree is no word's prefix, so its
-    # Delta_{n-1,1} leaves the cache once its block is built.
+def test_graded_dims_leaves_no_delta(w_triple):
+    # Once every block one degree up is built, no block reads a word's
+    # Delta_{n-1,1} again, so after graded_dims() no block holds any, and
+    # the word algebra caches only word degrees and actions.
     trunc = nichols_truncate(w_triple, 4)
     trunc.graded_dims()
-    assert {len(w) for w in trunc.ctx._delta_cache} == {1, 2, 3}
+    assert all(blk.delta is None for blk in trunc._blocks.values())
+    ctx = trunc.ctx
+    caches = [v for v in vars(ctx).values() if isinstance(v, dict)]
+    assert [id(v) for v in caches] == [id(ctx._deg_cache), id(ctx._act_cache)]
 
 
 def test_blocks_built_out_of_order_after_eviction(w_triple):
-    # A top-degree block, then a lower block it did not read, then a second
-    # top-degree block that reads both; all built before any is checked,
-    # since the dense reference refills the cache.
+    # A top-degree block built alone holds no Delta, and the lower blocks
+    # it read keep theirs for their unbuilt blocks one degree up, while
+    # (1, 0, 0), whose blocks one degree up it all built, drops its own.
+    # Then a lower block it did not read, and a second top-degree block
+    # that reads both.
     trunc = nichols_truncate(w_triple, 4)
     order = [(2, 1, 1), (0, 2, 1), (1, 2, 1)]
-    trunc.block(order[0])
+    assert trunc.block(order[0]).delta is None
+    for md in [(1, 1, 1), (2, 0, 1), (2, 1, 0)]:
+        assert trunc._blocks[md].delta is not None, md
+    assert trunc._blocks[(1, 0, 0)].delta is None
     assert order[1] not in trunc._blocks
     for md in order[1:]:
         trunc.block(md)
-    assert all(len(w) < 4 for w in trunc.ctx._delta_cache)
     for md in order:
         _assert_block_matches_dense(trunc, md)
 
 
 @pytest.mark.parametrize("which, degree", [("z9", 6), ("tower", 7)])
-def test_evicted_delta_recomputes_identically(which, degree, z9_pair,
-                                              tower_pair):
-    # Stored conductors depend on the order of summation, so the value
-    # recomputed after eviction must match term by term: keys, key order,
-    # printed coefficients and conductors.
+def test_block_delta_matches_delta_last(which, degree, z9_pair, tower_pair):
+    # Each block computes Delta_{n-1,1} from the prefix's held one degree
+    # down.  Stored conductors depend on the order of summation, so it must
+    # match the uncached delta_last term by term: keys, key order, printed
+    # coefficients and conductors.
     trunc = nichols_truncate(z9_pair[1] if which == "z9" else tower_pair,
                              degree)
-    ctx = trunc.ctx
 
     def terms(vec):
         return [(k, str(c), c.conductor) for k, c in vec.items()]
 
-    for md in trunc.multidegrees(degree):
-        words = trunc.words_of_multidegree(md)
-        before = {w: terms(ctx.delta_last(w)) for w in words}
-        trunc.block(md)
-        assert not any(w in ctx._delta_cache for w in words), md
-        for w in words:
-            assert terms(ctx.delta_last(w)) == before[w], w
+    # A block below the truncation degree holds its Delta at least until a
+    # block one degree up is built; the empty word has no (n-1, 1) part.
+    for n in range(1, degree):
+        for md in trunc.multidegrees(n):
+            blk = trunc.block(md)
+            for w, dw in zip(blk.words, blk.delta):
+                assert terms(dw) == terms(trunc.ctx.delta_last(w)), w
 
 
 def test_normal_form_sums_word_forms_in_term_order(w_triple):

@@ -108,7 +108,7 @@ def test_synthetic_rank3_root_system():
                                   is_finite, real_roots)
     a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     graph = SemiCartanGraph(theta=3,
-                            vertices=[Vertex(0, None, ("synthetic",), a3)],
+                            vertices=[Vertex(0, None, a3)],
                             reflections={(i, 0): 0 for i in range(3)})
     assert check_axioms(graph).ok
     roots, truncated = real_roots(graph, 50)

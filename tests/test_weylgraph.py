@@ -87,7 +87,7 @@ def _hand_built(cartans, reflections):
     """A graph given by its Cartan matrices and reflections (i, vid) -> vid."""
     return SemiCartanGraph(
         theta=len(cartans[0]),
-        vertices=[Vertex(vid, None, ("hand-built", vid), A)
+        vertices=[Vertex(vid, None, A)
                   for vid, A in enumerate(cartans)],
         reflections=reflections)
 
