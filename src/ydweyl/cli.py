@@ -306,9 +306,8 @@ def cmd_ad(session: Session, args) -> str:
     i, j = args.i - 1, args.j - 1
     if not (0 <= i < target.theta and 0 <= j < target.theta) or i == j:
         raise SessionError("ad needs distinct 1-based slot indices", EXIT_PARSE)
-    levels = ad_power_module(
-        target, i, j, cutoff=session.cutoffs["ad_cutoff"],
-        trunc=nichols_truncate(target, session.cutoffs["max_degree"]))
+    levels = ad_power_module(target, i, j, cutoff=session.cutoffs["ad_cutoff"],
+                             max_degree=session.cutoffs["max_degree"])
     lines = [f"ad levels for slots ({args.i}, {args.j}) of {args.tuple}"]
     for level in levels.levels:
         degs = ", ".join(session.group.element_name(d)

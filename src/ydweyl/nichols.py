@@ -7,18 +7,18 @@ slot) from the blocks one degree down.  On the left comb Delta_{1^n} =
 the span of the quotient words, so Delta_{1^n} has the kernel and RREF of
 M = (NF (x) id) Delta_{n-1,1}, with rows (q, b), q a quotient word of
 md - e_s and b a letter of slot s.  WordAlgebra.delta_1n, the dense
-Delta_{1^n}, is the tests' reference.  A block keeps its words' Delta_{n-1,1},
-the prefixes' Delta of the theta blocks md + e_t, until those are all built;
-a block of the truncation degree, with no blocks above it, keeps none.
+Delta_{1^n}, is the tests' reference.
 
 M's word columns are eliminated in reverse order.  A word lies in the ideal
 plus the span of the words after it exactly when its column depends on the
-columns after it, so the pivot columns are the quotient words: the words
-left over once each relation's leading word is eliminated.  The RREF rows R
-express every column in the pivot columns, so the normal form (the unique
-coset representative supported on quotient words) is NF(x) = sum_q (R x)_q q.
-Words are enumerated in length-lexicographic order over (slot, index)
-letters, so all outputs are reproducible bit-for-bit.
+columns after it, so the pivot columns are the quotient words, and the RREF
+rows express every column in them.  As I is an ideal and NF(w) uses only
+quotient words after w, NF(w x) = sum r NF(p x) over the terms r p of NF(w):
+M needs only the columns of the candidates p x, p a quotient word of
+md - e_s, which give the same pivots and RREF entries.  So each block keeps
+Delta_{n-1,1} of its quotient words only.  Words are enumerated in
+length-lexicographic order over (slot, index) letters, so all outputs are
+reproducible bit-for-bit.
 
 The coproduct on normal forms, and the coideal, primitive, support and
 coinvariant checks built on it, are test references in tests/oracles.py.
@@ -36,13 +36,14 @@ _ZERO = CycScalar.zero()
 
 # Most words in one multidegree block, counted before any is enumerated.  On
 # W over Z2^3 (2-core VM, one block per process with the lower blocks it
-# reads, medians of 3-4): 3,840 words (206 rows of M) take 0.68 s and 32 MB
-# peak, 5,760 (461 rows) 4.4 s and 71 MB, 13,440 (132 rows) 2.3 s and 58 MB.
+# reads, medians of 3): 3,840 words (206 x 216 M) take 0.11 s and 20 MB peak,
+# 5,760 (461 x 468) 0.49 s and 28 MB, 13,440 (139 x 170) 0.31 s and 28 MB.
 MAX_BLOCK_WORDS = 16384
 
-# Most cells, rows x words, in one block's elimination, with rows counted as
-# sum_s dim B(md - e_s) dim M_s from the lower blocks before any Delta of the
-# block (M may use fewer).  W's largest block at degree 6 has 468 x 5,760.
+# Most cells, rows x words, in one block, with rows counted as sum_s
+# dim B(md - e_s) dim M_s from the lower blocks before any Delta of the block
+# (M may use fewer).  M has that many columns, but the cap counts all words:
+# W's largest block at degree 6 has 468 x 5,760.
 MAX_BLOCK_CELLS = 2048 * 2048
 
 # Largest truncation degree.  Level n of an ad tower over two 1-dimensional
@@ -63,18 +64,17 @@ def _compositions(total: int, parts: int):
 
 
 class _Block:
-    __slots__ = ("words", "index", "quotient_words", "nf", "delta", "unbuilt")
+    __slots__ = ("words", "index", "quotient_words", "nf", "delta")
 
-    def __init__(self, words, quotient_words, nf, delta, unbuilt):
+    def __init__(self, words, quotient_words, nf, delta):
         self.words = words
         self.index = {w: k for k, w in enumerate(words)}
         self.quotient_words = quotient_words
         # nf[index[w]]: NF(w) as (quotient word, nonzero coefficient) pairs
         self.nf = nf
-        # delta[index[w]]: Delta_{n-1,1}(w), which the unbuilt blocks md + e_t
-        # read; dropped when none is left (at the truncation degree, always).
-        self.delta = delta if unbuilt else None
-        self.unbuilt = unbuilt
+        # delta[q]: Delta_{n-1,1}(q) for each quotient word q, kept for the
+        # truncation's life: the blocks md + e_t read it for candidates q x
+        self.delta = delta
 
     def coords(self, vec: GradedVector) -> list:
         """Dense row of a vector supported on this block's words."""
@@ -104,8 +104,7 @@ class NicholsTruncation:
         self.theta = self.ctx.theta
         # Degree 0 is the empty word, its own normal form; Delta_{-1,1} is 0.
         self._blocks = {(0,) * self.theta: _Block(
-            [()], [()], [[((), CycScalar.one())]], [GradedVector()],
-            self.theta if max_degree else 0)}
+            [()], [()], [[((), CycScalar.one())]], {(): GradedVector()})}
 
     # ---- block construction ---------------------------------------------
 
@@ -144,17 +143,15 @@ class NicholsTruncation:
                 f"multidegree {md} needs a {rows} x {count} elimination, "
                 f"exceeding the largest supported {MAX_BLOCK_CELLS} cells")
         words = self.words_of_multidegree(md)
-        last = len(words) - 1
-        unbuilt = self.theta if sum(md) < self.max_degree else 0
-        delta = []
-        # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(words[k]); its
+        # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(cands[k]); its
         # rows (q, b) are numbered in order of first appearance.
+        cands = [w for w in words if w[:-1] in lower[w[-1][0]].delta]
+        last = len(cands) - 1
+        deltas = {}
         m_rows: dict = {}
-        for k, w in enumerate(words):
+        for k, w in enumerate(cands):
             low = lower[w[-1][0]]
-            dw = self.ctx.delta_last(w, low.delta[low.index[w[:-1]]])
-            if unbuilt:
-                delta.append(dw)
+            dw = deltas[w] = self.ctx.delta_last(w, low.delta[w[:-1]])
             col = GradedVector()
             for (a, b), c in dw.items():
                 low = lower[b[0][0]]
@@ -162,20 +159,26 @@ class NicholsTruncation:
                     col.add_term((q, b), c * r)
             for key, c in col.items():
                 if key not in m_rows:
-                    m_rows[key] = [_ZERO] * len(words)
+                    m_rows[key] = [_ZERO] * len(cands)
                 m_rows[key][last - k] = c
         reduced, pivots = rref(list(m_rows.values()))
-        quotient = [words[last - p] for p in reversed(pivots)]
-        nf = [[] for _ in words]
-        for q, row in zip(quotient, reversed(reduced)):
+        quotient = [cands[last - p] for p in reversed(pivots)]
+        # forms[p x]: NF(p x) as (position of quotient word, coefficient)
+        forms = {w: [] for w in cands}
+        for i, row in enumerate(reversed(reduced)):
             for k, c in enumerate(row):
                 if c is not _ZERO and not c.is_zero():
-                    nf[last - k].append((q, c))
-        blk = self._blocks[md] = _Block(words, quotient, nf, delta, unbuilt)
-        for low in lower.values():
-            low.unbuilt -= 1
-            if not low.unbuilt:
-                low.delta = None
+                    forms[cands[last - k]].append((i, c))
+        nf = []
+        for w in words:
+            low = lower[w[-1][0]]
+            form = GradedVector()
+            for p, r in low.nf[low.index[w[:-1]]]:
+                for i, c in forms[p + w[-1:]]:
+                    form.add_term(i, r * c)
+            nf.append([(quotient[i], c) for i, c in sorted(form.items())])
+        delta = {q: deltas[q] for q in quotient}
+        blk = self._blocks[md] = _Block(words, quotient, nf, delta)
         return blk
 
     def multidegrees(self, n: int):

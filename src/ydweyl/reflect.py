@@ -108,27 +108,30 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
 
 def ad_power_module(M: ModuleTuple, i: int, j: int,
                     cutoff: int = DEFAULT_AD_CUTOFF,
-                    trunc: NicholsTruncation | None = None) -> AdLevels:
+                    max_degree: int = DEFAULT_TRUNCATION_DEGREE) -> AdLevels:
     """Levels ad(M_i)^n(M_j) inside B(M), up to first vanishing or a bound.
 
-    Level n lives in degree n + 1, so levels n <= min(cutoff, D - 1) are
-    computed for the truncation degree D of trunc (default
-    DEFAULT_TRUNCATION_DEGREE); a tower still nonzero there is undecided at
-    whichever of the two is smaller, the cutoff on a tie.  Level 0 is M_j
-    itself: its letters are their own normal forms, so their span carries
-    exactly M_j's matrices.
+    Level n lives in degree n + 1, so levels n <= min(cutoff, max_degree - 1)
+    are computed; a tower still nonzero there is undecided at whichever of
+    the two is smaller, the cutoff on a tie.  Level 0 is M_j itself: its
+    letters are their own normal forms, so their span carries exactly M_j's
+    matrices.  The tower is computed in the truncation of B(M_lo (+) M_hi)
+    with the lower of slots i, j first.  That truncation holds the same
+    blocks, in the same word order, as B(M) does in the multidegrees of the
+    two slots.
     """
     if i == j:
         raise ValidationError("ad_power_module needs distinct slots")
-    if trunc is None:
-        trunc = nichols_truncate(M, DEFAULT_TRUNCATION_DEGREE)
+    lo, hi = sorted((i, j))
+    trunc = nichols_truncate(ModuleTuple([M[lo], M[hi]]), max_degree)
+    si, sj = int(i > j), int(j > i)
     result = AdLevels(tuple_=M, i=i, j=j)
-    letters_i = [GradedVector.from_word(((i, b),)) for b in range(M[i].dim)]
-    letters_j = [GradedVector.from_word(((j, b),)) for b in range(M[j].dim)]
+    letters_i = [GradedVector.from_word(((si, b),)) for b in range(M[i].dim)]
+    letters_j = [GradedVector.from_word(((sj, b),)) for b in range(M[j].dim)]
     result.levels.append(AdLevel(0, letters_j, M[j]))
     last = min(cutoff, trunc.max_degree - 1)
     for n in range(1, last + 1):
-        md = tuple(n if s == i else (1 if s == j else 0) for s in range(M.theta))
+        md = (n, 1) if si == 0 else (1, n)
         vectors = [ad_primitive(trunc, x, y)
                    for y in result.levels[-1].basis for x in letters_i]
         level = _ad_level(trunc, md, n, vectors,
@@ -149,10 +152,8 @@ class PairCache:
     top(M, i, j) returns (m, module) for ad(M_i)^n(M_j): the top
     nonvanishing power m and the module at that level.  Entries are keyed
     by the complete iso keys of M_i and M_j, so each pair of classes is
-    computed once, in the truncation of B(M_lo (+) M_hi) with the lower of
-    slots i, j first.  That truncation holds the same blocks, in the same
-    word order, as B(M) does in the multidegrees of the two slots.
-    dual(V) builds (and validates) one dual per iso class of V.
+    computed once.  dual(V) builds (and validates) one dual per iso class
+    of V.
     """
 
     def __init__(self, cutoff: int = DEFAULT_AD_CUTOFF,
@@ -165,11 +166,8 @@ class PairCache:
         key = (module_canonical_key(M[i]), module_canonical_key(M[j]))
         entry = self._entries.get(key)
         if entry is None:
-            lo, hi = sorted((i, j))
-            pair = ModuleTuple([M[lo], M[hi]])
-            levels = ad_power_module(pair, int(i > j), int(j > i),
-                                     cutoff=self.cutoff,
-                                     trunc=nichols_truncate(pair, self.max_degree))
+            levels = ad_power_module(M, i, j, cutoff=self.cutoff,
+                                     max_degree=self.max_degree)
             entry = self._entries[key] = (levels.m, levels.top_module())
         return entry
 

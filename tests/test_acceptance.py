@@ -94,7 +94,7 @@ def test_c04_ad_pair_suite(z2cubed, w_presets):
         for i, j in pairs:
             pair = ModuleTuple([w_presets[i], w_presets[j]])
             trunc = nichols_truncate(pair, 3)
-            levels = ad_power_module(pair, 0, 1, trunc=trunc)
+            levels = ad_power_module(pair, 0, 1, max_degree=3)
             assert level_dims(levels) == (2, 2), (i, j)
             assert levels.m == 1, (i, j)          # ad(W_i)^2(W_j) = 0 in B
             vals = [ad_primitive(trunc,

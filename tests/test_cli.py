@@ -14,6 +14,15 @@ SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.jso
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
+def _assert_benchmark_output(golden_file, workload):
+    """A gated benchmark workload's expected output is its golden file."""
+    with open(os.path.join(GOLDEN, golden_file)) as fh:
+        golden = fh.read()
+    with open(os.path.join(os.path.dirname(SESSION), "..", "perfbench",
+                           "expected", f"{workload}.txt")) as fh:
+        assert fh.read() == golden
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -132,12 +141,14 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W1", "--max-degree", "3")
     assert code == 0
-    # The three 192-word blocks of multidegree (2,1,1) and its permutations.
+    # The three 192-word blocks of multidegree (2,1,1) and its permutations;
+    # also the nichols-W4 benchmark workload.
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W", "--max-degree", "4")
     assert code == 0
-    # The 5,760-word block (2, 2, 2) is a 468 x 5,760 elimination, under
-    # both block caps.
+    _assert_benchmark_output("nichols_W_4.txt", "nichols-W4")
+    # The 5,760-word block (2, 2, 2) eliminates a 461 x 468 M over its
+    # candidate words; the cells cap counts 468 x 5,760, under both caps.
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W", "--max-degree", "6")
     assert code == 0
@@ -149,6 +160,7 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "roots", "W", "--bound", "20")
     assert code == 0
+    _assert_benchmark_output("roots_W_20.txt", "roots-W20")
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "graph", "W12")
     assert code == 0
@@ -171,11 +183,7 @@ def test_golden_match(capsys):
                      "--golden", GOLDEN, "certify", "V")
     assert code == 0
     # certify V is also the certify-V benchmark workload.
-    with open(os.path.join(GOLDEN, "certify_V.txt")) as fh:
-        golden = fh.read()
-    with open(os.path.join(sessions, "..", "perfbench", "expected",
-                           "certify-V.txt")) as fh:
-        assert fh.read() == golden
+    _assert_benchmark_output("certify_V.txt", "certify-V")
 
 
 def test_json_golden_has_its_own_file(capsys, tmp_path):
@@ -522,11 +530,7 @@ def test_nichols_conductor9_golden(capsys, tmp_path, z9_pair):
     code, _, err = run(capsys, "--session", path, "--golden", GOLDEN,
                        "nichols", "P", "--max-degree", "7")
     assert (code, err) == (0, "")
-    with open(os.path.join(GOLDEN, "nichols_P_7.txt")) as fh:
-        golden = fh.read()
-    with open(os.path.join(os.path.dirname(SESSION), "..", "perfbench",
-                           "expected", "nichols-z9pair7.txt")) as fh:
-        assert fh.read() == golden
+    _assert_benchmark_output("nichols_P_7.txt", "nichols-z9pair7")
 
 
 @pytest.mark.parametrize("argv", [["cartan", "W"], ["reflect", "W", "1"],

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from ydweyl.cyclo import CycScalar
+from ydweyl import nichols
+from ydweyl.cyclo import CycScalar, rref
 from ydweyl.errors import ResourceBoundError
 from ydweyl.freebraid import GradedVector
 from ydweyl.nichols import MAX_TRUNCATION_DEGREE, nichols_truncate
@@ -124,30 +125,72 @@ def _assert_block_matches_dense(trunc, md):
                    for q, c in nf.items()), w
 
 
-def test_graded_dims_leaves_no_delta(w_triple):
-    # Once every block one degree up is built, no block reads a word's
-    # Delta_{n-1,1} again, so after graded_dims() no block holds any, and
-    # the word algebra caches only word degrees and actions.
+def _assert_delta_of_quotient_words(trunc):
+    for md, blk in trunc._blocks.items():
+        assert list(blk.delta) == blk.quotient_words, md
+
+
+def test_graded_dims_keeps_delta_of_quotient_words(w_triple):
+    # A block keeps Delta_{n-1,1} of its quotient words only, the prefixes
+    # of the candidate columns one degree up, and the word algebra caches
+    # only word degrees and actions.
     trunc = nichols_truncate(w_triple, 4)
     trunc.graded_dims()
-    assert all(blk.delta is None for blk in trunc._blocks.values())
+    _assert_delta_of_quotient_words(trunc)
     ctx = trunc.ctx
     caches = [v for v in vars(ctx).values() if isinstance(v, dict)]
     assert [id(v) for v in caches] == [id(ctx._deg_cache), id(ctx._act_cache)]
 
 
-def test_blocks_built_out_of_order_after_eviction(w_triple):
-    # A top-degree block built alone holds no Delta, and the lower blocks
-    # it read keep theirs for their unbuilt blocks one degree up, while
-    # (1, 0, 0), whose blocks one degree up it all built, drops its own.
-    # Then a lower block it did not read, and a second top-degree block
-    # that reads both.
+def test_block_eliminates_candidate_columns(w_triple, monkeypatch):
+    # M has a column for each word q x with q a quotient word of block
+    # md - e_s, x a letter of slot s: sum_s dim B(md - e_s) dim M_s columns.
+    # A zero M reaches rref as no rows, and then the block has no quotient
+    # words.
+    columns = []
+
+    def counting_rref(rows):
+        columns.append(len(rows[0]) if rows else 0)
+        return rref(rows)
+    monkeypatch.setattr(nichols, "rref", counting_rref)
+    trunc = nichols_truncate(w_triple, 4)
+    total = 0
+    for n in range(1, 5):
+        for md in trunc.multidegrees(n):
+            del columns[:]
+            words = len(trunc.block(md).words)
+            expected = sum(
+                trunc.dim_multidegree(md[:s] + (k - 1,) + md[s + 1:])
+                * w_triple[s].dim for s, k in enumerate(md) if k)
+            if columns == [0]:
+                assert trunc.dim_multidegree(md) == 0, md
+            else:
+                assert columns == [expected], md
+            total += words - expected
+    # From degree 3 on, words with a prefix in the ideal get no column.
+    assert total > 0
+
+
+def test_capped_block_leaves_delta_of_quotient_words_only(w_triple,
+                                                          monkeypatch):
+    # A block over the word cap raises after blocks of its degree are
+    # stored; every stored block still holds Delta of its quotient words
+    # only, as it would after a complete run.
+    monkeypatch.setattr(nichols, "MAX_BLOCK_WORDS", 150)
+    trunc = nichols_truncate(w_triple, 4)
+    with pytest.raises(ResourceBoundError,
+                       match=r"multidegree \(1, 1, 2\) has 192 words"):
+        trunc.graded_dims()
+    assert any(sum(md) == 4 for md in trunc._blocks)
+    _assert_delta_of_quotient_words(trunc)
+
+
+def test_blocks_built_out_of_order(w_triple):
+    # A top-degree block built alone, then a lower block it did not read,
+    # and a second top-degree block that reads both.
     trunc = nichols_truncate(w_triple, 4)
     order = [(2, 1, 1), (0, 2, 1), (1, 2, 1)]
-    assert trunc.block(order[0]).delta is None
-    for md in [(1, 1, 1), (2, 0, 1), (2, 1, 0)]:
-        assert trunc._blocks[md].delta is not None, md
-    assert trunc._blocks[(1, 0, 0)].delta is None
+    trunc.block(order[0])
     assert order[1] not in trunc._blocks
     for md in order[1:]:
         trunc.block(md)
@@ -157,23 +200,23 @@ def test_blocks_built_out_of_order_after_eviction(w_triple):
 
 @pytest.mark.parametrize("which, degree", [("z9", 6), ("tower", 7)])
 def test_block_delta_matches_delta_last(which, degree, z9_pair, tower_pair):
-    # Each block computes Delta_{n-1,1} from the prefix's held one degree
-    # down.  Stored conductors depend on the order of summation, so it must
-    # match the uncached delta_last term by term: keys, key order, printed
-    # coefficients and conductors.
+    # Each block computes Delta_{n-1,1} of a candidate q x from Delta(q)
+    # held one degree down.  Stored conductors depend on the order of
+    # summation, so each held Delta(q) must match the uncached delta_last
+    # term by term: keys, key order, printed coefficients and conductors.
     trunc = nichols_truncate(z9_pair[1] if which == "z9" else tower_pair,
                              degree)
 
     def terms(vec):
         return [(k, str(c), c.conductor) for k, c in vec.items()]
 
-    # A block below the truncation degree holds its Delta at least until a
-    # block one degree up is built; the empty word has no (n-1, 1) part.
-    for n in range(1, degree):
+    # The top degree too; the empty word has no (n-1, 1) part.
+    for n in range(1, degree + 1):
         for md in trunc.multidegrees(n):
             blk = trunc.block(md)
-            for w, dw in zip(blk.words, blk.delta):
-                assert terms(dw) == terms(trunc.ctx.delta_last(w)), w
+            assert list(blk.delta) == blk.quotient_words, md
+            for q, dq in blk.delta.items():
+                assert terms(dq) == terms(trunc.ctx.delta_last(q)), q
 
 
 def test_normal_form_sums_word_forms_in_term_order(w_triple):

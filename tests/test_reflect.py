@@ -140,10 +140,9 @@ def test_tower_stops_at_min_of_cutoff_and_degree(request, which):
         full = ad_power_module(pair, i, j)
         assert not full.undecided
         for D in (0, 1, 2, 3, 4, 5, 6, 8):
-            trunc = nichols_truncate(pair, D)
             for C in (0, 1, 2, 3, 4, 8):
                 last = min(C, D - 1)
-                levels = ad_power_module(pair, i, j, cutoff=C, trunc=trunc)
+                levels = ad_power_module(pair, i, j, cutoff=C, max_degree=D)
                 case = (which, i, j, C, D)
                 if full.m < last:
                     assert (level_dims(levels), levels.m, levels.bound) == (
