@@ -9,16 +9,17 @@ M = (NF (x) id) Delta_{n-1,1}, with rows (q, b), q a quotient word of
 md - e_s and b a letter of slot s.  WordAlgebra.delta_1n, the dense
 Delta_{1^n}, is the tests' reference.
 
-M's word columns are eliminated in reverse order.  A word lies in the ideal
+M's columns are eliminated in reverse word order.  A word lies in the ideal
 plus the span of the words after it exactly when its column depends on the
 columns after it, so the pivot columns are the quotient words, and the RREF
 rows express every column in them.  As I is an ideal and NF(w) uses only
 quotient words after w, NF(w x) = sum r NF(p x) over the terms r p of NF(w):
 M needs only the columns of the candidates p x, p a quotient word of
-md - e_s, which give the same pivots and RREF entries.  So each block keeps
-Delta_{n-1,1} of its quotient words only.  Words are enumerated in
-length-lexicographic order over (slot, index) letters, so all outputs are
-reproducible bit-for-bit.
+md - e_s, which give the same pivots and RREF entries.  So no word of a block
+is enumerated: it keeps its candidates' normal forms, derives any other
+word's from them when asked, and keeps Delta_{n-1,1} of its quotient words
+only.  Candidates and quotient words are in lexicographic order over
+(slot, index) letters, so all outputs are reproducible bit-for-bit.
 
 The coproduct on normal forms, and the coideal, primitive, support and
 coinvariant checks built on it, are test references in tests/oracles.py.
@@ -26,28 +27,22 @@ coinvariant checks built on it, are test references in tests/oracles.py.
 
 from __future__ import annotations
 
-from math import factorial, prod
-
 from .cyclo import CycScalar, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
 
 _ZERO = CycScalar.zero()
 
-# Most words in one multidegree block, counted before any is enumerated.  On
-# W over Z2^3 (2-core VM, one block per process with the lower blocks it
-# reads, medians of 3): 3,840 words (206 x 216 M) take 0.11 s and 20 MB peak,
-# 5,760 (461 x 468) 0.49 s and 28 MB, 13,440 (139 x 170) 0.31 s and 28 MB.
-MAX_BLOCK_WORDS = 16384
-
-# Most cells, rows x words, in one block, with rows counted as sum_s
-# dim B(md - e_s) dim M_s from the lower blocks before any Delta of the block
-# (M may use fewer).  M has that many columns, but the cap counts all words:
-# W's largest block at degree 6 has 468 x 5,760.
-MAX_BLOCK_CELLS = 2048 * 2048
+# Most candidate words q x in one block, counted from the lower blocks before
+# any Delta of the block; M has one column per candidate and at most as many
+# rows.  On W over Z2^3 (2-core VM, one block per process after the lower
+# blocks it reads): 468 candidates take 0.2 s and 21 MB peak, 760 0.7-0.9 s
+# and 30 MB, 1,472 10-12 s and 68 MB, 1,780 9-41 s and 85-113 MB, almost all
+# of it in rref.
+MAX_BLOCK_CANDIDATES = 2048
 
 # Largest truncation degree.  Level n of an ad tower over two 1-dimensional
-# slots reads an (n + 1) x (n + 1) block, under both block caps, so this bounds
+# slots reads a block of n + 1 candidates, under the block cap, so this bounds
 # a tower that never vanishes: `ad P 1 2` on one over Z2 x Z2 with the trivial
 # cocycle runs to degree 64 in about 1.6 s (CLI, 2-core VM).
 MAX_TRUNCATION_DEGREE = 64
@@ -64,23 +59,43 @@ def _compositions(total: int, parts: int):
 
 
 class _Block:
-    __slots__ = ("words", "index", "quotient_words", "nf", "delta")
+    __slots__ = ("words", "quotient_words", "position", "lower", "nf",
+                 "delta")
 
-    def __init__(self, words, quotient_words, nf, delta):
-        self.words = words
-        self.index = {w: k for k, w in enumerate(words)}
+    def __init__(self, count, quotient_words, lower, nf, delta):
+        # Read only by perfbench/tracer.py (nichols.block.words_max) for the
+        # word count; it goes when the tracer reads engine counters (ROADMAP
+        # item 5).
+        self.words = range(count)
         self.quotient_words = quotient_words
-        # nf[index[w]]: NF(w) as (quotient word, nonzero coefficient) pairs
+        self.position = {q: i for i, q in enumerate(quotient_words)}
+        # lower[s]: block md - e_s
+        self.lower = lower
+        # nf[w]: NF(w) as (position of quotient word, nonzero coefficient)
+        # pairs; the candidates' from the RREF, other words' on demand
         self.nf = nf
-        # delta[q]: Delta_{n-1,1}(q) for each quotient word q, kept for the
-        # truncation's life: the blocks md + e_t read it for candidates q x
+        # delta[q]: Delta_{n-1,1}(q) for each quotient word q below the
+        # truncation degree: the blocks md + e_t read it for candidates q x
         self.delta = delta
 
+    def form(self, w: tuple) -> list:
+        """NF(w) as (position, coefficient) pairs, memoized: NF(u x) is
+        sum r NF(p x) over the terms r p of NF(u), p x a candidate."""
+        nf = self.nf.get(w)
+        if nf is None:
+            low, x = self.lower[w[-1][0]], w[-1:]
+            form = GradedVector()
+            for p, r in low.form(w[:-1]):
+                for i, c in self.nf[low.quotient_words[p] + x]:
+                    form.add_term(i, r * c)
+            nf = self.nf[w] = sorted(form.items())
+        return nf
+
     def coords(self, vec: GradedVector) -> list:
-        """Dense row of a vector supported on this block's words."""
-        row = [_ZERO] * len(self.words)
-        for w, c in vec.items():
-            row[self.index[w]] = c
+        """Dense row of a normal form of this block over its quotient words."""
+        row = [_ZERO] * len(self.quotient_words)
+        for q, c in vec.items():
+            row[self.position[q]] = c
         return row
 
 
@@ -104,18 +119,9 @@ class NicholsTruncation:
         self.theta = self.ctx.theta
         # Degree 0 is the empty word, its own normal form; Delta_{-1,1} is 0.
         self._blocks = {(0,) * self.theta: _Block(
-            [()], [()], [[((), CycScalar.one())]], {(): GradedVector()})}
+            1, [()], {}, {(): [(0, CycScalar.one())]}, {(): GradedVector()})}
 
     # ---- block construction ---------------------------------------------
-
-    def words_of_multidegree(self, md: tuple) -> list:
-        """Words of multidegree md, length-lexicographic, letter by letter."""
-        level = [((), tuple(md))]  # (prefix, letters left per slot)
-        for _ in range(sum(md)):
-            level = [(w + ((s, b),), left[:s] + (left[s] - 1,) + left[s + 1:])
-                     for w, left in level
-                     for s, b in self.ctx.letters if left[s]]
-        return [w for w, _ in level]
 
     def block(self, md: tuple) -> _Block:
         md = tuple(md)
@@ -126,59 +132,50 @@ class NicholsTruncation:
                 f"multidegree {md} exceeds the truncation degree {self.max_degree}")
         if md in self._blocks:
             return self._blocks[md]
-        # multinomial(md) * prod(dim_s ** md_s) words
-        count = factorial(sum(md)) // prod(factorial(k) for k in md) * prod(
-            m.dim ** k for m, k in zip(self.ctx.modules, md))
-        if count > MAX_BLOCK_WORDS:
-            raise ResourceBoundError(
-                f"multidegree {md} has {count} words, exceeding the largest "
-                f"supported block of {MAX_BLOCK_WORDS} words")
         # lower[s]: block md - e_s, with NF(a) for c a (x) b, b in slot s
         lower = {s: self.block(md[:s] + (k - 1,) + md[s + 1:])
                  for s, k in enumerate(md) if k}
-        rows = sum(len(blk.quotient_words) * self.ctx.modules[s].dim
-                   for s, blk in lower.items())
-        if rows * count > MAX_BLOCK_CELLS:
+        dims = [m.dim for m in self.ctx.modules]
+        count = sum(len(blk.quotient_words) * dims[s]
+                    for s, blk in lower.items())
+        if count > MAX_BLOCK_CANDIDATES:
             raise ResourceBoundError(
-                f"multidegree {md} needs a {rows} x {count} elimination, "
-                f"exceeding the largest supported {MAX_BLOCK_CELLS} cells")
-        words = self.words_of_multidegree(md)
+                f"multidegree {md} has {count} candidate words, exceeding "
+                f"the largest supported block of {MAX_BLOCK_CANDIDATES} "
+                f"candidates")
+        cands = sorted(p + ((s, b),) for s, blk in lower.items()
+                       for p in blk.quotient_words for b in range(dims[s]))
         # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(cands[k]); its
-        # rows (q, b) are numbered in order of first appearance.
-        cands = [w for w in words if w[:-1] in lower[w[-1][0]].delta]
+        # rows (q, b), q by its position, are numbered in order of first
+        # appearance.
         last = len(cands) - 1
+        # No block reads Delta of the truncation degree.
+        keep = sum(md) < self.max_degree
         deltas = {}
         m_rows: dict = {}
         for k, w in enumerate(cands):
-            low = lower[w[-1][0]]
-            dw = deltas[w] = self.ctx.delta_last(w, low.delta[w[:-1]])
+            dw = self.ctx.delta_last(w, lower[w[-1][0]].delta[w[:-1]])
+            if keep:
+                deltas[w] = dw
             col = GradedVector()
             for (a, b), c in dw.items():
-                low = lower[b[0][0]]
-                for q, r in low.nf[low.index[a]]:
-                    col.add_term((q, b), c * r)
+                for i, r in lower[b[0][0]].form(a):
+                    col.add_term((i, b), c * r)
             for key, c in col.items():
                 if key not in m_rows:
                     m_rows[key] = [_ZERO] * len(cands)
                 m_rows[key][last - k] = c
         reduced, pivots = rref(list(m_rows.values()))
         quotient = [cands[last - p] for p in reversed(pivots)]
-        # forms[p x]: NF(p x) as (position of quotient word, coefficient)
-        forms = {w: [] for w in cands}
+        nf = {w: [] for w in cands}
         for i, row in enumerate(reversed(reduced)):
             for k, c in enumerate(row):
                 if c is not _ZERO and not c.is_zero():
-                    forms[cands[last - k]].append((i, c))
-        nf = []
-        for w in words:
-            low = lower[w[-1][0]]
-            form = GradedVector()
-            for p, r in low.nf[low.index[w[:-1]]]:
-                for i, c in forms[p + w[-1:]]:
-                    form.add_term(i, r * c)
-            nf.append([(quotient[i], c) for i, c in sorted(form.items())])
-        delta = {q: deltas[q] for q in quotient}
-        blk = self._blocks[md] = _Block(words, quotient, nf, delta)
+                    nf[cands[last - k]].append((i, c))
+        delta = {q: deltas[q] for q in quotient if keep}
+        # Each word of md is a word of some md - e_s times a letter of slot s.
+        words = sum(len(blk.words) * dims[s] for s, blk in lower.items())
+        blk = self._blocks[md] = _Block(words, quotient, lower, nf, delta)
         return blk
 
     def multidegrees(self, n: int):
@@ -200,8 +197,8 @@ class NicholsTruncation:
         out = GradedVector()
         for w, c in vec.items():
             blk = self.block(self.ctx.multidegree(w))
-            for q, r in blk.nf[blk.index[w]]:
-                out.add_term(q, r * c)
+            for i, r in blk.form(w):
+                out.add_term(blk.quotient_words[i], r * c)
         return out
 
 

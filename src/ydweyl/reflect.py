@@ -79,16 +79,17 @@ class AdLevels:
 def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
     """Level n spanned by normal forms in block md, or None if they span 0.
 
-    One RREF over the block's words gives the basis.  The vectors are
-    G-homogeneous, rows of different degrees have disjoint word supports and
-    elimination never mixes them, so each row's degree is its pivot word's.
+    One RREF over the block's quotient words, which support every normal
+    form, gives the basis.  The vectors are G-homogeneous, rows of different
+    degrees have disjoint word supports and elimination never mixes them, so
+    each row's degree is its pivot word's.
     """
     if all(v.is_zero() for v in vectors):
         return None
     ctx = trunc.ctx
     blk = trunc.block(md)
     reduced, pivots = rref([blk.coords(v) for v in vectors])
-    basis = [GradedVector(zip(blk.words, row)) for row in reduced]
+    basis = [GradedVector(zip(blk.quotient_words, row)) for row in reduced]
     action = {}
     for g in ctx.group.elements():
         cols = [coords_in_rref(reduced, pivots,
@@ -97,9 +98,8 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
         if None in cols:
             raise ValidationError("ad level is not action-stable")
         action[g] = [list(row) for row in zip(*cols)]
-    module = YDModule(ctx.group, ctx.cocycle,
-                      [ctx.word_degree(blk.words[p]) for p in pivots], action,
-                      name=name)
+    degrees = [ctx.word_degree(blk.quotient_words[p]) for p in pivots]
+    module = YDModule(ctx.group, ctx.cocycle, degrees, action, name=name)
     report = yd_axiom_check(module)
     if not report:
         raise ValidationError(f"ad level failed YD validation: {report.summary()}")

@@ -18,8 +18,9 @@ so the tests can state the paper's identities against it:
     only the (n-1, 1) one), Delta_{1^n} peeling Delta_{1,n-1} (the engine
     peels Delta_{n-1,1}), coherence scalars between arbitrary bracketings,
     and the left and right combs;
-  * B(V): Delta on normal forms, the coideal check, primitives, supports
-    and ideal dimensions per multidegree;
+  * B(V): the words of each multidegree (the engine builds a block from
+    its candidate words only), Delta on normal forms, the coideal check,
+    primitives, supports and ideal dimensions per multidegree;
   * bosonization: the smash product B(V) # kG, the preantipode scalar of
     (kG, Phi), and the coinvariant dimensions of B(M) -> B(N);
   * reflections: the dimension of each ad level;
@@ -398,9 +399,19 @@ def oracle_graded_dims(module, max_degree: int) -> tuple:
 # B(V) references: the coproduct on normal forms and what it decides.
 # ---------------------------------------------------------------------------
 
+def words_of_multidegree(ctx: WordAlgebra, md: tuple) -> list:
+    """Words of multidegree md, length-lexicographic, letter by letter."""
+    level = [((), tuple(md))]  # (prefix, letters left per slot)
+    for _ in range(sum(md)):
+        level = [(w + ((s, b),), left[:s] + (left[s] - 1,) + left[s + 1:])
+                 for w, left in level
+                 for s, b in ctx.letters if left[s]]
+    return [w for w, _ in level]
+
+
 def ideal_dim_multidegree(trunc, md) -> int:
     blk = trunc.block(md)
-    return len(blk.words) - len(blk.quotient_words)
+    return len(words_of_multidegree(trunc.ctx, md)) - len(blk.quotient_words)
 
 
 def support(trunc) -> set:
@@ -435,9 +446,8 @@ def delta_on_quotient(trunc, vec: GradedVector, i: int, j: int) -> dict:
 def check_coideal(trunc, n: int) -> bool:
     """Delta_{i,n-i} maps the degree-n ideal into ideal(x)T + T(x)ideal."""
     for md in trunc.multidegrees(n):
-        blk = trunc.block(md)
-        quotient = set(blk.quotient_words)
-        for w in blk.words:
+        quotient = set(trunc.block(md).quotient_words)
+        for w in words_of_multidegree(trunc.ctx, md):
             if w in quotient:
                 continue
             vec = GradedVector.from_word(w) - trunc.normal_form(

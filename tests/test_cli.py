@@ -148,9 +148,14 @@ def test_golden_match(capsys):
     assert code == 0
     _assert_benchmark_output("nichols_W_4.txt", "nichols-W4")
     # The 5,760-word block (2, 2, 2) eliminates a 461 x 468 M over its
-    # candidate words; the cells cap counts 468 x 5,760, under both caps.
+    # 468 candidate words.
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "nichols", "W", "--max-degree", "6")
+    assert code == 0
+    # Block (1, 3, 3) has 17,920 words and block (2, 2, 3) the most
+    # candidates, 760.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "nichols", "W", "--max-degree", "7")
     assert code == 0
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "roots", "W12")
@@ -417,14 +422,11 @@ def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
 
 
 @pytest.mark.parametrize("module, cap, argv, message", [
-    (nichols, "MAX_BLOCK_WORDS", ["nichols", "W", "--max-degree", "4"],
-     "multidegree (1, 1, 2) has 192 words, exceeding the largest supported "
-     "block of 100 words"),
+    (nichols, "MAX_BLOCK_CANDIDATES", ["nichols", "W", "--max-degree", "5"],
+     "multidegree (1, 2, 2) has 164 candidate words, exceeding the largest "
+     "supported block of 100 candidates"),
     (weylgraph, "MAX_ROOT_STATES", ["roots", "W", "--bound", "20"],
      "root closure exceeds 100 states below coordinate bound 20"),
-    (nichols, "MAX_BLOCK_CELLS", ["nichols", "W", "--max-degree", "4"],
-     "multidegree (0, 1, 2) needs a 14 x 24 elimination, exceeding the "
-     "largest supported 100 cells"),
 ])
 def test_resource_caps_exit_5(capsys, monkeypatch, module, cap, argv, message):
     monkeypatch.setattr(module, cap, 100)

@@ -11,7 +11,7 @@ from ydweyl.nichols import MAX_TRUNCATION_DEGREE, nichols_truncate
 from ydweyl.ydcat import dual
 from oracles import (check_against_symmetrizer, check_coideal, dense_rref,
                      ideal_dim_multidegree, oracle_graded_dims, primitive_dim,
-                     support, trivial_module)
+                     support, trivial_module, words_of_multidegree)
 
 X1, X2, Y1, Y2 = (0, 0), (0, 1), (1, 0), (1, 1)
 
@@ -75,7 +75,7 @@ def _dense_normal_forms(trunc, md):
     quotient words, and the RREF row of quotient word q holds the
     coefficient of q in NF(w) at the column of w.
     """
-    words = trunc.block(md).words
+    words = words_of_multidegree(trunc.ctx, md)
     index = {w: k for k, w in enumerate(words)}
     last = len(words) - 1
     delta = [[CycScalar.zero()] * len(words) for _ in words]
@@ -115,7 +115,7 @@ def _assert_block_matches_dense(trunc, md):
     blk = trunc.block(md)
     quotient, forms = _dense_normal_forms(trunc, md)
     assert blk.quotient_words == quotient, md
-    for w in blk.words:
+    for w in words_of_multidegree(trunc.ctx, md):
         nf = trunc.normal_form(GradedVector.from_word(w))
         assert set(nf.terms) <= set(quotient), w
         if w in quotient:
@@ -126,20 +126,34 @@ def _assert_block_matches_dense(trunc, md):
 
 
 def _assert_delta_of_quotient_words(trunc):
+    # Below the truncation degree: no block reads Delta of the top degree.
     for md, blk in trunc._blocks.items():
-        assert list(blk.delta) == blk.quotient_words, md
+        top = sum(md) == trunc.max_degree
+        assert list(blk.delta) == ([] if top else blk.quotient_words), md
 
 
 def test_graded_dims_keeps_delta_of_quotient_words(w_triple):
-    # A block keeps Delta_{n-1,1} of its quotient words only, the prefixes
-    # of the candidate columns one degree up, and the word algebra caches
-    # only word degrees and actions.
+    # A block below the truncation degree keeps Delta_{n-1,1} of its
+    # quotient words only, the prefixes of the candidate columns one degree
+    # up; a block of the truncation degree keeps none.  The word algebra
+    # caches only word degrees and actions.
     trunc = nichols_truncate(w_triple, 4)
     trunc.graded_dims()
     _assert_delta_of_quotient_words(trunc)
     ctx = trunc.ctx
     caches = [v for v in vars(ctx).values() if isinstance(v, dict)]
     assert [id(v) for v in caches] == [id(ctx._deg_cache), id(ctx._act_cache)]
+
+
+def test_graded_dims_enumerates_no_block(w_triple):
+    # A block derives a word's normal form only when it is asked for, so
+    # after graded_dims() the top block (2, 2, 2) of W@6 holds the forms of
+    # its candidates but not of its 5,760 words.
+    trunc = nichols_truncate(w_triple, 6)
+    trunc.graded_dims()
+    words = words_of_multidegree(trunc.ctx, (2, 2, 2))
+    assert len(words) == 5760
+    assert len(trunc.block((2, 2, 2)).nf) < len(words)
 
 
 def test_block_eliminates_candidate_columns(w_triple, monkeypatch):
@@ -158,7 +172,8 @@ def test_block_eliminates_candidate_columns(w_triple, monkeypatch):
     for n in range(1, 5):
         for md in trunc.multidegrees(n):
             del columns[:]
-            words = len(trunc.block(md).words)
+            trunc.block(md)
+            words = len(words_of_multidegree(trunc.ctx, md))
             expected = sum(
                 trunc.dim_multidegree(md[:s] + (k - 1,) + md[s + 1:])
                 * w_triple[s].dim for s, k in enumerate(md) if k)
@@ -173,13 +188,13 @@ def test_block_eliminates_candidate_columns(w_triple, monkeypatch):
 
 def test_capped_block_leaves_delta_of_quotient_words_only(w_triple,
                                                           monkeypatch):
-    # A block over the word cap raises after blocks of its degree are
-    # stored; every stored block still holds Delta of its quotient words
-    # only, as it would after a complete run.
-    monkeypatch.setattr(nichols, "MAX_BLOCK_WORDS", 150)
+    # A block over the candidate cap raises after blocks of its degree are
+    # stored; every stored block below the truncation degree still holds
+    # Delta of its quotient words only, as it would after a complete run.
+    monkeypatch.setattr(nichols, "MAX_BLOCK_CANDIDATES", 50)
     trunc = nichols_truncate(w_triple, 4)
     with pytest.raises(ResourceBoundError,
-                       match=r"multidegree \(1, 1, 2\) has 192 words"):
+                       match=r"multidegree \(1, 1, 2\) has 72 candidate"):
         trunc.graded_dims()
     assert any(sum(md) == 4 for md in trunc._blocks)
     _assert_delta_of_quotient_words(trunc)
@@ -210,8 +225,9 @@ def test_block_delta_matches_delta_last(which, degree, z9_pair, tower_pair):
     def terms(vec):
         return [(k, str(c), c.conductor) for k, c in vec.items()]
 
-    # The top degree too; the empty word has no (n-1, 1) part.
-    for n in range(1, degree + 1):
+    # Below the truncation degree only: its blocks hold no Delta.  The
+    # empty word has no (n-1, 1) part.
+    for n in range(1, degree):
         for md in trunc.multidegrees(n):
             blk = trunc.block(md)
             assert list(blk.delta) == blk.quotient_words, md
@@ -225,9 +241,9 @@ def test_normal_form_sums_word_forms_in_term_order(w_triple):
     trunc = nichols_truncate(w_triple, 3)
     picked = []
     for md in [(1, 1, 1), (2, 1, 0)]:
-        blk = trunc.block(md)
-        quotient = set(blk.quotient_words)
-        picked.append([w for w in blk.words if w not in quotient][:3])
+        quotient = set(trunc.block(md).quotient_words)
+        picked.append([w for w in words_of_multidegree(trunc.ctx, md)
+                       if w not in quotient][:3])
     rng = random.Random(7)
     vec = GradedVector()
     for u, v in zip(*picked):
@@ -261,18 +277,25 @@ def test_deep_block_recursion(tower_pair):
     assert trunc.dim_multidegree((63, 1)) == 64
 
 
-def test_block_word_cap_is_checked_before_enumeration(w_triple, monkeypatch):
-    # (3, 3, 2) on W has 8!/(3! 3! 2!) * 2^8 = 143,360 words.  The cap is
-    # checked before the block reads its lower blocks, so no block of any
-    # degree enumerates a word.
-    trunc = nichols_truncate(w_triple, 8)
+def test_block_candidate_cap_is_checked_before_delta(w_triple, monkeypatch):
+    # (1, 2, 2) on W has 2 (dim B(0, 2, 2) + dim B(1, 1, 2) + dim B(1, 2, 1))
+    # = 164 candidates.  The cap is checked once the lower blocks are built,
+    # before Delta_{n-1,1} of any word of the block is computed.
+    md = (1, 2, 2)
+    monkeypatch.setattr(nichols, "MAX_BLOCK_CANDIDATES", 163)
+    trunc = nichols_truncate(w_triple, 5)
+    ctx = trunc.ctx
+    delta_last = ctx.delta_last
 
-    def enumerate_words(md):
-        raise AssertionError(f"words of {md} enumerated")
-    monkeypatch.setattr(trunc, "words_of_multidegree", enumerate_words)
+    def guarded(w, *args):
+        if ctx.multidegree(w) == md:
+            raise AssertionError(f"Delta of {w} computed")
+        return delta_last(w, *args)
+    monkeypatch.setattr(ctx, "delta_last", guarded)
     with pytest.raises(ResourceBoundError,
-                       match=r"multidegree \(3, 3, 2\) has 143360 words"):
-        trunc.block((3, 3, 2))
+                       match=r"multidegree \(1, 2, 2\) has 164 candidate"):
+        trunc.block(md)
+    assert md not in trunc._blocks
 
 
 def test_oracle_equivalence_kernels(w_presets, w_pair):
@@ -335,7 +358,7 @@ def test_words_of_multidegree_match_filtered_product(w_presets, w_pair,
         for n in range(6):
             words = list(product(ctx.letters, repeat=n))
             for md in trunc.multidegrees(n):
-                assert trunc.words_of_multidegree(md) == [
+                assert words_of_multidegree(ctx, md) == [
                     w for w in words if ctx.multidegree(w) == md], md
 
 
@@ -344,7 +367,7 @@ def test_trivial_braiding_gives_exterior_like_counts(z2cubed, w_presets):
     trunc = nichols_truncate(w_presets[3], 3)
     for n in range(1, 4):
         for md in trunc.multidegrees(n):
-            blk_words = len(trunc.words_of_multidegree(md))
+            blk_words = len(words_of_multidegree(trunc.ctx, md))
             assert (trunc.dim_multidegree(md)
                     + ideal_dim_multidegree(trunc, md)) == blk_words
 

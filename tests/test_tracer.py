@@ -58,3 +58,6 @@ def test_traced_nichols_run(tmp_path):
     # The tracer's input hook reads rref's dense list rows.
     assert layers["cyclo.rref.calls"] > 0
     assert layers["cyclo.rref.cells"] > 0
+    # The tracer reads len(blk.words), the block's word count, which the
+    # engine keeps for it alone: W1 at degree 3 has 2^3 words.
+    assert layers["nichols.block.words_max"] == 8
