@@ -225,7 +225,7 @@ class CycScalar:
             return None  # inconsistent: not in the subfield
         sol = [Fraction(0)] * ncols
         for r, p in zip(reduced, pivots):
-            sol[p] = r[ncols].rational_value()
+            sol[p] = r.get(ncols, _ZERO).rational_value()
         return CycScalar(d, sol)
 
     def canonical_key(self) -> tuple:
@@ -474,18 +474,20 @@ def parse_scalar(text: str) -> CycScalar:
 Matrix = list  # list[list[CycScalar]]
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the pivot column indices.
+def rref(rows: Matrix) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form, as sparse rows, and the pivot columns.
 
-    Elimination runs on sparse rows, dicts from column to nonzero entry: a
-    step updates only the rows holding the pivot column, over the pivot row's
-    support.  Rows stay in the dense order of a Gauss-Jordan sweep, so every
-    entry is computed by the same operations as the dense elimination would
-    give it.  A rational entry is eliminated as an int (a Fraction if it is
-    not an integer), an irrational one as a CycScalar.  That cannot change a
-    result or its stored conductor: a rational value has the one encoding at
-    conductor 1, and arithmetic between a CycScalar at conductor n and an int
-    promotes to lcm(1, n) = n, as it does with a conductor-1 CycScalar.
+    The input is dense rows, which perfbench/tracer.py counts (ROADMAP item
+    4).  Each reduced row is a dict from column to nonzero CycScalar, keys
+    ascending, and elimination runs on such rows: a step updates only the
+    rows holding the pivot column, over the pivot row's support.  Rows stay
+    in the dense order of a Gauss-Jordan sweep, so every entry is computed
+    by the same operations as the dense elimination would give it.  A
+    rational entry is eliminated as an int (a Fraction if not an integer),
+    an irrational one as a CycScalar.  That cannot change a result or its
+    stored conductor: a rational value has the one encoding at conductor 1,
+    and arithmetic between a CycScalar at conductor n and an int promotes to
+    lcm(1, n) = n, as it does with a conductor-1 CycScalar.
     """
     if not rows:
         return [], []
@@ -520,7 +522,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == len(mat):
             break
-    return [[_scalar(row[j]) if j in row else _ZERO for j in range(ncols)]
+    return [{j: _scalar(row[j]) for j in sorted(row)}
             for row in mat[:r]], pivots
 
 
@@ -552,7 +554,7 @@ def nullspace(rows: Matrix, ncols: int) -> Matrix:
         vec = [_ZERO] * ncols
         vec[free] = _ONE
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
+            vec[p] = -row.get(free, _ZERO)
         basis.append(vec)
     return basis
 
@@ -600,19 +602,3 @@ def det(mat: Matrix) -> CycScalar:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return result
-
-
-def coords_in_rref(reduced: Matrix, pivots: list[int], vec) -> list | None:
-    """Coordinates of vec in the row space of an RREF basis, or None."""
-    residual = list(vec)
-    coeffs = []
-    for row, p in zip(reduced, pivots):
-        c = residual[p]
-        coeffs.append(c)
-        if not c.is_zero():
-            for j, y in enumerate(row):
-                if not y.is_zero():
-                    residual[j] = residual[j] - c * y
-    if any(not x.is_zero() for x in residual):
-        return None
-    return coeffs

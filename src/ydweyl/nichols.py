@@ -59,8 +59,7 @@ def _compositions(total: int, parts: int):
 
 
 class _Block:
-    __slots__ = ("words", "quotient_words", "position", "lower", "nf",
-                 "delta")
+    __slots__ = ("words", "quotient_words", "lower", "nf", "delta")
 
     def __init__(self, count, quotient_words, lower, nf, delta):
         # Read only by perfbench/tracer.py (nichols.block.words_max) for the
@@ -68,7 +67,6 @@ class _Block:
         # item 5).
         self.words = range(count)
         self.quotient_words = quotient_words
-        self.position = {q: i for i, q in enumerate(quotient_words)}
         # lower[s]: block md - e_s
         self.lower = lower
         # nf[w]: NF(w) as (position of quotient word, nonzero coefficient)
@@ -92,11 +90,8 @@ class _Block:
         return nf
 
     def coords(self, vec: GradedVector) -> list:
-        """Dense row of a normal form of this block over its quotient words."""
-        row = [_ZERO] * len(self.quotient_words)
-        for q, c in vec.items():
-            row[self.position[q]] = c
-        return row
+        """Dense row of a normal form over the quotient words: rref's input."""
+        return [vec.terms.get(q, _ZERO) for q in self.quotient_words]
 
 
 class NicholsTruncation:
@@ -132,17 +127,8 @@ class NicholsTruncation:
                 f"multidegree {md} exceeds the truncation degree {self.max_degree}")
         if md in self._blocks:
             return self._blocks[md]
-        # lower[s]: block md - e_s, with NF(a) for c a (x) b, b in slot s
-        lower = {s: self.block(md[:s] + (k - 1,) + md[s + 1:])
-                 for s, k in enumerate(md) if k}
+        lower = self._lower(md)
         dims = [m.dim for m in self.ctx.modules]
-        count = sum(len(blk.quotient_words) * dims[s]
-                    for s, blk in lower.items())
-        if count > MAX_BLOCK_CANDIDATES:
-            raise ResourceBoundError(
-                f"multidegree {md} has {count} candidate words, exceeding "
-                f"the largest supported block of {MAX_BLOCK_CANDIDATES} "
-                f"candidates")
         cands = sorted(p + ((s, b),) for s, blk in lower.items()
                        for p in blk.quotient_words for b in range(dims[s]))
         # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(cands[k]); its
@@ -169,14 +155,26 @@ class NicholsTruncation:
         quotient = [cands[last - p] for p in reversed(pivots)]
         nf = {w: [] for w in cands}
         for i, row in enumerate(reversed(reduced)):
-            for k, c in enumerate(row):
-                if c is not _ZERO and not c.is_zero():
-                    nf[cands[last - k]].append((i, c))
+            for k, c in row.items():
+                nf[cands[last - k]].append((i, c))
         delta = {q: deltas[q] for q in quotient if keep}
         # Each word of md is a word of some md - e_s times a letter of slot s.
         words = sum(len(blk.words) * dims[s] for s, blk in lower.items())
         blk = self._blocks[md] = _Block(words, quotient, lower, nf, delta)
         return blk
+
+    def _lower(self, md: tuple) -> dict:
+        """Blocks md - e_s by slot s; raises if md has too many candidates."""
+        lower = {s: self.block(md[:s] + (k - 1,) + md[s + 1:])
+                 for s, k in enumerate(md) if k}
+        count = sum(len(blk.quotient_words) * self.ctx.modules[s].dim
+                    for s, blk in lower.items())
+        if count > MAX_BLOCK_CANDIDATES:
+            raise ResourceBoundError(
+                f"multidegree {md} has {count} candidate words, exceeding "
+                f"the largest supported block of {MAX_BLOCK_CANDIDATES} "
+                f"candidates")
+        return lower
 
     def multidegrees(self, n: int):
         return list(_compositions(n, self.theta))
@@ -187,8 +185,13 @@ class NicholsTruncation:
         return len(self.block(md).quotient_words)
 
     def graded_dims(self) -> tuple:
-        return tuple(sum(map(self.dim_multidegree, self.multidegrees(n)))
-                     for n in range(self.max_degree + 1))
+        dims = []
+        for n in range(self.max_degree + 1):
+            mds = self.multidegrees(n)
+            for md in mds:  # refuse degree n before eliminating any of it
+                self._lower(md)
+            dims.append(sum(map(self.dim_multidegree, mds)))
+        return tuple(dims)
 
     # ---- normal forms ------------------------------------------------------
 

@@ -12,7 +12,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from .cyclo import coords_in_rref, rref
+from .cyclo import CycScalar, rref
 from .errors import UndecidedAtCutoff, ValidationError
 from .freebraid import GradedVector
 from .nichols import NicholsTruncation, nichols_truncate
@@ -82,23 +82,29 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
     One RREF over the block's quotient words, which support every normal
     form, gives the basis.  The vectors are G-homogeneous, rows of different
     degrees have disjoint word supports and elimination never mixes them, so
-    each row's degree is its pivot word's.
+    each row's degree is its pivot word's.  Basis vector k is 1 at pivot
+    word k and 0 at the others, so an image's coordinates are its
+    coefficients at the pivot words.
     """
     if all(v.is_zero() for v in vectors):
         return None
     ctx = trunc.ctx
     blk = trunc.block(md)
     reduced, pivots = rref([blk.coords(v) for v in vectors])
-    basis = [GradedVector(zip(blk.quotient_words, row)) for row in reduced]
+    words = blk.quotient_words
+    basis = [GradedVector((words[j], c) for j, c in row.items())
+             for row in reduced]
     action = {}
     for g in ctx.group.elements():
-        cols = [coords_in_rref(reduced, pivots,
-                               blk.coords(ad_group(trunc, g, v)))
-                for v in basis]
-        if None in cols:
+        images = [ad_group(trunc, g, v) for v in basis]
+        cols = [[im.terms.get(words[p], CycScalar.zero()) for p in pivots]
+                for im in images]
+        spans = [GradedVector((w, c * y) for c, b in zip(col, basis) if c
+                              for w, y in b.items()) for col in cols]
+        if images != spans:
             raise ValidationError("ad level is not action-stable")
         action[g] = [list(row) for row in zip(*cols)]
-    degrees = [ctx.word_degree(blk.quotient_words[p]) for p in pivots]
+    degrees = [ctx.word_degree(words[p]) for p in pivots]
     module = YDModule(ctx.group, ctx.cocycle, degrees, action, name=name)
     report = yd_axiom_check(module)
     if not report:

@@ -131,6 +131,12 @@ def dense_rref(rows):
     return mat[:r], pivots
 
 
+def dense_rows(reduced, ncols: int) -> list:
+    """rref's sparse rows written out as dense rows of ncols CycScalars."""
+    return [[row.get(j, CycScalar.zero()) for j in range(ncols)]
+            for row in reduced]
+
+
 def pentagon_holds(phi) -> bool:
     """The pentagon identity of phi on all |G|^4 quadruples."""
     g, v = phi.group, phi.value
@@ -351,7 +357,7 @@ def kernel_rref(ctx: WordAlgebra, words, image_fn):
             rows[index[tw]][col] = c
     kernel = nullspace(rows, len(words))
     reduced, _ = rref(kernel)
-    return [[str(x) for x in row] for row in reduced]
+    return [[str(x) for x in row] for row in dense_rows(reduced, len(words))]
 
 
 def check_against_symmetrizer(trunc, n: int):

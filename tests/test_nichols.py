@@ -188,15 +188,16 @@ def test_block_eliminates_candidate_columns(w_triple, monkeypatch):
 
 def test_capped_block_leaves_delta_of_quotient_words_only(w_triple,
                                                           monkeypatch):
-    # A block over the candidate cap raises after blocks of its degree are
-    # stored; every stored block below the truncation degree still holds
-    # Delta of its quotient words only, as it would after a complete run.
+    # graded_dims refuses a degree with a block over the candidate cap
+    # before it builds any block of that degree; every stored block still
+    # holds Delta of its quotient words only, as after a complete run.
     monkeypatch.setattr(nichols, "MAX_BLOCK_CANDIDATES", 50)
     trunc = nichols_truncate(w_triple, 4)
     with pytest.raises(ResourceBoundError,
                        match=r"multidegree \(1, 1, 2\) has 72 candidate"):
         trunc.graded_dims()
-    assert any(sum(md) == 4 for md in trunc._blocks)
+    assert all(md in trunc._blocks for md in trunc.multidegrees(3))
+    assert not any(sum(md) == 4 for md in trunc._blocks)
     _assert_delta_of_quotient_words(trunc)
 
 

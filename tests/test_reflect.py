@@ -113,6 +113,18 @@ def test_level_zero_is_m_j(w_pair, z9_pair):
                 assert rebuilt.act_matrix(g) == mj.act_matrix(g)
 
 
+def test_ad_level_refuses_a_span_that_is_not_action_stable(w_pair, z2cubed):
+    # g1 swaps the basis of W2, so span{x0} of W2 is not G-stable: the image
+    # of x0 is not a multiple of x0.
+    group, _ = z2cubed
+    g1 = group.element_index((1, 0, 0))
+    trunc = nichols_truncate(w_pair, 2)
+    x0, x1 = (GradedVector.from_word(((1, b),)) for b in range(2))
+    assert ad_group(trunc, g1, x0) == x1
+    with pytest.raises(ValidationError, match="not action-stable"):
+        _ad_level(trunc, (0, 1), 0, [x0], "x0")
+
+
 def test_ad_levels_strictly_graded_disjoint(w_pair):
     levels = ad_power_module(w_pair, 0, 1)
     mds = [tuple(lv.n if s == 0 else 1 if s == 1 else 0 for s in range(2))
