@@ -13,7 +13,8 @@ coordinate bound.  The infinite-dimensionality certificate reads the Cartan
 type of a standard graph off the Dynkin diagram of its Cartan matrix, by the
 bonds and arms of Kac's Table Fin, on integers alone.
 The Weyl groupoid's morphisms, whose composites the tests check the root
-closure against, live in tests/oracles.py.
+closure against, and that closure as first written live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ DEFAULT_ROOT_BOUND = 50
 # Most (vertex, root) states the root closure may reach.  The count grows
 # linearly with the coordinate bound B (about 288 B on W over Z2^3, 1,150 B
 # on V over Z2xZ2xZ4); on a 2-core VM W at B = 1600 reaches 460,734 states in
-# 1.3 s and V at B = 430 reaches 495,084 in 1.4 s, each adding about 100 MB.
+# 1.4-2.4 s and V at B = 430 reaches 495,084 in 1.7-2.5 s, each adding about
+# 64 MB.
 MAX_ROOT_STATES = 500_000
 
 
@@ -144,30 +146,37 @@ def real_roots(graph: SemiCartanGraph,
     than MAX_ROOT_STATES states raises ResourceBoundError.
     """
     theta = graph.theta
-    simple = [tuple(int(k == j) for k in range(theta)) for j in range(theta)]
-    frontier = [(v.vid, a) for v in graph.vertices for a in simple]
+    # Per vertex, per i: r_i(X) and the (position, coefficient) pairs of
+    # s_i^X beta at i = beta_i - sum_j a_ij beta_j, over a state
+    # (vid, beta_1, ..., beta_theta).
+    steps = [[(graph.r(i, v.vid),
+               tuple((j + 1, int(j == i) - a) for j, a in enumerate(v.cartan[i])
+                     if a != int(j == i)))
+              for i in range(theta)] for v in graph.vertices]
+    frontier = [(v.vid,) + tuple(int(k == j) for k in range(theta))
+                for v in graph.vertices for j in range(theta)]
     seen = set(frontier)
     while frontier:
         new = []
-        for vid, beta in frontier:
-            A = graph.cartan(vid)
-            for i in range(theta):
-                # s_i^X beta = beta - (sum_j a_ij beta_j) alpha_i
-                coord = beta[i] - sum(a * b for a, b in zip(A[i], beta))
+        for state in frontier:
+            for i, (target, terms) in enumerate(steps[state[0]]):
+                coord = 0
+                for k, c in terms:
+                    coord += c * state[k]
                 if abs(coord) > bound:
                     return {}, True
-                state = (graph.r(i, vid), beta[:i] + (coord,) + beta[i + 1:])
-                if state not in seen:
+                nxt = (target,) + state[1:i + 1] + (coord,) + state[i + 2:]
+                if nxt not in seen:
                     if len(seen) >= MAX_ROOT_STATES:
                         raise ResourceBoundError(
                             f"root closure exceeds {MAX_ROOT_STATES} states "
                             f"below coordinate bound {bound}")
-                    seen.add(state)
-                    new.append(state)
+                    seen.add(nxt)
+                    new.append(nxt)
         frontier = new
     roots = {v.vid: [] for v in graph.vertices}
-    for vid, beta in sorted(seen):
-        roots[vid].append(beta)
+    for state in sorted(seen):
+        roots[state[0]].append(state[1:])
     return roots, False
 
 

@@ -26,7 +26,8 @@ so the tests can state the paper's identities against it:
   * reflections: the dimension of each ad level;
   * YD modules: the trivial module, tensor products, braiding matrices and
     componentwise isomorphism of tuples;
-  * the Weyl groupoid's morphisms and root counts per vertex.
+  * the Weyl groupoid's morphisms and root counts per vertex, and the
+    root closure as first written (reference_real_roots).
 
 Only the standard library and ydweyl are imported: perfbench/selfcheck.py
 imports oracle_graded_dims without pytest.
@@ -42,7 +43,8 @@ from math import gcd
 from weakref import WeakKeyDictionary
 
 from ydweyl.cyclo import CycScalar, det, nullspace, rref
-from ydweyl.errors import ValidationError
+from ydweyl import weylgraph
+from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
 from ydweyl.weylgraph import CartanTypeResult, _components
 from ydweyl.ydcat import YDModule, iso_test
@@ -770,6 +772,38 @@ def morphism_root_sets(graph, max_morphisms: int = 100_000) -> dict:
             frontier = new
         out[v.vid] = {mor.apply(a) for mor in seen.values() for a in simple}
     return out
+
+
+def reference_real_roots(graph, bound: int) -> tuple[dict, bool]:
+    """weylgraph.real_roots as it was first written: each state a (vid, beta)
+    pair, each step re-reading the Cartan row.  Same BFS order, truncation
+    test, weylgraph.MAX_ROOT_STATES check and result."""
+    theta = graph.theta
+    simple = [tuple(int(k == j) for k in range(theta)) for j in range(theta)]
+    frontier = [(v.vid, a) for v in graph.vertices for a in simple]
+    seen = set(frontier)
+    while frontier:
+        new = []
+        for vid, beta in frontier:
+            A = graph.cartan(vid)
+            for i in range(theta):
+                # s_i^X beta = beta - (sum_j a_ij beta_j) alpha_i
+                coord = beta[i] - sum(a * b for a, b in zip(A[i], beta))
+                if abs(coord) > bound:
+                    return {}, True
+                state = (graph.r(i, vid), beta[:i] + (coord,) + beta[i + 1:])
+                if state not in seen:
+                    if len(seen) >= weylgraph.MAX_ROOT_STATES:
+                        raise ResourceBoundError(
+                            f"root closure exceeds {weylgraph.MAX_ROOT_STATES} "
+                            f"states below coordinate bound {bound}")
+                    seen.add(state)
+                    new.append(state)
+        frontier = new
+    roots = {v.vid: [] for v in graph.vertices}
+    for vid, beta in sorted(seen):
+        roots[vid].append(beta)
+    return roots, False
 
 
 # ---------------------------------------------------------------------------

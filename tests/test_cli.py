@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -271,6 +272,41 @@ def test_exit_code_validation_failure(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "--session", str(path), "validate")
     assert code == 3 and "pentagon" in err
+
+
+def _z3_table(value):
+    """A Z3 session with no modules and the cocycle table value(a, b, c)."""
+    flat = [value(a, b, c) for a in range(3) for b in range(3)
+            for c in range(3)]
+    return _edited(group={"abelian": [3]}, cocycle={"table": flat},
+                   modules={}, tuples={})
+
+
+def _z3_coboundary(a, b, c):
+    """(d psi)(a, b, c) on Z3 for the normalized 2-cochain psi(1, 1) = 2."""
+    def psi(x, y):
+        return Fraction(2) if (x, y) == (1, 1) else Fraction(1)
+    return str(psi(b, c) * psi(a, (b + c) % 3)
+               / (psi((a + b) % 3, c) * psi(a, b)))
+
+
+@pytest.mark.parametrize("value, code, out, err", [
+    # zeta(999)'s roots of unity are those of order 1998, above the
+    # largest conductor: the pentagon is checked on scalars, and fails.
+    (lambda a, b, c: "zeta(999)" if (a, b, c) == (2, 1, 1) else "1", 3, "",
+     "group: order 3: pass\n"
+     "cocycle: pentagon over 81 quadruples: FAIL: pentagon fails at "
+     "quadruple (1,1,1,1): 1 != zeta(999)\n"),
+    # A coboundary with values 2 and 1/2, no roots of unity: it passes.
+    (_z3_coboundary, 0,
+     "group: order 3: pass\ncocycle: pentagon over 81 quadruples: pass\n"
+     "all checks passed\n", ""),
+])
+def test_cocycle_tables_off_the_exponent_path(capsys, tmp_path, value, code,
+                                               out, err):
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(_z3_table(value)))
+    assert run(capsys, "--session", str(path), "validate") == (code, out, err)
 
 
 def test_exit_code_undecided(capsys, tmp_path):

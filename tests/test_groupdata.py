@@ -9,9 +9,9 @@ from oracles import pentagon_holds, preantipode_scalar
 from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, root_of_unity
 from ydweyl.errors import ResourceBoundError, ValidationError
-from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, check_3cocycle,
-                              group_from_cayley, make_abelian_group,
-                              sign_cocycle)
+from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, _pentagon_on_values,
+                              check_3cocycle, group_from_cayley,
+                              make_abelian_group, sign_cocycle)
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
@@ -201,3 +201,42 @@ def test_check_3cocycle_agrees_with_full_pentagon_walk(orders):
         assert check_3cocycle(phi).ok == expected, (trial, expected)
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sign_cocycle(make_abelian_group([2, 2, 2])),
+    lambda: Cocycle3.trivial(make_abelian_group([2, 2, 2])),
+    _z3_twisted], ids=["sign-z2cubed", "trivial-z2cubed", "z3twisted"])
+def test_check_3cocycle_matches_the_scalar_walk_on_corrupted_tables(make):
+    # check_3cocycle reads root-of-unity tables through their exponents; on
+    # any table its report (verdict and first-failure line) is the one the
+    # walk over exact scalars gives.  Factors: roots of unity (exponent
+    # path), 2 (not a root of unity) and zeta(999) (exponents mod 1998,
+    # above MAX_CONDUCTOR); the last two take the scalar walk.
+    phi = make()
+    G = phi.group
+    n = G.order
+    rng = random.Random(n)
+    factors = [CycScalar.from_rational(-1), root_of_unity(4, 1),
+               root_of_unity(3, 1), CycScalar.from_rational(2),
+               root_of_unity(999, 1)]
+    tables = [list(phi._table)]
+    for factor in factors:
+        for _ in range(3):
+            a, b, c = (rng.randrange(1, n) for _ in range(3))
+            flat = list(phi._table)
+            flat[(a * n + b) * n + c] = flat[(a * n + b) * n + c] * factor
+            tables.append(flat)
+    verdicts = set()
+    for flat in tables:
+        got = check_3cocycle(Cocycle3(G, flat))
+        want = _pentagon_on_values(Cocycle3(G, flat))
+        assert (got.ok, got.violations) == (want.ok, want.violations)
+        assert got.ok == pentagon_holds(Cocycle3(G, flat))
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}
+
+
+def test_check_3cocycle_report_is_memoized(z2cubed):
+    _, phi = z2cubed
+    assert check_3cocycle(phi) is check_3cocycle(phi) is phi.pentagon()

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from ydweyl import weylgraph
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.groupdata import make_abelian_group, sign_cocycle
 from ydweyl.weylgraph import (CartanTypeResult, SemiCartanGraph, Vertex,
@@ -13,7 +14,8 @@ from ydweyl.weylgraph import (CartanTypeResult, SemiCartanGraph, Vertex,
                               to_dot)
 from ydweyl.ydcat import ModuleTuple, preset_module
 from oracles import (cartan_catalog, degree_orbit, generator_morphism,
-                     morphism_root_sets, oracle_cartan_type, root_counts)
+                     morphism_root_sets, oracle_cartan_type,
+                     reference_real_roots, root_counts)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,11 @@ B2 = _hand_built([[[2, -2], [-1, 2]]], {(0, 0): 0, (1, 0): 0})
 NONSTANDARD = _hand_built(
     [[[2, -1], [-2, 2]], [[2, -1], [-2, 2]], [[2, -1], [-1, 2]]],
     {(0, 0): 0, (0, 1): 2, (0, 2): 1, (1, 0): 1, (1, 1): 0, (1, 2): 2})
+
+
+# The A3 matrix at one vertex: 12 roots.
+A3 = _hand_built([[[2, -1, 0], [-1, 2, -1], [0, -1, 2]]],
+                 {(i, 0): 0 for i in range(3)})
 
 
 def test_b2_truncation_is_the_largest_coordinate():
@@ -326,3 +333,38 @@ def test_dot_output_is_deterministic(pair_graph):
     assert dot1 == dot2
     assert dot1.startswith("graph semicartan {")
     assert dot1.count(" -- ") == 6  # 6 vertices, involutive edges 1 and 2
+
+
+@pytest.fixture(scope="module")
+def closure_cases(w_graph, pair_graph, v_triple, z9_pair):
+    """(graph, bound) pairs: W at 20 and 50, W12 and V at 50, z9pair's P,
+    and the hand-built graphs at bounds that truncate and that do not."""
+    v_graph = build_cartan_graph(v_triple, vertex_bound=128)
+    z9_graph = build_cartan_graph(z9_pair[1])
+    cases = [(w_graph, 20), (w_graph, 50), (pair_graph, 50), (v_graph, 50),
+             (z9_graph, 50)]
+    for graph in (B2, NONSTANDARD, A3):
+        cases += [(graph, bound) for bound in (1, 2, 3, 50)]
+    return cases
+
+
+def test_root_closure_matches_reference(closure_cases):
+    truncated = set()
+    for graph, bound in closure_cases:
+        got, want = real_roots(graph, bound), reference_real_roots(graph, bound)
+        assert got == want and list(got[0]) == list(want[0]), bound
+        truncated.add(got[1])
+    assert truncated == {True, False}
+
+
+@pytest.mark.parametrize("cap", [1, 100, 1000])
+def test_root_closure_cap_matches_reference(closure_cases, monkeypatch, cap):
+    monkeypatch.setattr(weylgraph, "MAX_ROOT_STATES", cap)
+    for graph, bound in closure_cases:
+        outcomes = []
+        for closure in (real_roots, reference_real_roots):
+            try:
+                outcomes.append(closure(graph, bound))
+            except ResourceBoundError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (cap, bound)

@@ -1,15 +1,24 @@
 import gc
+import json
+import os
 import weakref
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from ydweyl import reflect, ydcat
+from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, det, identity_matrix, mat_mul
 from ydweyl.errors import ValidationError
 from ydweyl.groupdata import make_abelian_group, sign_cocycle
-from ydweyl.ydcat import (ModuleTuple, YDModule, dual, iso_test,
-                          module_canonical_key, preset_module, yd_axiom_check)
+from ydweyl.weylgraph import build_cartan_graph
+from ydweyl.ydcat import (ModuleTuple, YDModule, _generators, _yd_walk, dual,
+                          iso_test, module_canonical_key, preset_module,
+                          yd_axiom_check)
+from conftest import tower_session
 from oracles import braiding_matrix, tensor, trivial_module, tuple_iso
+
+SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
 
 def test_w1_action_table_matches_source(z2cubed, w_presets):
@@ -192,3 +201,93 @@ def test_tuple_iso(w_presets):
     t3 = ModuleTuple([w_presets[2], w_presets[1]])
     assert tuple_iso(t1, t2)
     assert not tuple_iso(t1, t3)
+
+
+def _session(name):
+    with open(os.path.join(SESSIONS, name)) as fh:
+        return Session(json.load(fh))
+
+
+@pytest.mark.parametrize("name", ["z2cubed", "z2z2z4", "z3twisted", "tower",
+                                  "z9pair"])
+def test_omega_identity_behind_the_generator_shortcut(name, request):
+    # yd_axiom_check checks the composition law on generators only; its
+    # induction step needs this identity for all (s, e', f, g).
+    if name == "tower":
+        phi = Session(tower_session(4)).cocycle
+    elif name == "z9pair":
+        phi = request.getfixturevalue("z9_pair")[1].cocycle
+    else:
+        phi = _session(f"{name}.json").cocycle
+    G = phi.group
+    w = phi.omega
+    for s, e, f, g in product(G.elements(), repeat=4):
+        assert (w(s, G.mul(e, f), g) * w(e, f, g)
+                == w(G.mul(s, e), f, g) * w(s, e, G.conj(f, g))), (s, e, f, g)
+
+
+@pytest.fixture(scope="module")
+def checked_modules():
+    """Every module yd_axiom_check sees while W's and V's sessions load and
+    their graphs close: presets, duals and ad levels."""
+    seen = []
+
+    def recording(V):
+        seen.append(V)
+        return check(V)
+
+    check = ydcat.yd_axiom_check
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ydcat, "yd_axiom_check", recording)
+        mp.setattr(reflect, "yd_axiom_check", recording)
+        for name, tuple_ in (("z2cubed.json", "W"), ("z2z2z4.json", "V")):
+            session = _session(name)
+            build_cartan_graph(session.tuples[tuple_], pairs=session.pairs(),
+                               vertex_bound=session.cutoffs["vertex_bound"])
+    return seen
+
+
+def _full_walk(V):
+    return _yd_walk(V, V.group.elements())
+
+
+def _same_report(V):
+    got, want = yd_axiom_check(V), _full_walk(V)
+    return (got.ok, got.violations) == (want.ok, want.violations)
+
+
+def test_axiom_check_matches_full_walk_on_w_and_v(checked_modules):
+    names = [m.name for m in checked_modules]
+    presets = {f"W{k}" for k in range(1, 7)} | {"V1", "V2", "V3"}
+    assert presets <= set(names)
+    assert any(n.endswith("*") for n in names)
+    assert any(n.startswith("ad^") for n in names)
+    for V in checked_modules:
+        assert _full_walk(V).ok, V.name
+        assert _same_report(V), V.name
+
+
+def _corrupted(V, g, i, j):
+    """V with entry (i, j) of A_g negated if nonzero, else set to 1."""
+    action = {h: [list(row) for row in m] for h, m in V.action.items()}
+    x = action[g][i][j]
+    action[g][i][j] = -x if x else CycScalar.one()
+    return YDModule(V.group, V.cocycle, V.degrees, action, name=V.name)
+
+
+def test_axiom_check_matches_full_walk_on_corrupted_modules(checked_modules):
+    # One entry of one matrix changed, at a generator of the greedy set, at
+    # an element outside it and at the identity: the shortcut finds a
+    # violation and the full walk writes the report.
+    picked = [m for m in checked_modules if m.name in ("W1", "V2")]
+    picked.append(next(m for m in checked_modules
+                       if m.name.startswith("ad^") and m.group.order == 16))
+    for V in picked:
+        G = V.group
+        gens = _generators(G)
+        others = [g for g in G.elements() if g and g not in gens]
+        for g in (gens[0], gens[-1], others[0], others[-1], G.identity):
+            for i, j in product(range(V.dim), repeat=2):
+                bad = _corrupted(V, g, i, j)
+                assert not _full_walk(bad).ok, (V.name, g, i, j)
+                assert _same_report(bad), (V.name, g, i, j)
