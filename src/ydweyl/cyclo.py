@@ -155,9 +155,9 @@ class CycScalar:
     @classmethod
     def from_rational(cls, x) -> "CycScalar":
         if type(x) is int:
-            return _make(1, [x], 1)
+            return _rational(x, 1)
         f = _coerce_fraction(x)
-        return _make(1, [f.numerator], f.denominator)
+        return _rational(f.numerator, f.denominator)
 
     @classmethod
     def zero(cls) -> "CycScalar":
@@ -257,8 +257,10 @@ class CycScalar:
     def __add__(self, other):
         if not isinstance(other, CycScalar):
             other = CycScalar.from_rational(other)
-        n, a, b = self._aligned(other)
         da, db = self.den, other.den
+        if len(self.num) == 1 == len(other.num):
+            return _rational(self.num[0] * db + other.num[0] * da, da * db)
+        n, a, b = self._aligned(other)
         return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
@@ -269,8 +271,10 @@ class CycScalar:
     def __sub__(self, other):
         if not isinstance(other, CycScalar):
             other = CycScalar.from_rational(other)
-        n, a, b = self._aligned(other)
         da, db = self.den, other.den
+        if len(self.num) == 1 == len(other.num):
+            return _rational(self.num[0] * db - other.num[0] * da, da * db)
+        n, a, b = self._aligned(other)
         return _make(n, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __rsub__(self, other):
@@ -282,6 +286,9 @@ class CycScalar:
                 return self
             other = CycScalar.from_rational(other)
         if len(self.num) == 1:
+            if len(other.num) == 1:
+                return _rational(self.num[0] * other.num[0],
+                                 self.den * other.den)
             self, other = other, self
         if len(other.num) == 1:  # a rational factor scales the numerators
             p = other.num[0]
@@ -304,6 +311,9 @@ class CycScalar:
     def inv(self) -> "CycScalar":
         if self.is_zero():
             raise CycloDivisionError("inverse of zero in a cyclotomic field")
+        if len(self.num) == 1:
+            p = self.num[0]
+            return _rational(self.den if p > 0 else -self.den, abs(p))
         # Extended Euclid on integer polynomials.  Each pair (r, s) keeps
         # r = s*A mod Phi_N for the numerator polynomial A; after each
         # division it is divided by its content, signed so that r's leading
@@ -346,9 +356,12 @@ class CycScalar:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, CycScalar):
+            if len(self.num) == 1 == len(other.num):
+                return self.num == other.num and self.den == other.den
+        elif isinstance(other, (int, Fraction)):
             other = CycScalar.from_rational(other)
-        elif not isinstance(other, CycScalar):
+        else:
             return NotImplemented
         _, a, b = self._aligned(other)
         return a == b and self.den == other.den
@@ -374,8 +387,8 @@ _set_den = CycScalar.den.__set__
 def _make(n: int, num: list, den: int) -> CycScalar:
     """The scalar sum_j num[j] z^j / den (len(num) = phi(n), den > 0) in
     normal form: the gcd divided out, and a rational value at conductor 1."""
-    if n > 1 and not any(num[1:]):
-        n, num = 1, num[:1]
+    if not any(num[1:]):
+        return _rational(num[0], den)
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -388,8 +401,32 @@ def _make(n: int, num: list, den: int) -> CycScalar:
     return self
 
 
-_ZERO = CycScalar(1, [0])
-_ONE = CycScalar(1, [1])
+def _rational(p: int, d: int) -> CycScalar:
+    """The rational p/d (d > 0) at conductor 1, gcd divided out; an integer
+    of _SMALL is its one shared instance."""
+    if d != 1:
+        g = gcd(p, d)
+        if g != 1:
+            p //= g
+            d //= g
+    if d == 1:
+        self = _SMALL.get(p)
+        if self is not None:
+            return self
+    self = _new(CycScalar)
+    _set_conductor(self, 1)
+    _set_num(self, (p,))
+    _set_den(self, d)
+    return self
+
+
+# The integers -64..64, built once at import and never grown: a rational
+# result equal to one of them is that instance.  _rational reads the table,
+# so it is empty while its entries are made.
+_SMALL: dict = {}
+_SMALL.update({p: _rational(p, 1) for p in range(-64, 65)})
+_ZERO = _SMALL[0]
+_ONE = _SMALL[1]
 
 
 def root_of_unity(n: int, k: int) -> CycScalar:

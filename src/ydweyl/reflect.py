@@ -13,11 +13,11 @@ tests/oracles.py.
 from __future__ import annotations
 
 from .cyclo import CycScalar, rref
-from .errors import UndecidedAtCutoff, ValidationError
+from .errors import UndecidedAtCutoff, ValidationError, YDWeylError
 from .freebraid import GradedVector
 from .nichols import NicholsTruncation, nichols_truncate
-from .ydcat import (ModuleTuple, YDModule, dual, module_canonical_key,
-                    yd_axiom_check)
+from .ydcat import (ModuleTuple, YDModule, _generators, dual,
+                    module_canonical_key, module_from_generator_actions)
 
 
 DEFAULT_AD_CUTOFF = 8
@@ -84,7 +84,9 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
     degrees have disjoint word supports and elimination never mixes them, so
     each row's degree is its pivot word's.  Basis vector k is 1 at pivot
     word k and 0 at the others, so an image's coordinates are its
-    coefficients at the pivot words.
+    coefficients at the pivot words.  Only the generators of G act: a span
+    stable under them is stable under G, and module_from_generator_actions
+    derives and validates the other matrices.
     """
     if all(v.is_zero() for v in vectors):
         return None
@@ -95,26 +97,25 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
     basis = [GradedVector((words[j], c) for j, c in row.items())
              for row in reduced]
     action = {}
-    for g in ctx.group.elements():
-        images = [ad_group(trunc, g, v) for v in basis]
+    for s in _generators(ctx.group):
+        images = [ad_group(trunc, s, v) for v in basis]
         cols = [[im.terms.get(words[p], CycScalar.zero()) for p in pivots]
                 for im in images]
         spans = [GradedVector((w, c * y) for c, b in zip(col, basis) if c
                               for w, y in b.items()) for col in cols]
         if images != spans:
             raise ValidationError("ad level is not action-stable")
-        action[g] = [list(row) for row in zip(*cols)]
+        action[s] = [list(row) for row in zip(*cols)]
     degrees = [ctx.word_degree(words[p]) for p in pivots]
-    module = YDModule(ctx.group, ctx.cocycle, degrees, action, name=name)
-    report = yd_axiom_check(module)
-    if not report:
-        raise ValidationError(f"ad level failed YD validation: {report.summary()}")
+    module = module_from_generator_actions(ctx.group, ctx.cocycle, degrees,
+                                           action, name=name)
     return AdLevel(n, basis, module)
 
 
 def ad_power_module(M: ModuleTuple, i: int, j: int,
                     cutoff: int = DEFAULT_AD_CUTOFF,
-                    max_degree: int = DEFAULT_TRUNCATION_DEGREE) -> AdLevels:
+                    max_degree: int = DEFAULT_TRUNCATION_DEGREE,
+                    trunc: NicholsTruncation | None = None) -> AdLevels:
     """Levels ad(M_i)^n(M_j) inside B(M), up to first vanishing or a bound.
 
     Level n lives in degree n + 1, so levels n <= min(cutoff, max_degree - 1)
@@ -124,12 +125,13 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
     matrices.  The tower is computed in the truncation of B(M_lo (+) M_hi)
     with the lower of slots i, j first.  That truncation holds the same
     blocks, in the same word order, as B(M) does in the multidegrees of the
-    two slots.
+    two slots, and the towers (i, j) and (j, i) may share it: trunc, if
+    given, is that truncation, built to max_degree.
     """
     if i == j:
         raise ValidationError("ad_power_module needs distinct slots")
-    lo, hi = sorted((i, j))
-    trunc = nichols_truncate(ModuleTuple([M[lo], M[hi]]), max_degree)
+    if trunc is None:
+        trunc = _pair_truncation(M, i, j, max_degree)
     si, sj = int(i > j), int(j > i)
     result = AdLevels(tuple_=M, i=i, j=j)
     letters_i = [GradedVector.from_word(((si, b),)) for b in range(M[i].dim)]
@@ -151,6 +153,12 @@ def ad_power_module(M: ModuleTuple, i: int, j: int,
     return result
 
 
+def _pair_truncation(M: ModuleTuple, i: int, j: int,
+                     max_degree: int) -> NicholsTruncation:
+    lo, hi = sorted((i, j))
+    return nichols_truncate(ModuleTuple([M[lo], M[hi]]), max_degree)
+
+
 class PairCache:
     """Top ad level per ordered pair of module iso classes, dual per class.
 
@@ -158,8 +166,10 @@ class PairCache:
     top(M, i, j) returns (m, module) for ad(M_i)^n(M_j): the top
     nonvanishing power m and the module at that level.  Entries are keyed
     by the complete iso keys of M_i and M_j, so each pair of classes is
-    computed once.  dual(V) builds (and validates) one dual per iso class
-    of V.
+    computed once.  With reverse, as cartan_matrix asks, a missing tower
+    (j, i) is computed in the same truncation, which is then dropped; its
+    entry is kept only if it succeeds, so a failure is raised at its own
+    turn.  dual(V) builds (and validates) one dual per iso class of V.
     """
 
     def __init__(self, cutoff: int = DEFAULT_AD_CUTOFF,
@@ -168,14 +178,23 @@ class PairCache:
         self.max_degree = max_degree
         self._entries: dict = {}
 
-    def top(self, M: ModuleTuple, i: int, j: int) -> tuple:
+    def top(self, M: ModuleTuple, i: int, j: int,
+            reverse: bool = False) -> tuple:
         key = (module_canonical_key(M[i]), module_canonical_key(M[j]))
         entry = self._entries.get(key)
         if entry is None:
-            levels = ad_power_module(M, i, j, cutoff=self.cutoff,
-                                     max_degree=self.max_degree)
-            entry = self._entries[key] = (levels.m, levels.top_module())
+            trunc = _pair_truncation(M, i, j, self.max_degree)
+            entry = self._entries[key] = self._tower(M, i, j, trunc)
+            if reverse and key[::-1] not in self._entries:
+                try:
+                    self._entries[key[::-1]] = self._tower(M, j, i, trunc)
+                except YDWeylError:
+                    pass  # not kept: its own turn computes it and raises
         return entry
+
+    def _tower(self, M: ModuleTuple, i: int, j: int, trunc) -> tuple:
+        levels = ad_power_module(M, i, j, self.cutoff, self.max_degree, trunc)
+        return levels.m, levels.top_module()
 
     def dual(self, V: YDModule) -> YDModule:
         key = (module_canonical_key(V),)
@@ -185,17 +204,11 @@ class PairCache:
         return entry
 
 
-def cartan_entry(M: ModuleTuple, i: int, j: int,
-                 pairs: PairCache | None = None) -> int:
-    if i == j:
-        return 2
-    return -(pairs or PairCache()).top(M, i, j)[0]
-
-
 def cartan_matrix(M: ModuleTuple, pairs: PairCache | None = None) -> list:
+    """Entries in row order; each pair's two towers share one truncation."""
     pairs = pairs or PairCache()
-    return [[cartan_entry(M, i, j, pairs=pairs) for j in range(M.theta)]
-            for i in range(M.theta)]
+    return [[2 if i == j else -pairs.top(M, i, j, reverse=i < j)[0]
+             for j in range(M.theta)] for i in range(M.theta)]
 
 
 def reflect(M: ModuleTuple, i: int, pairs: PairCache | None = None) -> ModuleTuple:

@@ -119,12 +119,9 @@ def _yd_walk(V: YDModule, firsts) -> Report:
     G, phi = V.group, V.cocycle
     bad = []
     ident = V.act_matrix(G.identity)
-    for i in range(V.dim):
-        for j in range(V.dim):
-            expect = _ONE if i == j else _ZERO
-            if not ident[i][j] == expect:
-                bad.append("unit law fails: action of 1 is not the identity matrix")
-                break
+    if any(not ident[i][j] == (_ONE if i == j else _ZERO)
+           for i in range(V.dim) for j in range(V.dim)):
+        bad.append("unit law fails: action of 1 is not the identity matrix")
     for g in G.elements():
         m = V.act_matrix(g)
         for j in range(V.dim):
@@ -150,17 +147,20 @@ def _yd_walk(V: YDModule, firsts) -> Report:
     return Report(not bad, bad)
 
 
-def module_from_generator_actions(group: Group, cocycle: Cocycle3, degree: int,
+def module_from_generator_actions(group: Group, cocycle: Cocycle3, degrees,
                                   generator_actions: dict,
                                   name=None) -> YDModule:
     """Extend generator action matrices over the whole group.
 
-    All basis vectors share the single degree `degree` (the simple-module
-    case).  Actions of products are forced by the twisted composition law;
-    the result is validated with yd_axiom_check before being returned.
+    degrees gives each basis vector's degree, or one int for a module
+    whose basis vectors share it (the simple presets).  Actions of products
+    are forced by the twisted composition law, column by column:
+    A_{se}[:, k] = omega_{deg k}(s, e)^-1 (A_s A_e)[:, k].  The result is
+    validated with yd_axiom_check before being returned.
     """
-    dim = len(next(iter(generator_actions.values())))
-    known: dict[int, list] = {group.identity: identity_matrix(dim)}
+    if isinstance(degrees, int):
+        degrees = [degrees] * len(next(iter(generator_actions.values())))
+    known: dict[int, list] = {group.identity: identity_matrix(len(degrees))}
     gens = {int(g): [list(row) for row in m] for g, m in generator_actions.items()}
     frontier = [group.identity]
     while frontier:
@@ -170,14 +170,14 @@ def module_from_generator_actions(group: Group, cocycle: Cocycle3, degree: int,
                 se = group.mul(s, e)
                 if se in known:
                     continue
-                winv = cocycle.omega(s, e, degree).inv()
+                winv = [cocycle.omega(s, e, d).inv() for d in degrees]
                 mat = mat_mul(gens[s], known[e])
-                known[se] = [[x * winv for x in row] for row in mat]
+                known[se] = [[x * w for x, w in zip(row, winv)] for row in mat]
                 new.append(se)
         frontier = new
     if len(known) != group.order:
         raise ValidationError("generator set does not generate the group")
-    V = YDModule(group, cocycle, [degree] * dim, known, name=name)
+    V = YDModule(group, cocycle, degrees, known, name=name)
     report = yd_axiom_check(V)
     if not report:
         raise ValidationError(

@@ -23,7 +23,9 @@ so the tests can state the paper's identities against it:
     primitives, supports and ideal dimensions per multidegree;
   * bosonization: the smash product B(V) # kG, the preantipode scalar of
     (kG, Phi), and the coinvariant dimensions of B(M) -> B(N);
-  * reflections: the dimension of each ad level;
+  * reflections: the dimension of each ad level, and the action of every
+    group element on it read in B(M) (the engine acts by generators and
+    derives the rest);
   * YD modules: the trivial module, tensor products, braiding matrices and
     componentwise isomorphism of tuples;
   * the Weyl groupoid's morphisms and root counts per vertex, and the
@@ -503,6 +505,27 @@ def preantipode_scalar(phi, g: int) -> CycScalar:
 def level_dims(levels) -> tuple:
     """Dimension of each nonzero ad level, from a reflect.AdLevels."""
     return tuple(len(level.basis) for level in levels.levels)
+
+
+def reference_ad_action(trunc, md: tuple, basis: list) -> dict:
+    """Every g of G acting on the ad level with this basis in block md of
+    trunc, read directly in B(M): g |> v for each basis vector v, checked
+    to lie in the span, has as coordinates its coefficients at the pivot
+    words (basis vector k is 1 at pivot word k and 0 at the others)."""
+    blk = trunc.block(md)
+    words = blk.quotient_words
+    _, pivots = rref([blk.coords(v) for v in basis])
+    action = {}
+    for g in trunc.ctx.group.elements():
+        images = [trunc.normal_form(trunc.ctx.act_vector(g, v)) for v in basis]
+        cols = [[im.terms.get(words[p], _ZERO) for p in pivots]
+                for im in images]
+        spans = [GradedVector((w, c * y) for c, b in zip(col, basis) if c
+                              for w, y in b.items()) for col in cols]
+        if images != spans:
+            raise ValidationError("ad level is not action-stable")
+        action[g] = [list(row) for row in zip(*cols)]
+    return action
 
 
 def coinvariant_dims(trunc, coinv_slots, max_total: int) -> dict:

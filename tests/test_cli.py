@@ -178,6 +178,11 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
                      "ad", "W", "1", "2")
     assert code == 0
+    # reflect prints every action matrix of R_1(W), the ad levels' included:
+    # the matrices the generators' actions are extended to.
+    code, _, _ = run(capsys, "--session", SESSION, "--golden", GOLDEN,
+                     "reflect", "W", "1")
+    assert code == 0
     # The other two shipped sessions: the twisted line L acts by zeta(9)
     # (exact conductor-9 arithmetic), and V closes a 96-vertex graph.
     sessions = os.path.dirname(SESSION)
@@ -185,8 +190,17 @@ def test_golden_match(capsys):
                      os.path.join(sessions, "z3twisted.json"),
                      "--golden", GOLDEN, "nichols", "L", "--max-degree", "10")
     assert code == 0
-    code, _, _ = run(capsys, "--session", os.path.join(sessions, "z2z2z4.json"),
+    v_session = os.path.join(sessions, "z2z2z4.json")
+    code, _, _ = run(capsys, "--session", v_session,
                      "--golden", GOLDEN, "certify", "V")
+    assert code == 0
+    # Over Z2 x Z2 x Z4 three generators act on each ad level and the other
+    # matrices are derived.
+    code, _, _ = run(capsys, "--session", v_session,
+                     "--golden", GOLDEN, "reflect", "V", "1")
+    assert code == 0
+    code, _, _ = run(capsys, "--session", v_session,
+                     "--golden", GOLDEN, "ad", "V", "1", "2")
     assert code == 0
     # certify V is also the certify-V benchmark workload.
     _assert_benchmark_output("certify_V.txt", "certify-V")

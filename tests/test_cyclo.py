@@ -184,6 +184,50 @@ def test_arithmetic_matches_fraction_reference():
             assert reference_product(ra, inv.coeffs_at(l), l) == unit
 
 
+def test_rational_fast_path_matches_fraction():
+    # Two rational operands are added, subtracted, multiplied and compared
+    # on plain ints; the results must be Fraction's, in normal form at
+    # conductor 1, with every integer of the shared table that one instance.
+    from ydweyl.cyclo import _ONE, _SMALL, _ZERO
+    assert _SMALL[0] is _ZERO and _SMALL[1] is _ONE
+    assert CycScalar.zero() is _ZERO and CycScalar.one() is _ONE
+    rng = random.Random(31)
+
+    def value():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(rng.choice((0, 1, -1)))
+        if kind == 1:  # whole, inside and beyond the shared table
+            size = 10 ** rng.randrange(1, 6)
+            return Fraction(rng.choice((1, -1)) * rng.randrange(size))
+        return Fraction(rng.randint(-50, 50), rng.randint(2, 40))
+
+    def check(x, ref):
+        assert (x.conductor, x.den > 0, gcd(x.den, *x.num)) == (1, True, 1)
+        assert x.rational_value() == ref
+        if ref.denominator == 1 and ref.numerator in _SMALL:
+            assert x is _SMALL[ref.numerator]
+
+    for _ in range(400):
+        p, q = value(), value()
+        a, b = CycScalar.from_rational(p), CycScalar.from_rational(q)
+        check(a, p)
+        check(a + b, p + q)
+        check(a - b, p - q)
+        check(a * b, p * q)
+        check(-a, -p)
+        if p:
+            check(a.inv(), 1 / p)
+        assert (a == b) == (p == q) and (a == q) == (p == q)
+        for y in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert y == a
+            assert (y.conductor, y.num, y.den) == (a.conductor, a.num, a.den)
+        z = root_of_unity(rng.choice((3, 4, 9)), rng.randrange(1, 3))
+        for prod in (a * z, z * a):
+            assert abs(complex_value(prod) - float(p) * complex_value(z)) < 1e-6
+            assert prod.conductor == (z.conductor if p else 1)
+
+
 def test_pickle_and_deepcopy_round_trip():
     z9 = root_of_unity(9, 5) * Fraction(3, 4) + Fraction(1, 2)
     for x in (z9, CycScalar.from_rational(Fraction(-7, 3))):

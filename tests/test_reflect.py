@@ -1,16 +1,22 @@
+import json
+import os
 import random
 
 import pytest
 
+from ydweyl import reflect as reflect_module
+from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, root_of_unity, rref
 from ydweyl.errors import UndecidedAtCutoff, ValidationError
 from ydweyl.freebraid import GradedVector
 from ydweyl.nichols import nichols_truncate
 from ydweyl.reflect import (PairCache, _ad_level, ad_group, ad_power_module,
-                            ad_primitive, cartan_entry, cartan_matrix, reflect)
-from ydweyl.ydcat import ModuleTuple, iso_test, yd_axiom_check
+                            ad_primitive, cartan_matrix, reflect)
+from ydweyl.weylgraph import build_cartan_graph
+from ydweyl.ydcat import ModuleTuple, _generators, iso_test, yd_axiom_check
+from conftest import tower_session
 from oracles import (SmashAlgebra, coinvariant_dims, level_dims,
-                     trivial_module, tuple_iso)
+                     reference_ad_action, trivial_module, tuple_iso)
 
 X1, X2, Y1, Y2 = (0, 0), (0, 1), (1, 0), (1, 1)
 
@@ -125,6 +131,109 @@ def test_ad_level_refuses_a_span_that_is_not_action_stable(w_pair, z2cubed):
         _ad_level(trunc, (0, 1), 0, [x0], "x0")
 
 
+def _recorded_levels(run):
+    """(trunc, md, level) of every ad level _ad_level builds during run()."""
+    seen = []
+
+    def recording(trunc, md, n, vectors, name):
+        level = build(trunc, md, n, vectors, name)
+        if level is not None:
+            seen.append((trunc, md, level))
+        return level
+
+    build = reflect_module._ad_level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reflect_module, "_ad_level", recording)
+        run()
+    return seen
+
+
+def test_ad_action_matches_reference_on_every_level(z9_pair):
+    # Each ad level stores the generators' matrices and the ones the twisted
+    # composition law derives from them; the reference acts by every g of G
+    # in B(M).  Levels: every one built while the graphs of W, W12, V and
+    # the conductor-9 pair P close, and the tower ad(X)^n(Y) to degree 12.
+    sessions = os.path.join(os.path.dirname(__file__), "..", "sessions")
+    runs = []
+    for name, tuples in (("z2cubed.json", ("W", "W12")), ("z2z2z4.json", ("V",))):
+        with open(os.path.join(sessions, name)) as fh:
+            session = Session(json.load(fh))
+        for t in tuples:
+            runs.append(lambda s=session, t=t: build_cartan_graph(
+                s.tuples[t], pairs=s.pairs(),
+                vertex_bound=s.cutoffs["vertex_bound"]))
+    runs.append(lambda: build_cartan_graph(z9_pair[1]))
+    tower = Session(tower_session(12))
+    runs.append(lambda: ad_power_module(tower.tuples["P"], 0, 1,
+                                        cutoff=100000, max_degree=12))
+    orders = set()
+    for run in runs:
+        levels = _recorded_levels(run)
+        assert levels
+        for trunc, md, level in levels:
+            module = level.module
+            expected = reference_ad_action(trunc, md, level.basis)
+            G = module.group
+            orders.add((G.order, len(_generators(G))))
+            for g in G.elements():
+                got = [list(row) for row in module.act_matrix(g)]
+                assert got == expected[g], (module.name, g)
+                assert ([[str(x) for x in row] for row in got]
+                        == [[str(x) for x in row] for row in expected[g]])
+    # Z2^3 and Z2 x Z2 x Z4 by 3 generators, Z3 by 1, Z2 x Z2 by 2.
+    assert orders == {(8, 3), (16, 3), (3, 1), (4, 2)}
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of every call of reflect.<name> from now on."""
+    calls = []
+    fn = getattr(reflect_module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(reflect_module, name, counting)
+    return calls
+
+
+def test_cartan_matrix_shares_a_truncation_per_pair(w_triple, monkeypatch):
+    # cartan_matrix computes both towers of a pair in one truncation;
+    # reflect asks for its own towers only.
+    built = _calls(monkeypatch, "nichols_truncate")
+    towers = _calls(monkeypatch, "ad_power_module")
+    reflect(w_triple, 0)
+    assert len(built) == 2
+    assert [a[1:3] for a in towers] == [(0, 1), (0, 2)]
+    built.clear()
+    towers.clear()
+    assert cartan_matrix(w_triple) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert len(built) == 3
+    assert [a[1:3] for a in towers] == [(0, 1), (1, 0), (0, 2), (2, 0),
+                                        (1, 2), (2, 1)]
+
+
+def test_failed_reverse_tower_raises_at_its_own_turn(monkeypatch):
+    # Z2 x Z2, trivial cocycle: X of degree g1 and Y of degree g2, both
+    # negated by g1 and fixed by g2.  X squares to 0, so ad(X)(Y) is the
+    # top level; ad(Y)^n(X) never vanishes.  The reverse tower, computed
+    # alongside ad(X)(Y), fails and is not kept: row 1 computes it again
+    # and raises.
+    data = tower_session(6)
+    data["modules"]["X"]["action"] = data["modules"]["Y"]["action"]
+    session = Session(data)
+    M = ModuleTuple([session.modules["X"], session.modules["Y"]])
+    pairs = PairCache(cutoff=4, max_degree=6)
+    with pytest.raises(UndecidedAtCutoff,
+                       match=r"ad-power of \(Y,X\) undecided at cutoff 4"):
+        cartan_matrix(M, pairs=pairs)
+    towers = _calls(monkeypatch, "ad_power_module")
+    assert pairs.top(M, 0, 1)[0] == 1
+    with pytest.raises(UndecidedAtCutoff):
+        pairs.top(M, 1, 0)
+    assert [a[1:3] for a in towers] == [(1, 0)]
+
+
 def test_ad_levels_strictly_graded_disjoint(w_pair):
     levels = ad_power_module(w_pair, 0, 1)
     mds = [tuple(lv.n if s == 0 else 1 if s == 1 else 0 for s in range(2))
@@ -138,7 +247,7 @@ def test_ad_cutoff_reports_undecided(w_pair):
     with pytest.raises(UndecidedAtCutoff):
         levels.top_module()
     with pytest.raises(UndecidedAtCutoff):
-        cartan_entry(w_pair, 0, 1, pairs=PairCache(0))
+        cartan_matrix(w_pair, pairs=PairCache(0))
 
 
 @pytest.mark.parametrize("which", ["w_pair", "z9_pair"])
@@ -174,8 +283,7 @@ def test_w4_w5_level(w_presets):
 
 
 def test_cartan_entries(w_pair, w_triple):
-    assert cartan_entry(w_pair, 0, 0) == 2
-    assert cartan_entry(w_pair, 0, 1) == -1
+    assert cartan_matrix(w_pair) == [[2, -1], [-1, 2]]
     assert cartan_matrix(w_triple) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 
 
@@ -187,8 +295,7 @@ def test_cartan_zero_symmetry(z2cubed):
     t1 = trivial_module(group, phi)
     t2 = trivial_module(group, phi)
     pair = ModuleTuple([t1, t2])
-    assert cartan_entry(pair, 0, 1) == 0
-    assert cartan_entry(pair, 1, 0) == 0
+    assert cartan_matrix(pair) == [[2, 0], [0, 2]]
 
 
 def test_reflections_of_w_triple(w_presets, w_triple):
