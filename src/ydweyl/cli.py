@@ -174,6 +174,8 @@ class Session:
         except SessionError:
             raise
         except ValidationError as exc:
+            if name in self.presets:    # validated as built: the pentagon first
+                self._cocycle_lines()
             raise SessionError(f"module {name!r}: {exc}", EXIT_VALIDATION)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise SessionError(f"malformed module stanza {name!r}: {exc}",
@@ -190,16 +192,21 @@ class Session:
             return ModuleTuple([self.modules[name]])
         raise SessionError(f"unknown module or tuple {name!r}", EXIT_PARSE)
 
+    def _cocycle_lines(self) -> list[str]:
+        """The report's group and cocycle lines; exit 3 if the pentagon fails."""
+        crep = check_3cocycle(self.cocycle)
+        n4 = self.group.order ** 4
+        lines = [f"group: order {self.group.order}: pass",
+                 f"cocycle: pentagon over {n4} quadruples: {crep.summary()}"]
+        if not crep.ok:
+            raise SessionError("\n".join(lines), EXIT_VALIDATION)
+        return lines
+
     def validate_all(self) -> list[str]:
         """Check the cocycle and the explicit modules; return the report.
 
         Every group is valid once built, and so is every preset module."""
-        lines = [f"group: order {self.group.order}: pass"]
-        crep = check_3cocycle(self.cocycle)
-        n4 = self.group.order ** 4
-        lines.append(f"cocycle: pentagon over {n4} quadruples: {crep.summary()}")
-        if not crep.ok:
-            raise SessionError("\n".join(lines), EXIT_VALIDATION)
+        lines = self._cocycle_lines()
         for name, mod in sorted(self.modules.items()):
             mrep = (Report(True) if name in self.presets
                     else yd_axiom_check(mod))

@@ -7,29 +7,33 @@ groups built from cyclic factor orders additionally carry exponent vectors.
 Cocycles are materialized as dense |G|^3 tables of exact scalars.  Only
 normalized cocycles (value 1 whenever an argument is the identity) with
 nonzero entries are accepted; check_3cocycle decides the pentagon identity
-on every quadruple, on integer exponents when every value is a root of
-unity.  Its report and the scalars derived from Phi (its inverse, the
-twisted-composition scalar omega and the tensor-action scalar) are
-Cocycle3 methods, memoized on the instance.  The preantipode scalar
-Phi(g, g^-1, g)^-1 of (kG, Phi) is Cocycle3.inverse at (g, g^-1, g); only
-the bosonization references in tests/oracles.py use it.
+on every quadruple in one walk, multiplying exact scalars only for values
+not yet seen to hold.  Its report and the scalars derived from Phi (its
+inverse, the twisted-composition scalar omega and the tensor-action
+scalar) are Cocycle3 methods, memoized on the instance.  The preantipode
+scalar Phi(g, g^-1, g)^-1 of (kG, Phi) is Cocycle3.inverse at
+(g, g^-1, g); only the bosonization references in tests/oracles.py use it.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import lcm, prod
+from math import prod
 
-from .cyclo import MAX_CONDUCTOR, CycScalar, root_of_unity
+from .cyclo import CycScalar
 from .errors import ResourceBoundError, ValidationError
 
 _ONE = CycScalar.one()
 
-# Largest group order accepted.  The pentagon check walks (|G|-1)^4
-# quadruples.  On a 2-core VM, on integer exponents (every value a root of
-# unity) it takes 0.015 s at order 16 and 0.23 s at 32; on exact scalars
-# 0.18-0.22 s and 2.5-2.7 s.
+# Largest group order accepted.  The pentagon walk visits (|G|-1)^4
+# quadruples: on a 2-core VM 0.01 s at order 16 and 0.16-0.25 s at 32 on
+# sign and trivial tables, 4.7-5.0 s at 32 on a rational coboundary with
+# 239 distinct values, where few value combinations repeat.
 MAX_GROUP_ORDER = 32
+
+# The pentagon walk forgets the value combinations seen to hold at this
+# many: a few MB, where hundreds of distinct values would keep tens of MB.
+MAX_HELD_CODES = 1 << 16
 
 
 def _check_order(n: int) -> None:
@@ -238,15 +242,9 @@ class Cocycle3:
         return s
 
     def pentagon(self) -> Report:
-        """check_3cocycle's report, memoized: the table never changes.
-
-        When every value is a root of unity the pentagon is checked on
-        integer exponents; any other table, and any failure there, runs the
-        check on exact scalars, which writes the first-failure line.
-        """
+        """check_3cocycle's report, memoized: the table never changes."""
         if self._pentagon is None:
-            self._pentagon = (Report(True, []) if _pentagon_on_exponents(self)
-                              else _pentagon_on_values(self))
+            self._pentagon = _pentagon_walk(self)
         return self._pentagon
 
     @classmethod
@@ -288,82 +286,53 @@ def check_3cocycle(phi: Cocycle3) -> Report:
     Only non-identity quadruples are evaluated.  Cocycle3 accepts only
     normalized tables, and with Phi = 1 wherever an argument is 1 the
     identity at a = 1, b = 1, c = 1 or d = 1 reads Phi(b,c,d), Phi(a,c,d),
-    Phi(a,b,d) or Phi(a,b,c) on both sides.  The report is Cocycle3.pentagon's,
-    computed once per table.
+    Phi(a,b,d) or Phi(a,b,c) on both sides.  Each of the k distinct stored
+    values gets an index, and a quadruple's five values, in the order above,
+    are the digits of one base-k code: the exact products run only for a
+    code not yet seen to hold.  The report names the first failure, a
+    outermost and d innermost, and is Cocycle3.pentagon's, computed once
+    per table.
     """
     return phi.pentagon()
 
 
-def _exponent_table(phi: Cocycle3) -> tuple[list, int] | None:
-    """(k, N) with Phi's values zeta_N^k entry by entry, or None.
-
-    None when some value is not a root of unity, or when N would exceed
-    MAX_CONDUCTOR.  The roots of unity in Q(zeta_n) are zeta_m^k with
-    m = lcm(2, n), so each distinct value is looked up among the m powers
-    of zeta_m, written at conductor m.
-    """
-    powers: dict = {}    # m -> {coefficients of zeta_m^k at conductor m: k}
-    found: dict = {}     # a value's stored form -> (m, k)
-    for v in phi._table:
-        key = (v.conductor, v.num, v.den)
-        if key in found:
-            continue
-        m = lcm(2, v.conductor)
-        if m > MAX_CONDUCTOR:
-            return None
-        if m not in powers:
-            powers[m] = {root_of_unity(m, k).coeffs_at(m): k for k in range(m)}
-        k = powers[m].get(v.coeffs_at(m))
-        if k is None:
-            return None
-        found[key] = m, k
-    N = lcm(*(m for m, _ in found.values()))
-    if N > MAX_CONDUCTOR:
-        return None
-    scaled = {key: k * (N // m) for key, (m, k) in found.items()}
-    return [scaled[v.conductor, v.num, v.den] for v in phi._table], N
-
-
-def _pentagon_on_exponents(phi: Cocycle3) -> bool:
-    """True if Phi's values are roots of unity and the pentagon holds on
-    their exponents mod N; False if it fails there or cannot be tried."""
-    table = _exponent_table(phi)
-    if table is None:
-        return False
-    E, N = table
+def _pentagon_walk(phi: Cocycle3) -> Report:
+    """check_3cocycle's walk; it forgets the codes seen to hold at
+    MAX_HELD_CODES of them."""
+    table = phi._table
+    index: dict = {}
+    digits = [index.setdefault((v.conductor, v.num, v.den), len(index))
+              for v in table]
+    k = len(index)
+    # pj[x]: entry x's digit times k^j, one int object per distinct value.
+    p0, p1, p2, p3, p4 = ([w[i] for i in digits]
+                          for w in ([i * k ** j for i in range(k)]
+                                    for j in range(5)))
     g, n = phi.group, phi.group.order
+    held: set = set()
     rest = range(1, n)
     for a in rest:
         for b in rest:
             ab, row_ab = g.mul(a, b), (a * n + b) * n
             for c in rest:
                 cd = g.cayley[c]
-                left = E[row_ab + c]
+                left = p2[row_ab + c]
                 row_bc = (b * n + c) * n
                 row_a_bc = (a * n + g.mul(b, c)) * n
                 row_ab_c = (ab * n + c) * n
                 for d in rest:
-                    if (E[row_bc + d] + E[row_a_bc + d] + left
-                            - E[row_ab + cd[d]] - E[row_ab_c + d]) % N:
-                        return False
-    return True
-
-
-def _pentagon_on_values(phi: Cocycle3) -> Report:
-    """The pentagon on exact scalars, reporting the first failing quadruple."""
-    g = phi.group
-    rest = range(1, g.order)
-    for a in rest:
-        for b in rest:
-            ab = g.mul(a, b)
-            for c in rest:
-                bc = g.mul(b, c)
-                left_ab = phi.value(a, b, c)
-                for d in rest:
-                    lhs = phi.value(b, c, d) * phi.value(a, bc, d) * left_ab
-                    rhs = phi.value(a, b, g.mul(c, d)) * phi.value(ab, c, d)
+                    code = (p4[row_bc + d] + p3[row_a_bc + d] + left
+                            + p1[row_ab + cd[d]] + p0[row_ab_c + d])
+                    if code in held:
+                        continue
+                    lhs = (table[row_bc + d] * table[row_a_bc + d]
+                           * table[row_ab + c])
+                    rhs = table[row_ab + cd[d]] * table[row_ab_c + d]
                     if not lhs == rhs:
                         return Report(False, [
                             f"pentagon fails at quadruple ({a},{b},{c},{d}): "
                             f"{lhs} != {rhs}"])
+                    held.add(code)
+                    if len(held) >= MAX_HELD_CODES:
+                        held.clear()
     return Report(True, [])

@@ -64,7 +64,7 @@ class _Block:
     def __init__(self, count, quotient_words, lower, nf, delta):
         # Read only by perfbench/tracer.py (nichols.block.words_max) for the
         # word count; it goes when the tracer reads engine counters (ROADMAP
-        # item 5).
+        # item 4).
         self.words = range(count)
         self.quotient_words = quotient_words
         # lower[s]: block md - e_s

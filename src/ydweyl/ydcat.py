@@ -189,29 +189,23 @@ def dual(V: YDModule) -> YDModule:
     """Left dual with deg(f_j) = deg(v_j)^-1 and the contragredient twist.
 
     The action is pinned by requiring the evaluation pairing <f_i, v_j> =
-    delta_ij to be a morphism V* (x) V -> k.  The candidate is validated;
-    an invalid twist is reported, never returned.
+    delta_ij to be a morphism V* (x) V -> k.  It is written for generators
+    of G; module_from_generator_actions extends and validates it like every
+    other computed module, so an invalid twist raises ValidationError.
     """
     G, phi = V.group, V.cocycle
-    degrees = [G.inv(d) for d in V.degrees]
-    action = {}
-    for h in G.elements():
-        ah_inv = V.act_matrix(G.inv(h))
+    actions = {}
+    for h in _generators(G):
         mat = [[_ZERO] * V.dim for _ in range(V.dim)]
-        for k in range(V.dim):
-            gk = V.degrees[k]
+        for k, gk in enumerate(V.degrees):
             w_deg = G.conj(G.inv(h), gk)
             s = (phi.tensor_action(h, G.inv(w_deg), w_deg)
                  * phi.omega(h, G.inv(h), gk)).inv()
-            for j in range(V.dim):
-                if not ah_inv[j][k].is_zero():
-                    mat[k][j] = s * ah_inv[j][k]
-        action[h] = mat
-    W = YDModule(G, phi, degrees, action, name=f"{V.name or '?'}*")
-    report = yd_axiom_check(W)
-    if not report:
-        raise ValidationError(f"dual twist failed validation: {report.summary()}")
-    return W
+            for j, x in V.act_column(G.inv(h), k):
+                mat[k][j] = s * x
+        actions[h] = mat
+    return module_from_generator_actions(G, phi, [G.inv(d) for d in V.degrees],
+                                         actions, name=f"{V.name or '?'}*")
 
 
 def iso_test(V: YDModule, W: YDModule):

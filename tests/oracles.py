@@ -26,8 +26,13 @@ so the tests can state the paper's identities against it:
   * reflections: the dimension of each ad level, and the action of every
     group element on it read in B(M) (the engine acts by generators and
     derives the rest);
-  * YD modules: the trivial module, tensor products, braiding matrices and
-    componentwise isomorphism of tuples;
+  * cocycles: the pentagon's report with both sides multiplied out on
+    every quadruple (the engine multiplies each combination of values
+    once);
+  * YD modules: the trivial module, duals with the action written on
+    every group element (the engine writes it on generators and derives
+    the rest), tensor products, braiding matrices and componentwise
+    isomorphism of tuples;
   * the Weyl groupoid's morphisms and root counts per vertex, and the
     root closure as first written (reference_real_roots).
 
@@ -48,6 +53,7 @@ from ydweyl.cyclo import CycScalar, det, nullspace, rref
 from ydweyl import weylgraph
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
+from ydweyl.groupdata import Report
 from ydweyl.weylgraph import CartanTypeResult, _components
 from ydweyl.ydcat import YDModule, iso_test
 
@@ -147,6 +153,30 @@ def pentagon_holds(phi) -> bool:
     return all(v(b, c, d) * v(a, g.mul(b, c), d) * v(a, b, c)
                == v(a, b, g.mul(c, d)) * v(g.mul(a, b), c, d)
                for a, b, c, d in product(g.elements(), repeat=4))
+
+
+def pentagon_on_values(phi) -> Report:
+    """The pentagon on exact scalars, reporting the first failing quadruple.
+
+    The report reference for check_3cocycle: every non-identity quadruple
+    in check_3cocycle's order, both sides multiplied out every time.
+    """
+    g = phi.group
+    rest = range(1, g.order)
+    for a in rest:
+        for b in rest:
+            ab = g.mul(a, b)
+            for c in rest:
+                bc = g.mul(b, c)
+                left_ab = phi.value(a, b, c)
+                for d in rest:
+                    lhs = phi.value(b, c, d) * phi.value(a, bc, d) * left_ab
+                    rhs = phi.value(a, b, g.mul(c, d)) * phi.value(ab, c, d)
+                    if not lhs == rhs:
+                        return Report(False, [
+                            f"pentagon fails at quadruple ({a},{b},{c},{d}): "
+                            f"{lhs} != {rhs}"])
+    return Report(True, [])
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +663,43 @@ class SmashAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# YD-module references: unit, tensor products, braidings, tuple isos.
+# YD-module references: unit, duals, tensor products, braidings, tuple isos.
 # ---------------------------------------------------------------------------
 
 def trivial_module(group, cocycle) -> YDModule:
     action = {g: [[_ONE]] for g in group.elements()}
     return YDModule(group, cocycle, [group.identity], action, name="triv")
+
+
+def reference_dual(V: YDModule) -> YDModule:
+    """The left dual with its action written on every group element.
+
+    (h |> f)_k = s_k(h) * A_{h^-1}[j][k] f_j, s_k(h) the inverse of
+    tensor_action(h, w^-1, w) * omega_{deg v_k}(h, h^-1), w = h^-1 |> deg v_k:
+    the formula ydcat.dual applies to generators only.  Not validated.
+    """
+    G, phi = V.group, V.cocycle
+    action = {}
+    for h in G.elements():
+        ah_inv = V.act_matrix(G.inv(h))
+        mat = [[_ZERO] * V.dim for _ in range(V.dim)]
+        for k in range(V.dim):
+            gk = V.degrees[k]
+            w_deg = G.conj(G.inv(h), gk)
+            s = (phi.tensor_action(h, G.inv(w_deg), w_deg)
+                 * phi.omega(h, G.inv(h), gk)).inv()
+            for j in range(V.dim):
+                if not ah_inv[j][k].is_zero():
+                    mat[k][j] = s * ah_inv[j][k]
+        action[h] = mat
+    return YDModule(G, phi, [G.inv(d) for d in V.degrees], action,
+                    name=f"{V.name or '?'}*")
+
+
+def printed_action(V: YDModule) -> dict:
+    """Each action matrix of V with its entries as printed: str shows the
+    stored conductor, which == does not compare."""
+    return {g: [[str(x) for x in row] for row in m] for g, m in V.action.items()}
 
 
 def tensor(V: YDModule, W: YDModule) -> YDModule:

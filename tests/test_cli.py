@@ -288,6 +288,25 @@ def test_exit_code_validation_failure(capsys, tmp_path):
     assert code == 3 and "pentagon" in err
 
 
+def test_preset_on_a_failing_cocycle_reports_the_pentagon(capsys, tmp_path):
+    # Presets are validated as they are built, before the cocycle's line is
+    # written: with Phi(g3, g3, g1) negated, W1's composition law fails too,
+    # but the pentagon is what validate reports, as with no module at all.
+    group = groupdata.make_abelian_group([2, 2, 2])
+    flat = [str(v) for v in groupdata.sign_cocycle(group)._table]
+    g1, g3 = group.element_index((1, 0, 0)), group.element_index((0, 0, 1))
+    flat[(g3 * 8 + g3) * 8 + g1] = str(-int(flat[(g3 * 8 + g3) * 8 + g1]))
+    results = []
+    for modules in ({}, {"W1": {"preset": "W1"}}):
+        path = tmp_path / f"session{len(modules)}.json"
+        path.write_text(json.dumps(_edited(cocycle={"table": flat},
+                                           modules=modules, tuples={})))
+        results.append(run(capsys, "--session", str(path), "validate"))
+    code, out, err = results[0]
+    assert (code, out) == (3, "") and "pentagon fails at quadruple" in err
+    assert results[1] == results[0]
+
+
 def _z3_table(value):
     """A Z3 session with no modules and the cocycle table value(a, b, c)."""
     flat = [value(a, b, c) for a in range(3) for b in range(3)

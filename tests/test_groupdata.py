@@ -5,13 +5,14 @@ from itertools import permutations, product
 
 import pytest
 
-from oracles import pentagon_holds, preantipode_scalar
+from oracles import pentagon_holds, pentagon_on_values, preantipode_scalar
+from ydweyl import groupdata
 from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, root_of_unity
 from ydweyl.errors import ResourceBoundError, ValidationError
-from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, _pentagon_on_values,
-                              check_3cocycle, group_from_cayley,
-                              make_abelian_group, sign_cocycle)
+from ydweyl.groupdata import (MAX_GROUP_ORDER, Cocycle3, check_3cocycle,
+                              group_from_cayley, make_abelian_group,
+                              sign_cocycle)
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
@@ -208,11 +209,11 @@ def test_check_3cocycle_agrees_with_full_pentagon_walk(orders):
     lambda: Cocycle3.trivial(make_abelian_group([2, 2, 2])),
     _z3_twisted], ids=["sign-z2cubed", "trivial-z2cubed", "z3twisted"])
 def test_check_3cocycle_matches_the_scalar_walk_on_corrupted_tables(make):
-    # check_3cocycle reads root-of-unity tables through their exponents; on
+    # check_3cocycle multiplies each combination of stored values once; on
     # any table its report (verdict and first-failure line) is the one the
-    # walk over exact scalars gives.  Factors: roots of unity (exponent
-    # path), 2 (not a root of unity) and zeta(999) (exponents mod 1998,
-    # above MAX_CONDUCTOR); the last two take the scalar walk.
+    # walk that multiplies out every quadruple gives.  Factors: roots of
+    # unity, 2 (not a root of unity) and zeta(999) (a root of unity of
+    # order 1998, above MAX_CONDUCTOR).
     phi = make()
     G = phi.group
     n = G.order
@@ -230,7 +231,7 @@ def test_check_3cocycle_matches_the_scalar_walk_on_corrupted_tables(make):
     verdicts = set()
     for flat in tables:
         got = check_3cocycle(Cocycle3(G, flat))
-        want = _pentagon_on_values(Cocycle3(G, flat))
+        want = pentagon_on_values(Cocycle3(G, flat))
         assert (got.ok, got.violations) == (want.ok, want.violations)
         assert got.ok == pentagon_holds(Cocycle3(G, flat))
         verdicts.add(got.ok)
@@ -240,3 +241,78 @@ def test_check_3cocycle_matches_the_scalar_walk_on_corrupted_tables(make):
 def test_check_3cocycle_report_is_memoized(z2cubed):
     _, phi = z2cubed
     assert check_3cocycle(phi) is check_3cocycle(phi) is phi.pentagon()
+
+
+def _coboundary(group, psi) -> list:
+    """The table of (d psi)(a, b, c) for a normalized 2-cochain psi."""
+    n, mul = group.order, group.mul
+    return [psi[b, c] * psi[a, mul(b, c)] / (psi[mul(a, b), c] * psi[a, b])
+            for a, b, c in product(range(n), repeat=3)]
+
+
+def _generated_tables(rng) -> list:
+    """(group, table) for coboundaries of random normalized 2-cochains:
+    root-of-unity values on abelian groups of order <= 8, and rational
+    values in {2, 3, 5, 7, 11} on Z2^3 and Z2 x Z4."""
+    cases = []
+    for orders, m in (([2], 4), ([3], 3), ([4], 8), ([2, 2], 6), ([5], 5),
+                      ([6], 6), ([7], 2), ([2, 4], 4), ([8], 8),
+                      ([2, 2, 2], 3)):
+        cases.append((orders, [root_of_unity(m, k) for k in range(m)]))
+    primes = [CycScalar.from_rational(p) for p in (2, 3, 5, 7, 11)]
+    cases += [([2, 2, 2], primes), ([2, 4], primes)]
+    tables = []
+    for orders, values in cases:
+        group = make_abelian_group(orders)
+        psi = {(a, b): rng.choice(values) if a and b else CycScalar.one()
+               for a, b in product(group.elements(), repeat=2)}
+        tables.append((group, _coboundary(group, psi)))
+    return tables
+
+
+def _outcome(walk, phi):
+    """walk(phi)'s verdict and violations, or the bound its products hit."""
+    try:
+        report = walk(phi)
+    except ResourceBoundError as exc:
+        return str(exc)
+    return report.ok, report.violations
+
+
+def test_check_3cocycle_matches_the_reference_on_generated_cocycles(
+        monkeypatch):
+    # Generated coboundaries pass, and each one-entry corruption gets the
+    # reference's report and the full walk's verdict, whatever the size at
+    # which the walk forgets the value combinations it has seen hold.  With
+    # zeta(999) among other conductors a product can exceed MAX_CONDUCTOR:
+    # a corruption that does is skipped, and a walk that does must raise
+    # where the reference raises.
+    rng = random.Random(26)
+    factors = [CycScalar.from_rational(-1), root_of_unity(4, 1),
+               root_of_unity(3, 1), CycScalar.from_rational(2),
+               root_of_unity(999, 1), root_of_unity(9, 2)]
+    cases = []
+    for group, table in _generated_tables(rng):
+        n = group.order
+        tables = [table]
+        for factor in rng.sample(factors, 3):
+            a, b, c = (rng.randrange(1, n) for _ in range(3))
+            flat = list(table)
+            try:
+                flat[(a * n + b) * n + c] = flat[(a * n + b) * n + c] * factor
+            except ResourceBoundError:
+                continue
+            tables.append(flat)
+        for flat in tables:
+            want = _outcome(pentagon_on_values, Cocycle3(group, flat))
+            if not isinstance(want, str):
+                assert want[0] == pentagon_holds(Cocycle3(group, flat))
+            cases.append((group, flat, want))
+        assert cases[-len(tables)][2] == (True, [])
+    outcomes = {want if isinstance(want, str) else want[0]
+                for _, _, want in cases}
+    assert {True, False} < outcomes
+    for cap in (groupdata.MAX_HELD_CODES, 1, 7):
+        monkeypatch.setattr(groupdata, "MAX_HELD_CODES", cap)
+        for group, flat, want in cases:
+            assert _outcome(check_3cocycle, Cocycle3(group, flat)) == want, cap

@@ -17,7 +17,8 @@ from ydweyl.freebraid import WordAlgebra
 from ydweyl.groupdata import Cocycle3, check_3cocycle, group_from_cayley
 from ydweyl.nichols import nichols_truncate
 from ydweyl.ydcat import YDModule, dual, iso_test, yd_axiom_check
-from oracles import (check_coideal, kernel_rref, primitive_dim, root_counts,
+from oracles import (check_coideal, kernel_rref, primitive_dim,
+                     printed_action, reference_dual, root_counts,
                      symmetrizer)
 
 
@@ -78,6 +79,16 @@ def test_s3_dual_and_graded_dual_symmetry(s3_module):
     assert iso_test(d, module) is not None
     assert (nichols_truncate(d, 4).graded_dims()
             == nichols_truncate(module, 4).graded_dims())
+
+
+def test_s3_dual_matches_the_reference(s3_module):
+    # dual derives non-generators' actions by the twisted composition law;
+    # the reference writes each one with its conjugated degrees.
+    _, _, module = s3_module
+    got, expected = dual(module), reference_dual(module)
+    assert (got.name, got.degrees) == (expected.name, expected.degrees)
+    assert got.action == expected.action
+    assert printed_action(got) == printed_action(expected)
 
 
 def test_s3_oracle_kernel_agreement(s3_module):

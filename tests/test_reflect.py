@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ydweyl import reflect as reflect_module
+from ydweyl import ydcat
 from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, root_of_unity, rref
 from ydweyl.errors import UndecidedAtCutoff, ValidationError
@@ -16,7 +17,8 @@ from ydweyl.weylgraph import build_cartan_graph
 from ydweyl.ydcat import ModuleTuple, _generators, iso_test, yd_axiom_check
 from conftest import tower_session
 from oracles import (SmashAlgebra, coinvariant_dims, level_dims,
-                     reference_ad_action, trivial_module, tuple_iso)
+                     printed_action, reference_ad_action, reference_dual,
+                     trivial_module, tuple_iso)
 
 X1, X2, Y1, Y2 = (0, 0), (0, 1), (1, 0), (1, 1)
 
@@ -148,11 +150,9 @@ def _recorded_levels(run):
     return seen
 
 
-def test_ad_action_matches_reference_on_every_level(z9_pair):
-    # Each ad level stores the generators' matrices and the ones the twisted
-    # composition law derives from them; the reference acts by every g of G
-    # in B(M).  Levels: every one built while the graphs of W, W12, V and
-    # the conductor-9 pair P close, and the tower ad(X)^n(Y) to degree 12.
+def _graph_runs(z9_pair) -> list:
+    """Calls that close the graphs of W and W12 (z2cubed), V (z2z2z4) and
+    the conductor-9 pair P, in that order."""
     sessions = os.path.join(os.path.dirname(__file__), "..", "sessions")
     runs = []
     for name, tuples in (("z2cubed.json", ("W", "W12")), ("z2z2z4.json", ("V",))):
@@ -163,6 +163,15 @@ def test_ad_action_matches_reference_on_every_level(z9_pair):
                 s.tuples[t], pairs=s.pairs(),
                 vertex_bound=s.cutoffs["vertex_bound"]))
     runs.append(lambda: build_cartan_graph(z9_pair[1]))
+    return runs
+
+
+def test_ad_action_matches_reference_on_every_level(z9_pair):
+    # Each ad level stores the generators' matrices and the ones the twisted
+    # composition law derives from them; the reference acts by every g of G
+    # in B(M).  Levels: every one built while the graphs of W, W12, V and
+    # the conductor-9 pair P close, and the tower ad(X)^n(Y) to degree 12.
+    runs = _graph_runs(z9_pair)
     tower = Session(tower_session(12))
     runs.append(lambda: ad_power_module(tower.tuples["P"], 0, 1,
                                         cutoff=100000, max_degree=12))
@@ -195,6 +204,29 @@ def _calls(monkeypatch, name):
 
     monkeypatch.setattr(reflect_module, name, counting)
     return calls
+
+
+def test_dual_matches_reference_on_every_dualised_module(z9_pair,
+                                                        monkeypatch):
+    # dual writes its action for generators and module_from_generator_actions
+    # derives the rest; the reference writes it for every g of G.  Modules:
+    # every one dualised while the graphs of W, W12, V and P close, checked
+    # as it is made.
+    counts = []
+
+    def checked(V):
+        got, expected = ydcat.dual(V), reference_dual(V)
+        assert (got.name, got.degrees) == (expected.name, expected.degrees)
+        assert got.action == expected.action, V.name
+        assert printed_action(got) == printed_action(expected), V.name
+        counts[-1] += 1
+        return got
+
+    monkeypatch.setattr(reflect_module, "dual", checked)
+    for run in _graph_runs(z9_pair):
+        counts.append(0)
+        run()
+    assert counts == [6, 3, 12, 4]
 
 
 def test_cartan_matrix_shares_a_truncation_per_pair(w_triple, monkeypatch):
