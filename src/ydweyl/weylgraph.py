@@ -9,11 +9,12 @@ to isomorphism, so the ad-level computations run once per pair class
 degree bookkeeping runs per vertex.
 
 Finiteness of the real root system is semi-decided with an explicit
-coordinate bound.  The infinite-dimensionality certificate reads the Cartan
-type of a standard graph off the Dynkin diagram of its Cartan matrix, by the
-bonds and arms of Kac's Table Fin, on integers alone.
-The Weyl groupoid's morphisms, whose composites the tests check the root
-closure against, and that closure as first written live in
+coordinate bound, by one closure over the classes of vertices whose Cartan
+matrices agree along every reflection path.  The infinite-dimensionality
+certificate reads the Cartan type of a standard graph off the Dynkin diagram
+of its Cartan matrix, by the bonds and arms of Kac's Table Fin, on integers
+alone.  The Weyl groupoid's morphisms, whose composites the tests check the
+root closure against, the closure per vertex and its classes live in
 tests/oracles.py.
 """
 
@@ -27,11 +28,11 @@ from .ydcat import ModuleTuple, module_canonical_key
 DEFAULT_VERTEX_BOUND = 64
 DEFAULT_ROOT_BOUND = 50
 
-# Most (vertex, root) states the root closure may reach.  The count grows
-# linearly with the coordinate bound B (about 288 B on W over Z2^3, 1,150 B
-# on V over Z2xZ2xZ4); on a 2-core VM W at B = 1600 reaches 460,734 states in
-# 1.4-2.4 s and V at B = 430 reaches 495,084 in 1.7-2.5 s, each adding about
-# 64 MB.
+# Most (class, root) states the root closure may reach.  The count grows
+# linearly with the coordinate bound B: W over Z2^3 and V over Z2xZ2xZ4 are
+# one class each, with the same Cartan matrix, so both reach about 12 B
+# states.  On a 2-core VM both exit 5 from B = 41,667, after 1.7-2.3 s of
+# `roots` with a peak of 86 MB; B = 41,666 ends in exit 0.
 MAX_ROOT_STATES = 500_000
 
 
@@ -133,28 +134,52 @@ def is_generalized_cartan(A: list) -> Report:
 # Real roots.
 # ---------------------------------------------------------------------------
 
+def _root_classes(graph: SemiCartanGraph) -> list:
+    """Class of each vid: the coarsest partition with one Cartan matrix per
+    class that every r_i maps to classes, by Moore refinement, numbered by
+    first vertex.  One class per vertex if some r_i is not an involution."""
+    n = graph.vertex_count()
+    r = [[graph.r(i, vid) for vid in range(n)] for i in range(graph.theta)]
+    if any(ri[ri[vid]] != vid for ri in r for vid in range(n)):
+        return list(range(n))
+    keys, count = [tuple(map(tuple, v.cartan)) for v in graph.vertices], 0
+    while True:
+        ids = {}
+        cls = [ids.setdefault(key, len(ids)) for key in keys]
+        if len(ids) == count:
+            return cls
+        count = len(ids)
+        keys = [(c,) + tuple(cls[ri[vid]] for ri in r)
+                for vid, c in enumerate(cls)]
+
+
 def real_roots(graph: SemiCartanGraph,
                bound: int = DEFAULT_ROOT_BOUND) -> tuple[dict, bool]:
     """Real roots at every vertex: vid -> sorted roots, and a truncation flag.
 
-    s_i^X maps R^X onto R^{r_i(X)}, so one closure over pairs (X, beta),
-    starting from the simple roots at every vertex and stepping to
-    (r_i(X), s_i^X beta), reaches every root of every vertex.  It is
+    s_i^X maps R^X onto R^{r_i(X)}, and reaching a root of X reads only the
+    Cartan rows on the way.  So one closure over states (C, beta), C a class
+    of _root_classes, from the simple roots at every class by steps to
+    (r_i(C), s_i^C beta), reaches every root of every vertex: r_i is an
+    involution, so a path of classes ending at X's class lifts to one of
+    vertices ending at X.  The vertices of a class share one list.  It is
     truncated, with an empty dict, as soon as a reached root has a
     coordinate of absolute value above the bound: then some vertex's root
     set leaves the box, and no vertex's list is reported.  Reaching more
     than MAX_ROOT_STATES states raises ResourceBoundError.
     """
     theta = graph.theta
-    # Per vertex, per i: r_i(X) and the (position, coefficient) pairs of
-    # s_i^X beta at i = beta_i - sum_j a_ij beta_j, over a state
-    # (vid, beta_1, ..., beta_theta).
-    steps = [[(graph.r(i, v.vid),
+    cls = _root_classes(graph)
+    firsts = [graph.vertices[cls.index(c)] for c in range(len(set(cls)))]
+    # Per class, per i: r_i(C) and the (position, coefficient) pairs of
+    # s_i^C beta at i = beta_i - sum_j a_ij beta_j, over a state
+    # (class, beta_1, ..., beta_theta).
+    steps = [[(cls[graph.r(i, v.vid)],
                tuple((j + 1, int(j == i) - a) for j, a in enumerate(v.cartan[i])
                      if a != int(j == i)))
-              for i in range(theta)] for v in graph.vertices]
-    frontier = [(v.vid,) + tuple(int(k == j) for k in range(theta))
-                for v in graph.vertices for j in range(theta)]
+              for i in range(theta)] for v in firsts]
+    frontier = [(c,) + tuple(int(k == j) for k in range(theta))
+                for c in range(len(firsts)) for j in range(theta)]
     seen = set(frontier)
     while frontier:
         new = []
@@ -174,10 +199,10 @@ def real_roots(graph: SemiCartanGraph,
                     seen.add(nxt)
                     new.append(nxt)
         frontier = new
-    roots = {v.vid: [] for v in graph.vertices}
+    roots = [[] for _ in firsts]
     for state in sorted(seen):
         roots[state[0]].append(state[1:])
-    return roots, False
+    return {vid: roots[c] for vid, c in enumerate(cls)}, False
 
 
 class FinitenessResult:

@@ -33,8 +33,10 @@ so the tests can state the paper's identities against it:
     every group element (the engine writes it on generators and derives
     the rest), tensor products, braiding matrices and componentwise
     isomorphism of tuples;
-  * the Weyl groupoid's morphisms and root counts per vertex, and the
-    root closure as first written (reference_real_roots).
+  * the Weyl groupoid's morphisms and root counts per vertex, the root
+    closure per vertex (reference_real_roots; the engine closes it once
+    per class of vertices), and those classes (root_classes) with the
+    graph they quotient to.
 
 Only the standard library and ydweyl are imported: perfbench/selfcheck.py
 imports oracle_graded_dims without pytest.
@@ -859,9 +861,12 @@ def morphism_root_sets(graph, max_morphisms: int = 100_000) -> dict:
 
 
 def reference_real_roots(graph, bound: int) -> tuple[dict, bool]:
-    """weylgraph.real_roots as it was first written: each state a (vid, beta)
-    pair, each step re-reading the Cartan row.  Same BFS order, truncation
-    test, weylgraph.MAX_ROOT_STATES check and result."""
+    """The per-vertex root closure: each state a (vid, beta) pair, each step
+    re-reading the Cartan row of its vertex.  weylgraph.real_roots walks
+    classes of vertices instead; run on quotient_graph(graph,
+    root_classes(graph)), this walks the same states in the same BFS order,
+    with the same truncation test, weylgraph.MAX_ROOT_STATES check and
+    result."""
     theta = graph.theta
     simple = [tuple(int(k == j) for k in range(theta)) for j in range(theta)]
     frontier = [(v.vid, a) for v in graph.vertices for a in simple]
@@ -888,6 +893,41 @@ def reference_real_roots(graph, bound: int) -> tuple[dict, bool]:
     for vid, beta in sorted(seen):
         roots[vid].append(beta)
     return roots, False
+
+
+def root_classes(graph) -> list:
+    """X ~ Y iff the Cartan matrices at r_w(X) and r_w(Y) agree for every
+    reflection word w.  Table filling: round k marks the pairs that a word
+    of length k tells apart, until a round marks none.  The classes are
+    sorted vid lists, ordered by first vertex."""
+    n, theta = graph.vertex_count(), graph.theta
+    apart = {(x, y) for x in range(n) for y in range(n)
+             if graph.cartan(x) != graph.cartan(y)}
+    while True:
+        marked = apart | {(x, y) for x in range(n) for y in range(n)
+                          if any((graph.r(i, x), graph.r(i, y)) in apart
+                                 for i in range(theta))}
+        if marked == apart:
+            break
+        apart = marked
+    classes = []
+    for x in range(n):
+        if not any(x in c for c in classes):
+            classes.append([y for y in range(n) if (x, y) not in apart])
+    return classes
+
+
+def quotient_graph(graph, classes: list) -> weylgraph.SemiCartanGraph:
+    """One vertex per class, with the Cartan matrix of its first vertex and
+    r_i(C) the class of r_i(first vertex of C)."""
+    class_of = {vid: c for c, vids in enumerate(classes) for vid in vids}
+    return weylgraph.SemiCartanGraph(
+        theta=graph.theta,
+        vertices=[weylgraph.Vertex(c, None, graph.cartan(vids[0]))
+                  for c, vids in enumerate(classes)],
+        reflections={(i, c): class_of[graph.r(i, vids[0])]
+                     for c, vids in enumerate(classes)
+                     for i in range(graph.theta)})
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,10 @@ def test_golden_match(capsys):
     code, _, _ = run(capsys, "--session", v_session,
                      "--golden", GOLDEN, "certify", "V")
     assert code == 0
+    # The root closure over V's 96 vertices, which are one class.
+    code, _, _ = run(capsys, "--session", v_session,
+                     "--golden", GOLDEN, "roots", "V", "--bound", "50")
+    assert code == 0
     # Over Z2 x Z2 x Z4 three generators act on each ad level and the other
     # matrices are derived.
     code, _, _ = run(capsys, "--session", v_session,
@@ -502,6 +506,21 @@ def test_resource_caps_exit_5(capsys, monkeypatch, module, cap, argv, message):
     code, out, err = run(capsys, "--session", SESSION, *argv)
     assert (code, out) == (5, "")
     assert err == f"resource bound exceeded: {message}\n"
+
+
+def test_roots_cap_counts_class_states(capsys):
+    # W's 24 vertices are one class, so the closure holds about 12 B states
+    # and stays under MAX_ROOT_STATES at B = 1800 (it exited 5 when it
+    # counted (vertex, root) states, about 288 B).
+    code, out, err = run(capsys, "--session", SESSION, "roots", "W",
+                         "--bound", "1800")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "real roots of W (coordinate bound 1800)"
+    assert len(lines) == 26
+    assert all(line.endswith("]: truncated at bound 1800")
+               for line in lines[1:-1])
+    assert lines[-1] == "finiteness: not-finite-within-bound"
 
 
 def test_certify_many_slots_reads_the_diagram(tmp_path):

@@ -7,7 +7,7 @@ from ydweyl import weylgraph
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.groupdata import make_abelian_group, sign_cocycle
 from ydweyl.weylgraph import (CartanTypeResult, SemiCartanGraph, Vertex,
-                              build_cartan_graph, check_axioms,
+                              _root_classes, build_cartan_graph, check_axioms,
                               finite_cartan_type,
                               infinite_dim_certificate, is_finite,
                               is_generalized_cartan, is_standard, real_roots,
@@ -15,7 +15,8 @@ from ydweyl.weylgraph import (CartanTypeResult, SemiCartanGraph, Vertex,
 from ydweyl.ydcat import ModuleTuple, preset_module
 from oracles import (cartan_catalog, degree_orbit, generator_morphism,
                      morphism_root_sets, oracle_cartan_type,
-                     reference_real_roots, root_counts)
+                     quotient_graph, reference_real_roots, root_classes,
+                     root_counts)
 
 
 @pytest.fixture(scope="module")
@@ -357,14 +358,110 @@ def test_root_closure_matches_reference(closure_cases):
     assert truncated == {True, False}
 
 
+def _quotient_closure(graph, bound):
+    """reference_real_roots on the oracle quotient of graph, read back at
+    graph's vids: each vertex gets its class's list."""
+    classes = root_classes(graph)
+    roots, truncated = reference_real_roots(quotient_graph(graph, classes),
+                                            bound)
+    if truncated:
+        return roots, truncated
+    class_of = {vid: c for c, vids in enumerate(classes) for vid in vids}
+    return {vid: roots[class_of[vid]]
+            for vid in range(graph.vertex_count())}, False
+
+
 @pytest.mark.parametrize("cap", [1, 100, 1000])
 def test_root_closure_cap_matches_reference(closure_cases, monkeypatch, cap):
+    # The cap bounds the states held, which are (class, root) states: the
+    # engine hits it, or truncates first, exactly where the per-vertex
+    # reference does on the quotient graph.
     monkeypatch.setattr(weylgraph, "MAX_ROOT_STATES", cap)
     for graph, bound in closure_cases:
         outcomes = []
-        for closure in (real_roots, reference_real_roots):
+        for closure in (real_roots, _quotient_closure):
             try:
                 outcomes.append(closure(graph, bound))
             except ResourceBoundError as exc:
                 outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], (cap, bound)
+        got, want = outcomes
+        assert got == want, (cap, bound)
+        if isinstance(got, tuple):
+            assert list(got[0]) == list(want[0]), (cap, bound)
+
+
+def _vid_sets(classes):
+    return sorted(sorted(vid for vid, c in enumerate(classes) if c == k)
+                  for k in set(classes))
+
+
+def test_root_classes_match_oracle(closure_cases):
+    sizes = set()
+    for graph, _ in closure_cases:
+        got = _root_classes(graph)
+        assert _vid_sets(got) == sorted(root_classes(graph))
+        # Numbered by first vertex in vid order.
+        assert [c for vid, c in enumerate(got) if c not in got[:vid]] \
+            == list(range(len(set(got))))
+        sizes.add((graph.vertex_count(), len(set(got))))
+    # W, W12 and V are standard; NONSTANDARD's v0 and v1 share a Cartan
+    # matrix but r_1 tells them apart.
+    assert {(24, 1), (96, 1), (3, 3)} <= sizes
+
+
+# Cartan matrices for random graphs: finite, affine and hyperbolic, with
+# repeats so that classes both merge and split.
+_POOL = {
+    2: [[[2, -1], [-1, 2]], [[2, -2], [-1, 2]], [[2, -1], [-3, 2]],
+        [[2, -2], [-2, 2]]],
+    3: [[[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        [[2, 0, 0], [0, 2, -1], [0, -1, 2]]],
+}
+
+
+def _random_involution(rng, n):
+    perm, free = list(range(n)), list(range(n))
+    rng.shuffle(free)
+    while len(free) > 1:
+        if rng.random() < 0.6:
+            x, y = free.pop(), free.pop()
+            perm[x], perm[y] = y, x
+        else:
+            free.pop()
+    return perm
+
+
+def _random_graph(rng, cycle):
+    theta, n = rng.choice((2, 3)), rng.randint(3 if cycle else 1, 8)
+    pool = rng.sample(_POOL[theta], rng.randint(1, 3))
+    perms = [_random_involution(rng, n) for _ in range(theta)]
+    if cycle:
+        # r_1 moves 0 -> 1 -> 2 -> 0: CG1 fails.
+        perms[0] = [1, 2, 0] + [3 + x for x in _random_involution(rng, n - 3)]
+    return _hand_built(
+        [rng.choice(pool) for _ in range(n)],
+        {(i, vid): perm[vid] for i, perm in enumerate(perms)
+         for vid in range(n)})
+
+
+def test_root_closure_on_random_graphs():
+    rng = random.Random(27)
+    merged = split = 0
+    for case in range(200):
+        cycle = case % 20 == 0
+        graph = _random_graph(rng, cycle)
+        classes = _root_classes(graph)
+        if cycle:
+            assert classes == list(range(graph.vertex_count()))
+        else:
+            assert _vid_sets(classes) == sorted(root_classes(graph))
+            cartans = {tuple(map(tuple, v.cartan)) for v in graph.vertices}
+            merged += len(set(classes)) < graph.vertex_count()
+            split += len(set(classes)) > len(cartans)
+        for bound in range(1, 7):
+            got = real_roots(graph, bound)
+            want = reference_real_roots(graph, bound)
+            assert got == want and list(got[0]) == list(want[0]), (case, bound)
+    assert merged and split
