@@ -12,7 +12,9 @@ with omega_g(e, f) = Phi(e,f,g) Phi(efgf^-1e^-1,e,f) / Phi(e,fgf^-1,f)
 
 Action matrices use the column convention: (g |> v_j) = sum_i A[g][i][j] v_i.
 Modules are immutable in spirit: nothing mutates them after construction, so
-they can be shared freely.
+they can be shared freely.  Every module the engine computes (presets, duals,
+ad levels) comes from one walk that extends generator matrices by the twisted
+composition law and checks that law at every other pair it meets.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ _ZERO = CycScalar.zero()
 
 # Largest module dimension accepted.  yd_axiom_check does one cubic matrix
 # product per (e, f) in S x G, S a generating set of G, once Phi's pentagon
-# holds (G x G otherwise): `validate` of one module with identity actions
-# (trivial cocycle) takes 0.2-0.35 s at dimension 32 over Z2^3 and
-# 0.95-1.25 s over Z2^5 on a 2-core VM.
+# holds (G x G otherwise): `validate` of one 32-dim module with identity
+# actions (trivial cocycle) takes 0.25-0.37 s over Z2^3 and 0.7-1.1 s over
+# Z2^5 on a 2-core VM, and as long with one entry corrupted.
 MAX_MODULE_DIM = 32
 
 
@@ -79,21 +81,18 @@ class YDModule:
 def yd_axiom_check(V: YDModule) -> Report:
     """Whether the three YD axioms hold over G x G x basis.
 
-    Once Phi's pentagon holds (Cocycle3.pentagon), the composition law is
-    first checked for e in a generating set S of G only, with the unit and
-    degree laws in full.  That suffices: by induction on e = s e' (s in S),
-    the law at (e, f) follows from the laws at (s, e'f), (e', f) and
-    (s, e') on f |> v, which has degree f |> g by the degree law, and from
-    omega_g(s, e'f) omega_g(e', f) = omega_g(se', f) omega_{f|>g}(s, e'),
-    which the pentagon implies.  Any violation reruns the walk over every
-    e, so the report is the full walk's.
+    The unit and degree laws are checked on every g, the composition law
+    for e in a generating set S of G once Phi's pentagon holds
+    (Cocycle3.pentagon) and for every e otherwise.  That suffices: by
+    induction on e = s e' (s in S), the law at (e, f) follows from the laws
+    at (s, e'f), (e', f) and (s, e') on f |> v, which has degree f |> g by
+    the degree law, and from omega_g(s, e'f) omega_g(e', f) =
+    omega_g(se', f) omega_{f|>g}(s, e'), which the pentagon implies.
     """
     G = V.group
-    if V.cocycle.pentagon().ok:
-        report = _yd_walk(V, _generators(G))
-        if report.ok:
-            return report
-    return _yd_walk(V, G.elements())
+    firsts = _generators(G) if V.cocycle.pentagon().ok else G.elements()
+    return _yd_walk(G, V.cocycle, V.degrees,
+                    {e: V.action[e] for e in firsts}, V.action)
 
 
 def _generators(G: Group) -> list:
@@ -114,71 +113,71 @@ def _generators(G: Group) -> list:
     return gens
 
 
-def _yd_walk(V: YDModule, firsts) -> Report:
-    """The unit and degree laws, and the composition law for e in firsts."""
-    G, phi = V.group, V.cocycle
+def _yd_walk(G: Group, phi: Cocycle3, degrees, firsts: dict,
+             known: dict) -> Report:
+    """The composition law for e in firsts (dict e -> A_e), then the unit
+    and degree laws on known (dict g -> A_g, extended in place).
+
+    f runs over G breadth-first from 1 in steps by firsts.  For each e in
+    order P = A_e A_f, and an ef not yet in known gets A_ef[:, k] =
+    omega_{deg k}(e, f)^-1 P[:, k]; any other ef is checked against P, and
+    the first failure kept.  Never stopping early, known ends with every
+    element that firsts reach."""
+    dim, failure, order = len(degrees), None, [G.identity]
+    for f in order:
+        for e in sorted(firsts):
+            ef = G.mul(e, f)
+            if ef not in order:
+                order.append(ef)
+            if ef in known and failure:
+                continue
+            prod = mat_mul(firsts[e], known[f])
+            if ef not in known:
+                winv = [phi.omega(e, f, d).inv() for d in degrees]
+                known[ef] = [[x * w for x, w in zip(row, winv)]
+                             for row in prod]
+                continue
+            for j in range(dim):
+                w = phi.omega(e, f, degrees[j])
+                if any(not prod[i][j] == w * known[ef][i][j]
+                       for i in range(dim)):
+                    failure = (f"twisted composition fails at (e={e}, f={f}, "
+                               f"basis {j})")
+                    break
     bad = []
-    ident = V.act_matrix(G.identity)
-    if any(not ident[i][j] == (_ONE if i == j else _ZERO)
-           for i in range(V.dim) for j in range(V.dim)):
+    if any(not known[G.identity][i][j] == (_ONE if i == j else _ZERO)
+           for i in range(dim) for j in range(dim)):
         bad.append("unit law fails: action of 1 is not the identity matrix")
-    for g in G.elements():
-        m = V.act_matrix(g)
-        for j in range(V.dim):
-            target = G.conj(g, V.degrees[j])
-            for i in range(V.dim):
-                if not m[i][j].is_zero() and V.degrees[i] != target:
-                    bad.append(
-                        f"degree compatibility fails: {g}|>v{j} hits degree "
-                        f"{V.degrees[i]} != {target}")
-    for e in firsts:
-        me = V.act_matrix(e)
-        for f in G.elements():
-            lhs = mat_mul(me, V.act_matrix(f))
-            mef = V.act_matrix(G.mul(e, f))
-            for j in range(V.dim):
-                w = phi.omega(e, f, V.degrees[j])
-                for i in range(V.dim):
-                    if not lhs[i][j] == w * mef[i][j]:
-                        bad.append(
-                            f"twisted composition fails at (e={e}, f={f}, "
-                            f"basis {j})")
-                        return Report(False, bad)
+    bad += [f"degree compatibility fails: {g}|>v{j} hits degree {degrees[i]} "
+            f"!= {G.conj(g, degrees[j])}"
+            for g in sorted(known) for j in range(dim) for i in range(dim)
+            if not known[g][i][j].is_zero()
+            and degrees[i] != G.conj(g, degrees[j])]
+    bad += [failure] if failure else []
     return Report(not bad, bad)
 
 
 def module_from_generator_actions(group: Group, cocycle: Cocycle3, degrees,
                                   generator_actions: dict,
                                   name=None) -> YDModule:
-    """Extend generator action matrices over the whole group.
+    """Extend generator action matrices over the whole group, checked.
 
     degrees gives each basis vector's degree, or one int for a module
-    whose basis vectors share it (the simple presets).  Actions of products
-    are forced by the twisted composition law, column by column:
-    A_{se}[:, k] = omega_{deg k}(s, e)^-1 (A_s A_e)[:, k].  The result is
-    validated with yd_axiom_check before being returned.
-    """
+    whose basis vectors share it (the simple presets).  One _yd_walk from
+    A_1 = I defines each product's action and checks the law at every other
+    pair, a matrix given for 1 included.  Once Phi's pentagon holds that
+    decides the axioms (see yd_axiom_check); otherwise the result is
+    checked over all of G.  Violations raise ValidationError."""
     if isinstance(degrees, int):
         degrees = [degrees] * len(next(iter(generator_actions.values())))
-    known: dict[int, list] = {group.identity: identity_matrix(len(degrees))}
-    gens = {int(g): [list(row) for row in m] for g, m in generator_actions.items()}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for e in frontier:
-            for s in sorted(gens):
-                se = group.mul(s, e)
-                if se in known:
-                    continue
-                winv = [cocycle.omega(s, e, d).inv() for d in degrees]
-                mat = mat_mul(gens[s], known[e])
-                known[se] = [[x * w for x, w in zip(row, winv)] for row in mat]
-                new.append(se)
-        frontier = new
+    known: dict = {group.identity: identity_matrix(len(degrees))}
+    gens = {int(g): m for g, m in generator_actions.items()}
+    report = _yd_walk(group, cocycle, degrees, gens, known)
     if len(known) != group.order:
         raise ValidationError("generator set does not generate the group")
     V = YDModule(group, cocycle, degrees, known, name=name)
-    report = yd_axiom_check(V)
+    if report and not cocycle.pentagon():
+        report = yd_axiom_check(V)
     if not report:
         raise ValidationError(
             f"generator actions are inconsistent: {report.summary()}")

@@ -1,12 +1,14 @@
 import json
 import os
+from itertools import permutations
 
 import pytest
 
 from ydweyl.cli import Session
-from ydweyl.cyclo import root_of_unity
-from ydweyl.groupdata import make_abelian_group, sign_cocycle
-from ydweyl.ydcat import (ModuleTuple, module_from_generator_actions,
+from ydweyl.cyclo import CycScalar, root_of_unity
+from ydweyl.groupdata import (Cocycle3, group_from_cayley, make_abelian_group,
+                             sign_cocycle)
+from ydweyl.ydcat import (ModuleTuple, YDModule, module_from_generator_actions,
                           preset_module)
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
@@ -69,3 +71,42 @@ def v_triple():
     """The tuple V of the z2z2z4 session (Z2 x Z2 x Z4, sign cocycle)."""
     with open(os.path.join(SESSIONS, "z2z2z4.json")) as fh:
         return Session(json.load(fh)).tuples["V"]
+
+
+def _sgn(p):
+    s = 1
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                s = -s
+    return s
+
+
+def s3_transposition_module():
+    """S3 with the trivial cocycle and FK3: the transpositions, each of its
+    own degree, with g |> t = sgn(g) g t g^-1 written on every element."""
+    perms = sorted(permutations(range(3)))
+    perms.remove((0, 1, 2))
+    perms.insert(0, (0, 1, 2))
+
+    def compose(p, q):
+        return tuple(p[q[x]] for x in range(3))
+
+    index = {p: i for i, p in enumerate(perms)}
+    cayley = [[index[compose(p, q)] for q in perms] for p in perms]
+    group = group_from_cayley(cayley)
+    phi = Cocycle3.trivial(group)
+    transpositions = [p for p in perms
+                      if sum(p[i] != i for i in range(3)) == 2]
+    degrees = [index[t] for t in transpositions]
+    action = {}
+    for gi, g in enumerate(perms):
+        ginv = tuple(g.index(x) for x in range(3))
+        mat = [[CycScalar.zero()] * 3 for _ in range(3)]
+        for col, t in enumerate(transpositions):
+            conj = compose(compose(g, t), ginv)
+            mat[transpositions.index(conj)][col] = \
+                CycScalar.from_rational(_sgn(g))
+        action[gi] = mat
+    module = YDModule(group, phi, degrees, action, name="FK3")
+    return group, phi, module

@@ -29,10 +29,12 @@ so the tests can state the paper's identities against it:
   * cocycles: the pentagon's report with both sides multiplied out on
     every quadruple (the engine multiplies each combination of values
     once);
-  * YD modules: the trivial module, duals with the action written on
-    every group element (the engine writes it on generators and derives
-    the rest), tensor products, braiding matrices and componentwise
-    isomorphism of tuples;
+  * YD modules: the trivial module, the axiom walk over every e in G
+    (the engine checks e in a generating set), generator matrices
+    extended over G without a check (the engine extends and checks in one
+    walk), duals with the action written on every group element (the
+    engine writes it on generators and derives the rest), tensor
+    products, braiding matrices and componentwise isomorphism of tuples;
   * the Weyl groupoid's morphisms and root counts per vertex, the root
     closure per vertex (reference_real_roots; the engine closes it once
     per class of vertices), and those classes (root_classes) with the
@@ -51,7 +53,8 @@ from itertools import permutations, product
 from math import gcd
 from weakref import WeakKeyDictionary
 
-from ydweyl.cyclo import CycScalar, det, nullspace, rref
+from ydweyl.cyclo import (CycScalar, det, identity_matrix, mat_mul,
+                         nullspace, rref)
 from ydweyl import weylgraph
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
@@ -696,6 +699,70 @@ def reference_dual(V: YDModule) -> YDModule:
         action[h] = mat
     return YDModule(G, phi, [G.inv(d) for d in V.degrees], action,
                     name=f"{V.name or '?'}*")
+
+
+def reference_yd_walk(V: YDModule) -> Report:
+    """The unit and degree laws, and the composition law for every e in G.
+
+    The walk ydcat checked every module with before its composition law
+    was checked on a generating set: the report lists the unit line, every
+    degree line, and the first composition failure with e outermost.
+    """
+    G, phi = V.group, V.cocycle
+    bad = []
+    ident = V.act_matrix(G.identity)
+    if any(not ident[i][j] == (_ONE if i == j else _ZERO)
+           for i in range(V.dim) for j in range(V.dim)):
+        bad.append("unit law fails: action of 1 is not the identity matrix")
+    for g in G.elements():
+        m = V.act_matrix(g)
+        for j in range(V.dim):
+            target = G.conj(g, V.degrees[j])
+            for i in range(V.dim):
+                if not m[i][j].is_zero() and V.degrees[i] != target:
+                    bad.append(
+                        f"degree compatibility fails: {g}|>v{j} hits degree "
+                        f"{V.degrees[i]} != {target}")
+    for e in G.elements():
+        me = V.act_matrix(e)
+        for f in G.elements():
+            lhs = mat_mul(me, V.act_matrix(f))
+            mef = V.act_matrix(G.mul(e, f))
+            for j in range(V.dim):
+                w = phi.omega(e, f, V.degrees[j])
+                for i in range(V.dim):
+                    if not lhs[i][j] == w * mef[i][j]:
+                        bad.append(
+                            f"twisted composition fails at (e={e}, f={f}, "
+                            f"basis {j})")
+                        return Report(False, bad)
+    return Report(not bad, bad)
+
+
+def reference_extension(group, cocycle, degrees,
+                        generator_actions: dict) -> YDModule:
+    """Generator matrices extended over G by the twisted composition law,
+    unchecked: A_1 = I (a matrix given for 1 is ignored) and, breadth-first
+    from 1, A_se[:, k] = omega_{deg k}(s, e)^-1 (A_s A_e)[:, k] at each se
+    not yet reached."""
+    known = {group.identity: identity_matrix(len(degrees))}
+    gens = {int(g): [list(row) for row in m]
+            for g, m in generator_actions.items()}
+    frontier = [group.identity]
+    while frontier:
+        new = []
+        for e in frontier:
+            for s in sorted(gens):
+                se = group.mul(s, e)
+                if se in known:
+                    continue
+                winv = [cocycle.omega(s, e, d).inv() for d in degrees]
+                mat = mat_mul(gens[s], known[e])
+                known[se] = [[x * w for x, w in zip(row, winv)]
+                             for row in mat]
+                new.append(se)
+        frontier = new
+    return YDModule(group, cocycle, degrees, known)
 
 
 def printed_action(V: YDModule) -> dict:

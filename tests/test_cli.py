@@ -649,22 +649,39 @@ def test_preset_module_takes_its_session_name(capsys, tmp_path):
 
 
 def test_validate_runs_each_check_once(capsys, monkeypatch):
+    # One walk per module: each preset is walked once as it is built, and
+    # validate neither walks it again nor checks the cocycle twice.
     calls = []
 
-    def counted(name, fn):
-        def wrapper(arg):
-            calls.append((name, getattr(arg, "name", None)))
-            return fn(arg)
+    def counted(name, fn, label):
+        def wrapper(*args, **kwargs):
+            calls.append((name, label(*args, **kwargs)))
+            return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((groupdata, "check_3cocycle"), (cli, "check_3cocycle"),
-                         (ydcat, "yd_axiom_check"), (cli, "yd_axiom_check")):
+    def named(arg):
+        return getattr(arg, "name", None)
+
+    for module, name, label in (
+            (groupdata, "check_3cocycle", named), (cli, "check_3cocycle", named),
+            (ydcat, "yd_axiom_check", named), (cli, "yd_axiom_check", named),
+            (ydcat, "module_from_generator_actions",
+             lambda *args, name=None: name),
+            (ydcat, "_yd_walk", lambda *args: None)):
         fn = getattr(module, name)
-        monkeypatch.setattr(module, name, counted(name, fn))
+        monkeypatch.setattr(module, name, counted(name, fn, label))
     code, _, _ = run(capsys, "--session", SESSION, "validate")
     assert code == 0
-    assert sorted(calls) == [("check_3cocycle", None)] + [
-        ("yd_axiom_check", f"W{k}") for k in range(1, 7)]
+    walked, building = [], None
+    for name, label in calls:
+        if name == "module_from_generator_actions":
+            building = label
+        elif name == "_yd_walk":
+            walked.append(building)
+    assert sorted(walked) == [f"W{k}" for k in range(1, 7)]
+    assert [c for c in calls if c[0] not in ("module_from_generator_actions",
+                                             "_yd_walk")] == [
+        ("check_3cocycle", None)]
 
 
 @pytest.mark.parametrize("exc, code", [

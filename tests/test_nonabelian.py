@@ -8,56 +8,23 @@ these numbers exercises every degree-conjugation code path (actions,
 braidings, duals, coproduct kernels) that the abelian worked family cannot.
 """
 
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
-from ydweyl.cyclo import CycScalar
 from ydweyl.freebraid import WordAlgebra
-from ydweyl.groupdata import Cocycle3, check_3cocycle, group_from_cayley
+from ydweyl.groupdata import check_3cocycle
 from ydweyl.nichols import nichols_truncate
-from ydweyl.ydcat import YDModule, dual, iso_test, yd_axiom_check
+from ydweyl.ydcat import dual, iso_test, yd_axiom_check
+from conftest import s3_transposition_module
 from oracles import (check_coideal, kernel_rref, primitive_dim,
                      printed_action, reference_dual, root_counts,
                      symmetrizer)
 
 
-def _sgn(p):
-    s = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
-
-
 @pytest.fixture(scope="module")
 def s3_module():
-    perms = sorted(permutations(range(3)))
-    perms.remove((0, 1, 2))
-    perms.insert(0, (0, 1, 2))
-
-    def compose(p, q):
-        return tuple(p[q[x]] for x in range(3))
-
-    index = {p: i for i, p in enumerate(perms)}
-    cayley = [[index[compose(p, q)] for q in perms] for p in perms]
-    group = group_from_cayley(cayley)
-    phi = Cocycle3.trivial(group)
-    transpositions = [p for p in perms
-                      if sum(p[i] != i for i in range(3)) == 2]
-    degrees = [index[t] for t in transpositions]
-    action = {}
-    for gi, g in enumerate(perms):
-        ginv = tuple(g.index(x) for x in range(3))
-        mat = [[CycScalar.zero()] * 3 for _ in range(3)]
-        for col, t in enumerate(transpositions):
-            conj = compose(compose(g, t), ginv)
-            mat[transpositions.index(conj)][col] = \
-                CycScalar.from_rational(_sgn(g))
-        action[gi] = mat
-    module = YDModule(group, phi, degrees, action, name="FK3")
-    return group, phi, module
+    return s3_transposition_module()
 
 
 def test_s3_module_is_yetter_drinfeld(s3_module):

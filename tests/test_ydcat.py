@@ -1,22 +1,24 @@
 import gc
 import json
 import os
+import re
 import weakref
 from itertools import combinations, product
 
 import pytest
 
-from ydweyl import ydcat
+from ydweyl import reflect, ydcat
 from ydweyl.cli import Session
 from ydweyl.cyclo import CycScalar, det, identity_matrix, mat_mul
 from ydweyl.errors import ValidationError
-from ydweyl.groupdata import make_abelian_group, sign_cocycle
+from ydweyl.groupdata import Cocycle3, make_abelian_group, sign_cocycle
 from ydweyl.weylgraph import build_cartan_graph
-from ydweyl.ydcat import (ModuleTuple, YDModule, _generators, _yd_walk, dual,
-                          iso_test, module_canonical_key, preset_module,
-                          yd_axiom_check)
-from conftest import tower_session
-from oracles import braiding_matrix, tensor, trivial_module, tuple_iso
+from ydweyl.ydcat import (ModuleTuple, YDModule, _generators, dual, iso_test,
+                          module_canonical_key, module_from_generator_actions,
+                          preset_module, yd_axiom_check)
+from conftest import s3_transposition_module, tower_session
+from oracles import (braiding_matrix, printed_action, reference_extension,
+                     reference_yd_walk, tensor, trivial_module, tuple_iso)
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
@@ -239,59 +241,90 @@ def test_omega_identity_behind_the_generator_shortcut(name, request):
 
 @pytest.fixture(scope="module")
 def checked_modules():
-    """Every module yd_axiom_check sees while W's and V's sessions load and
-    their graphs close: presets, duals and ad levels."""
-    seen = []
+    """Every module module_from_generator_actions returns while W's and V's
+    sessions load and their graphs close (presets, duals and ad levels),
+    and S3's transposition module built from its generators' matrices with
+    its dual; each with the elements its matrices were given at."""
+    built = []
 
-    def recording(V):
-        seen.append(V)
-        return check(V)
+    def recording(group, cocycle, degrees, generator_actions, name=None):
+        V = build(group, cocycle, degrees, generator_actions, name=name)
+        built.append((V, sorted(generator_actions)))
+        return V
 
-    check = ydcat.yd_axiom_check
+    build = ydcat.module_from_generator_actions
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ydcat, "yd_axiom_check", recording)
+        for home in (ydcat, reflect):
+            mp.setattr(home, "module_from_generator_actions", recording)
         for name, tuple_ in (("z2cubed.json", "W"), ("z2z2z4.json", "V")):
             session = _session(name)
             build_cartan_graph(session.tuples[tuple_], pairs=session.pairs(),
                                vertex_bound=session.cutoffs["vertex_bound"])
-    return seen
+        group, phi, fk3 = s3_transposition_module()
+        dual(ydcat.module_from_generator_actions(
+            group, phi, fk3.degrees,
+            {g: fk3.action[g] for g in _generators(group)}, name="FK3"))
+    return built
 
 
-def _full_walk(V):
-    return _yd_walk(V, V.group.elements())
+_PAIR = re.compile(r"twisted composition fails at "
+                   r"\(e=(\d+), f=(\d+), basis (\d+)\)")
 
 
-def _same_report(V):
-    got, want = yd_axiom_check(V), _full_walk(V)
-    return (got.ok, got.violations) == (want.ok, want.violations)
+def _law_fails(V, e, f, j):
+    """Whether e |> (f |> v_j) != omega_{deg j}(e, f) (ef) |> v_j in V."""
+    lhs = mat_mul(V.act_matrix(e), V.act_matrix(f))
+    w = V.cocycle.omega(e, f, V.degrees[j])
+    mef = V.act_matrix(V.group.mul(e, f))
+    return any(not lhs[i][j] == w * mef[i][j] for i in range(V.dim))
+
+
+def _agrees_with_reference(V):
+    """yd_axiom_check(V) has the reference walk's verdict, unit line and
+    degree lines, and the law fails at the composition pair it names."""
+    got, want = yd_axiom_check(V), reference_yd_walk(V)
+    pairs = [_PAIR.fullmatch(v) for v in got.violations
+             if v.startswith("twisted composition")]
+    laws = [[v for v in r.violations if not v.startswith("twisted composition")]
+            for r in (got, want)]
+    return (got.ok == want.ok and laws[0] == laws[1] and len(pairs) <= 1
+            and all(m and _law_fails(V, *map(int, m.groups())) for m in pairs))
 
 
 def test_axiom_check_matches_full_walk_on_w_and_v(checked_modules):
-    names = [m.name for m in checked_modules]
+    names = [V.name for V, _ in checked_modules]
     presets = {f"W{k}" for k in range(1, 7)} | {"V1", "V2", "V3"}
-    assert presets <= set(names)
+    assert presets | {"FK3", "FK3*"} <= set(names)
     assert any(n.endswith("*") for n in names)
     assert any(n.startswith("ad^") for n in names)
-    for V in checked_modules:
-        assert _full_walk(V).ok, V.name
-        assert _same_report(V), V.name
+    for V, _ in checked_modules:
+        assert reference_yd_walk(V).ok, V.name
+        assert _agrees_with_reference(V), V.name
+
+
+def _corrupt(action, g, i, j):
+    """Copies of the matrices in action, entry (i, j) of A_g negated if
+    nonzero, else set to 1."""
+    action = {h: [list(row) for row in m] for h, m in action.items()}
+    x = action[g][i][j]
+    action[g][i][j] = -x if x else CycScalar.one()
+    return action
 
 
 def _corrupted(V, g, i, j):
-    """V with entry (i, j) of A_g negated if nonzero, else set to 1."""
-    action = {h: [list(row) for row in m] for h, m in V.action.items()}
-    x = action[g][i][j]
-    action[g][i][j] = -x if x else CycScalar.one()
-    return YDModule(V.group, V.cocycle, V.degrees, action, name=V.name)
+    return YDModule(V.group, V.cocycle, V.degrees, _corrupt(V.action, g, i, j),
+                    name=V.name)
 
 
 def test_axiom_check_matches_full_walk_on_corrupted_modules(checked_modules):
     # One entry of one matrix changed, at a generator of the greedy set, at
-    # an element outside it and at the identity: the shortcut finds a
-    # violation and the full walk writes the report.
-    picked = [m for m in checked_modules if m.name in ("W1", "V2")]
-    picked.append(next(m for m in checked_modules
-                       if m.name.startswith("ad^") and m.group.order == 16))
+    # an element outside it and at the identity: the walk on generators
+    # fails exactly when the reference does, with its unit and degree lines
+    # and at a pair where the law fails.
+    modules = [V for V, _ in checked_modules]
+    picked = [V for V in modules if V.name in ("W1", "V2", "FK3")]
+    picked.append(next(V for V in modules
+                       if V.name.startswith("ad^") and V.group.order == 16))
     for V in picked:
         G = V.group
         gens = _generators(G)
@@ -299,5 +332,88 @@ def test_axiom_check_matches_full_walk_on_corrupted_modules(checked_modules):
         for g in (gens[0], gens[-1], others[0], others[-1], G.identity):
             for i, j in product(range(V.dim), repeat=2):
                 bad = _corrupted(V, g, i, j)
-                assert not _full_walk(bad).ok, (V.name, g, i, j)
-                assert _same_report(bad), (V.name, g, i, j)
+                assert not reference_yd_walk(bad).ok, (V.name, g, i, j)
+                assert _agrees_with_reference(bad), (V.name, g, i, j)
+
+
+def _actions(V):
+    """V's matrices by value, as printed, and by stored conductor."""
+    return (V.action, printed_action(V),
+            {g: [[x.conductor for x in row] for row in m]
+             for g, m in V.action.items()})
+
+
+def test_builder_reproduces_every_built_module(checked_modules):
+    # Fed back its own matrices at a greedy generating set, or at the
+    # elements they were first given at (W4-W6 are given at non-greedy
+    # sets), the builder returns the module it built.
+    for V, keys in checked_modules:
+        for gens in (_generators(V.group), keys):
+            again = module_from_generator_actions(
+                V.group, V.cocycle, V.degrees,
+                {g: V.action[g] for g in gens}, name=V.name)
+            assert _actions(again) == _actions(V), (V.name, gens)
+
+
+def test_builder_rejects_what_the_reference_rejects(checked_modules):
+    # One entry of one given matrix changed per module: the builder raises
+    # exactly when the unchecked extension of the same matrices fails the
+    # reference walk.
+    rejected = 0
+    for n, (V, keys) in enumerate(checked_modules):
+        g = keys[n % len(keys)]
+        i, j = divmod(n % V.dim ** 2, V.dim)
+        given = _corrupt({h: V.action[h] for h in keys}, g, i, j)
+        rejected += _builder_rejects_as_reference(
+            V.group, V.cocycle, V.degrees, given, (V.name, g, i, j))
+    assert rejected > len(checked_modules) // 2
+
+
+def _builder_rejects_as_reference(group, phi, degrees, given, case) -> bool:
+    """Whether the builder raises on the given matrices, asserting that it
+    does exactly when their unchecked extension fails the reference walk."""
+    ok = reference_yd_walk(reference_extension(group, phi, degrees, given)).ok
+    try:
+        module_from_generator_actions(group, phi, degrees, given)
+    except ValidationError as exc:
+        assert not ok, case
+        assert str(exc).startswith("generator actions are inconsistent"), case
+        return True
+    assert ok, case
+    return False
+
+
+def test_builder_checks_a_matrix_given_for_the_identity():
+    group = make_abelian_group([2])
+    phi = Cocycle3.trivial(group)
+    one, minus = [[CycScalar.one()]], [[CycScalar.from_rational(-1)]]
+    with pytest.raises(ValidationError,
+                       match="generator actions are inconsistent"):
+        module_from_generator_actions(group, phi, 1, {0: minus, 1: minus})
+    V = module_from_generator_actions(group, phi, 1, {0: one, 1: minus})
+    assert V.action == {0: ((1,),), 1: ((-1,),)}
+
+
+def test_builder_checks_every_pair_when_the_pentagon_fails(z2cubed,
+                                                           w_presets):
+    # Phi(g3, g2 g3, g2) negated breaks the pentagon, and with it the
+    # induction from generators: W3's generator matrices pass the walk on
+    # generators, yet the law fails at another pair.  The builder then
+    # checks all of G, and raises exactly when the reference walk does.
+    group, phi = z2cubed
+    g2 = group.element_index((0, 1, 0))
+    g3 = group.element_index((0, 0, 1))
+    at = (g3 * 8 + group.mul(g2, g3)) * 8 + g2
+    flat = list(phi._table)
+    flat[at] = -flat[at]
+    broken = Cocycle3(group, flat)
+    assert not broken.pentagon().ok
+    gens = _generators(group)
+    w3 = {g: w_presets[3].action[g] for g in gens}
+    assert ydcat._yd_walk(group, broken, w_presets[3].degrees, w3,
+                          {group.identity: identity_matrix(2)}).ok
+    rejected = [k for k, V in w_presets.items()
+                if _builder_rejects_as_reference(
+                    group, broken, V.degrees,
+                    {g: V.action[g] for g in gens}, k)]
+    assert 3 in rejected
