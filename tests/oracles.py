@@ -35,6 +35,9 @@ so the tests can state the paper's identities against it:
     walk), duals with the action written on every group element (the
     engine writes it on generators and derives the rest), tensor
     products, braiding matrices and componentwise isomorphism of tuples;
+  * untwisting: a session of lines over Z_n with a Phi_s table lifted to
+    Z_{n^2} with the trivial Phi (lift_session), an equivalent session
+    whose Phi-twisted scalar paths are all trivial;
   * the Weyl groupoid's morphisms and root counts per vertex, the root
     closure per vertex (reference_real_roots; the engine closes it once
     per class of vertices), and those classes (root_classes) with the
@@ -54,7 +57,7 @@ from math import gcd
 from weakref import WeakKeyDictionary
 
 from ydweyl.cyclo import (CycScalar, det, identity_matrix, mat_mul,
-                         nullspace, rref)
+                         nullspace, parse_scalar, rref)
 from ydweyl import weylgraph
 from ydweyl.errors import ResourceBoundError, ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
@@ -66,7 +69,9 @@ _ONE = CycScalar.one()
 _ZERO = CycScalar.zero()
 
 
-def complex_value(x: CycScalar) -> complex:
+def complex_value(x) -> complex:
+    if not isinstance(x, CycScalar):
+        return complex(x)
     z = cmath.exp(2j * cmath.pi / x.conductor)
     return sum(float(c) * z ** k for k, c in enumerate(x.coeffs))
 
@@ -820,6 +825,53 @@ def tuple_iso(M, N) -> bool:
     if M.theta != N.theta:
         return False
     return all(iso_test(a, b) is not None for a, b in zip(M, N))
+
+
+# ---------------------------------------------------------------------------
+# Untwisting: lines over twisted Z_n lifted to Z_{n^2} with the trivial Phi.
+# ---------------------------------------------------------------------------
+
+def _root_of_unity_exponent(x: complex, m: int) -> int:
+    """k with x = exp(2 pi i k / m), read off in complex floats."""
+    k = round(cmath.phase(x) * m / (2 * cmath.pi)) % m
+    if abs(x - cmath.exp(2j * cmath.pi * k / m)) > 1e-9:
+        raise ValueError(f"{x} is not an {m}-th root of unity")
+    return k
+
+
+def lift_session(data: dict) -> dict:
+    """A session of lines over Z_n with Phi_s, untwisted over Z_{n^2}.
+
+    Phi_s(a, b, c) = zeta_n^(s a [b + c >= n]), exponents in 0..n-1 (the
+    z3twisted table is n = 3, s = 1).  pi: Z_{n^2} -> Z_n, k -> k mod n,
+    pulls Phi_s back to a coboundary, so gauging the pulled-back action
+    gives a braided monoidal equivalence onto YD modules over Z_{n^2} with
+    the trivial Phi: Nichols algebras, Cartan entries and verdicts agree.
+    A line of degree d in [0, n) acting by A_1 at the generator lifts to
+    the character k -> A_1^k at degree d.  data's table is a flat list of
+    n^3 literals and every module is a line; A_1 and s are read off in
+    complex floats, and any other input raises ValueError.
+    """
+    (n,) = data["group"]["abelian"]
+    table = [complex_value(parse_scalar(x)) for x in data["cocycle"]["table"]]
+    triples = list(product(range(n), repeat=3))
+    if len(table) != n ** 3 or not any(
+            all(abs(v - cmath.exp(2j * cmath.pi * s * a * (b + c >= n) / n))
+                < 1e-9 for v, (a, b, c) in zip(table, triples))
+            for s in range(n)):
+        raise ValueError("the cocycle is not Phi_s on Z_n for any s")
+    m = n * n
+    modules = {}
+    for name, stanza in data["modules"].items():
+        (d,) = stanza["degrees"]
+        (a1,) = stanza["action"]["1"][0]
+        j = _root_of_unity_exponent(complex_value(parse_scalar(a1)), m)
+        modules[name] = {"degrees": [d],
+                         "action": {str(k): [[f"zeta({m})^{j * k % m}"]]
+                                    for k in range(m)}}
+    return {"group": {"abelian": [m]}, "cocycle": {"trivial": True},
+            "modules": modules, "tuples": dict(data.get("tuples", {})),
+            "cutoffs": dict(data.get("cutoffs", {}))}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ here from exponents of roots of unity, in integer arithmetic:
     and 0 from ord(q) on, and B(L) is the polynomial ring when q = 1;
   * rank 2: a_12 = -min{m : (m+1)_{q11} (1 - q11^m q12 q21) = 0}
     (Heckenberger, Invent. Math. 164 (2006)).
+
+Over Z_n with the twisted cocycle Phi_s, a pair of lines is compared with
+its untwisted lift over Z_{n^2} (tests/oracles.py:lift_session): the two
+are related by a braided monoidal equivalence, so everything computed
+from the Nichols algebra agrees, while the twisted scalar paths run only
+on one side.
 """
 
 import random
@@ -16,11 +22,15 @@ from math import gcd
 
 import pytest
 
+from oracles import lift_session
+from ydweyl.cli import Session
 from ydweyl.cyclo import root_of_unity
-from ydweyl.errors import UndecidedAtCutoff
+from ydweyl.errors import UndecidedAtCutoff, YDWeylError
 from ydweyl.groupdata import Cocycle3, make_abelian_group
 from ydweyl.nichols import nichols_truncate
 from ydweyl.reflect import PairCache, cartan_matrix
+from ydweyl.weylgraph import (build_cartan_graph, infinite_dim_certificate,
+                              is_finite)
 from ydweyl.ydcat import ModuleTuple, module_from_generator_actions
 
 MAX_DEGREE = 9
@@ -92,3 +102,76 @@ def test_rank_two_cartan_entries_follow_heckenberger():
                 cartan_matrix(pair, pairs)
             undecided += 1
     assert decided and undecided
+
+
+def _twisted_pair(n, s, lines, cutoffs):
+    """Session data for lines X1, X2 over Z_n with Phi_s (lift_session's
+    table); line (d, t) has degree d and its generator acts by
+    zeta(n^2)^(s d + n t), which the twisted composition law admits: its
+    n-th power is zeta(n)^(s d), the product of omega_d(1, k) over k."""
+    table = [f"zeta({n})^{s * a * (b + c >= n) % n}"
+             for a in range(n) for b in range(n) for c in range(n)]
+    data = {"group": {"abelian": [n]}, "cocycle": {"table": table},
+            "modules": {}, "cutoffs": cutoffs}
+    session = Session(data)
+    for k, (d, t) in enumerate(lines):
+        line = module_from_generator_actions(
+            session.group, session.cocycle, d,
+            {1: [[root_of_unity(n * n, s * d + n * t)]]})
+        data["modules"][f"X{k + 1}"] = {
+            "degrees": [d],
+            "action": {str(g): [[str(line.act_matrix(g)[0][0])]]
+                       for g in range(n)}}
+    data["tuples"] = {"P": ["X1", "X2"]}
+    return data
+
+
+def _outcome(fn):
+    """fn's value, or the class of the engine error it raises."""
+    try:
+        return fn()
+    except YDWeylError as exc:
+        return type(exc)
+
+
+def _pair_facts(data):
+    """Graded dimensions, Cartan matrix, verdict line, finiteness with the
+    real roots at the start vertex, and the vertex count of tuple P."""
+    session = Session(data)
+    P, cut = session.tuples["P"], session.cutoffs
+
+    def pairs():
+        return PairCache(cut["ad_cutoff"], cut["max_degree"])
+
+    dims = nichols_truncate(P, cut["max_degree"]).graded_dims()
+    cartan = _outcome(lambda: cartan_matrix(P, pairs()))
+    verdict = _outcome(lambda: infinite_dim_certificate(
+        P, pairs=pairs(), vertex_bound=cut["vertex_bound"]).lines()[0])
+    graph = _outcome(lambda: build_cartan_graph(
+        P, pairs=pairs(), vertex_bound=cut["vertex_bound"]))
+    if isinstance(graph, type):
+        return dims, cartan, verdict, graph, None
+    result = is_finite(graph, cut["root_bound"])
+    return (dims, cartan, verdict, (result.status, result.roots.get(0)),
+            graph.vertex_count())
+
+
+def test_twisted_lines_match_their_untwisted_lifts():
+    rng = random.Random(6)
+    cutoffs = {"max_degree": 5, "ad_cutoff": 4, "vertex_bound": 16,
+               "root_bound": 20}
+    decided = twisted_decided = 0
+    for _ in range(24):
+        n = rng.randint(2, 5)
+        s = rng.randrange(n)
+        lines = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+        data = _twisted_pair(n, s, lines, cutoffs)
+        *twisted, count = _pair_facts(data)
+        *lifted, lift_count = _pair_facts(lift_session(data))
+        assert twisted == lifted, (n, s, lines)
+        if count is not None:
+            # The lift's graph covers the twisted one; the counts may differ.
+            assert count <= lift_count, (n, s, lines)
+            decided += 1
+            twisted_decided += s != 0
+    assert twisted_decided >= 3 and decided >= 8
