@@ -14,14 +14,14 @@ import sys
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
-def _traced(tmp_path, *argv):
-    """Stdout and per-layer values of one traced run on the z2cubed session."""
+def _traced(tmp_path, *argv, session="z2cubed.json"):
+    """Stdout and per-layer values of one traced run on a shipped session."""
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), "trace",
-         str(result), os.path.join(ROOT, "sessions", "z2cubed.json"), *argv],
+         str(result), os.path.join(ROOT, "sessions", session), *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     layers = {k: v[0] for k, v in json.loads(result.read_text())["layers"].items()}
@@ -61,3 +61,21 @@ def test_traced_nichols_run(tmp_path):
     # The tracer reads len(blk.words), the block's word count, which the
     # engine keeps for it alone: W1 at degree 3 has 2^3 words.
     assert layers["nichols.block.words_max"] == 8
+
+
+def test_traced_irrational_certify_run(tmp_path):
+    stdout, layers = _traced(tmp_path, "certify", "L",
+                             session="z3twisted.json")
+    assert stdout == ("verdict: no conclusion from this criterion\n"
+                      "semi-Cartan graph: 2 vertices, axioms pass\n"
+                      "standard: yes\n"
+                      "Cartan matrix at the start vertex:\n"
+                      "  [ 2]\n"
+                      "Cartan type: A1\n")
+    # L's entries lie in Q(zeta_9): its iso keys solve for a subfield
+    # expression with rref, whose input cells the tracer reads.  A rank-1
+    # tuple builds no Nichols block, so every rref call is an iso key's.
+    assert layers["ydcat.module_canonical_key.calls"] > 0
+    assert layers["nichols.block.built"] == 0
+    assert layers["cyclo.rref.calls"] > 0
+    assert layers["cyclo.rref.cells"] > 0
