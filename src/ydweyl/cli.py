@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .cyclo import CycScalar, parse_scalar
+from .cyclo import parse_scalar
 from .errors import (ResourceBoundError, UndecidedAtCutoff, ValidationError,
                      YDWeylError)
 from .groupdata import (Cocycle3, Group, Report, check_3cocycle,
@@ -254,9 +254,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _scalar(x) -> CycScalar:
+def _scalar(x):
     if _is_int(x):
-        return CycScalar.from_rational(x)
+        return x
     if isinstance(x, str):
         return parse_scalar(x)
     raise ValueError(f"scalar literals are strings or integers, got {x!r}")

@@ -4,9 +4,14 @@ A scalar is stored in the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N)
 modulo the N-th cyclotomic polynomial, as integer numerators over one
 positive denominator in lowest terms.  This is a normal form: equality is
 coefficient equality after promoting both operands to the lcm conductor.
-Values that turn out to be rational are automatically stored at conductor 1,
-so 0 and 1 have a single canonical encoding.  Products are reduced through a
-per-conductor table of z^k for phi(N) <= k < N.
+Products are reduced through a per-conductor table of z^k for
+phi(N) <= k < N.
+
+A rational value is a plain int, or a Fraction when it is not whole, and
+only an irrational value is a CycScalar: every operation returns a value
+that turns out rational as an int or a Fraction, so a rational has one
+encoding and Python's numbers are the one rational arithmetic.  inv,
+scalar_key and as_cyc are the helpers that tell the kinds apart.
 
 No floating point anywhere; float evaluation lives only in the test oracles.
 """
@@ -114,26 +119,29 @@ def _coerce_fraction(x) -> Fraction:
 
 
 class CycScalar:
-    """An element of Q(zeta_N) in reduced power-basis form.
+    """An irrational element of Q(zeta_N) in reduced power-basis form.
 
     ``num`` holds phi(N) integer numerators and ``den`` their one positive
     denominator, with gcd(den, *num) = 1; ``coeffs`` reads them as
-    Fractions.  Instances are immutable; all operations return new scalars.
-    Mixed conductors are promoted to the lcm.  Not hashable: equality crosses
-    conductors, so use ``x.canonical_key()`` as a dict key when one is
-    needed.  ``str(x)`` is not canonical: it prints the stored conductor.
+    Fractions.  A rational value is never a CycScalar: it is an int, or a
+    Fraction when not whole, and ``CycScalar(N, coeffs)`` returns one when
+    the coefficients give a rational.  The operators take an int or
+    Fraction operand directly.  Instances are immutable; all operations
+    return new values.  Mixed conductors are promoted to the lcm.  Not
+    hashable: equality crosses conductors, so use ``scalar_key(x)`` as a
+    dict key when one is needed.  ``str(x)`` is not canonical: it prints
+    the stored conductor.
     """
 
     __slots__ = ("conductor", "num", "den")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, conductor: int, coeffs):
+    def __new__(cls, conductor: int, coeffs):
         _check_conductor(conductor)
         fracs = [_coerce_fraction(c) for c in coeffs]
         den = lcm(*(f.denominator for f in fracs))
         num = [f.numerator * (den // f.denominator) for f in fracs]
-        self.__setstate__(_make(conductor, _reduce(num, conductor), den)
-                          .__getstate__())
+        return _make(conductor, _reduce(num, conductor), den)
 
     @property
     def coeffs(self) -> tuple:
@@ -143,39 +151,13 @@ class CycScalar:
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
 
-    def __getstate__(self):
-        return (self.conductor, self.num, self.den)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x) -> "CycScalar":
-        if type(x) is int:
-            return _rational(x, 1)
-        f = _coerce_fraction(x)
-        return _rational(f.numerator, f.denominator)
-
-    @classmethod
-    def zero(cls) -> "CycScalar":
-        return _ZERO
-
-    @classmethod
-    def one(cls) -> "CycScalar":
-        return _ONE
+    def __reduce__(self):
+        return _make, (self.conductor, self.num, self.den)
 
     # ---- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num == (0,)
-
-    def rational_value(self) -> Fraction:
-        if self.conductor != 1:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
 
     def promote(self, m: int) -> "CycScalar":
         """Re-express in Q(zeta_m); m must be a multiple of the conductor."""
@@ -186,7 +168,7 @@ class CycScalar:
             raise ValueError(f"cannot promote conductor {n} to {m}")
         _check_conductor(m)
         if n == 1:
-            return self  # a rational stays at conductor 1
+            return self  # as_cyc's rational cells stay at conductor 1
         step = m // n
         c = [0] * (len(self.num) * step)
         c[::step] = self.num
@@ -196,11 +178,6 @@ class CycScalar:
         """Numerators in Q(zeta_m), padded to length phi(m)."""
         num = self.promote(m).num
         return num + (0,) * (euler_phi(m) - len(num))
-
-    def coeffs_at(self, m: int) -> tuple:
-        """Power-basis coefficients in Q(zeta_m), padded to length phi(m)."""
-        den = self.den
-        return tuple(Fraction(a, den) for a in self._num_at(m))
 
     def try_demote(self, d: int) -> "CycScalar | None":
         """Express in Q(zeta_d), if possible.
@@ -215,23 +192,26 @@ class CycScalar:
         if n % d != 0:
             raise ValueError(f"{d} neither divides nor is divided by "
                              f"the conductor {n}")
-        # Solve sum_j b_j * promote(zeta_d^j) = self for rational b_j.
-        cols = [root_of_unity(d, j).coeffs_at(n) for j in range(euler_phi(d))]
-        rows = [[CycScalar.from_rational(col[i]) for col in cols]
-                + [CycScalar.from_rational(c)] for i, c in enumerate(self.coeffs)]
+        # Solve sum_j b_j * zeta_d^j = self for rational b_j: column j holds
+        # zeta_d^j = zeta_n^(j n/d) in Q(zeta_n).  rref reads CycScalar cells
+        # (as_cyc), for perfbench/tracer.py (ROADMAP item 4).
+        cols = [_reduce([0] * (j * (n // d)) + [1], n)
+                for j in range(euler_phi(d))]
+        rows = [[as_cyc(col[i]) for col in cols] + [as_cyc(c)]
+                for i, c in enumerate(self.coeffs)]
         reduced, pivots = rref(rows)
         ncols = len(cols)
         if ncols in pivots:
             return None  # inconsistent: not in the subfield
-        sol = [Fraction(0)] * ncols
+        sol = [0] * ncols
         for r, p in zip(reduced, pivots):
-            sol[p] = r.get(ncols, _ZERO).rational_value()
+            sol[p] = r.get(ncols, 0)
         return CycScalar(d, sol)
 
     def canonical_key(self) -> tuple:
         """Hashable encoding that equal values share: (d, num, den) in Q(zeta_d).
 
-        Only rational values are stored at their minimal conductor, so
+        Values are stored at the conductor their operations give, so
         zeta(8)^2 keeps conductor 8 while the equal zeta(4) has 4.  The key
         uses the smallest divisor d of the conductor with the value in
         Q(zeta_d); that d is unique because Q(zeta_a) and Q(zeta_b) meet in
@@ -254,12 +234,20 @@ class CycScalar:
         l = n * m // gcd(n, m)
         return l, self._num_at(l), other._num_at(l)
 
+    def _shifted(self, sign: int, r):
+        """sign * self + r for a rational r: the numerators scaled and the
+        constant one shifted, at self's conductor."""
+        if not isinstance(r, (int, Fraction)):
+            return NotImplemented
+        q = r.denominator
+        num = [sign * q * x for x in self.num]
+        num[0] += r.numerator * self.den
+        return _make(self.conductor, num, self.den * q)
+
     def __add__(self, other):
         if not isinstance(other, CycScalar):
-            other = CycScalar.from_rational(other)
+            return self._shifted(1, other)
         da, db = self.den, other.den
-        if len(self.num) == 1 == len(other.num):
-            return _rational(self.num[0] * db + other.num[0] * da, da * db)
         n, a, b = self._aligned(other)
         return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
@@ -270,32 +258,23 @@ class CycScalar:
 
     def __sub__(self, other):
         if not isinstance(other, CycScalar):
-            other = CycScalar.from_rational(other)
+            return self._shifted(1, -other)
         da, db = self.den, other.den
-        if len(self.num) == 1 == len(other.num):
-            return _rational(self.num[0] * db - other.num[0] * da, da * db)
         n, a, b = self._aligned(other)
         return _make(n, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __rsub__(self, other):
-        return CycScalar.from_rational(other) - self
+        return self._shifted(-1, other)
 
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
-            if other == 1:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other == 1:  # self is already in normal form
                 return self
-            other = CycScalar.from_rational(other)
-        if len(self.num) == 1:
-            if len(other.num) == 1:
-                return _rational(self.num[0] * other.num[0],
-                                 self.den * other.den)
-            self, other = other, self
-        if len(other.num) == 1:  # a rational factor scales the numerators
-            p = other.num[0]
-            if p == other.den:  # times 1: self is already in normal form
-                return self
-            return _make(self.conductor, [p * x for x in self.num],
-                         self.den * other.den)
+            return _make(self.conductor,
+                         [other.numerator * x for x in self.num],
+                         self.den * other.denominator)
         den = self.den * other.den
         n, a, b = self._aligned(other)
         terms = [(j, y) for j, y in enumerate(b) if y]
@@ -311,9 +290,6 @@ class CycScalar:
     def inv(self) -> "CycScalar":
         if self.is_zero():
             raise CycloDivisionError("inverse of zero in a cyclotomic field")
-        if len(self.num) == 1:
-            p = self.num[0]
-            return _rational(self.den if p > 0 else -self.den, abs(p))
         # Extended Euclid on integer polynomials.  Each pair (r, s) keeps
         # r = s*A mod Phi_N for the numerator polynomial A; after each
         # division it is divided by its content, signed so that r's leading
@@ -336,17 +312,15 @@ class CycScalar:
             r0, s0, r1, s1 = r1, s1, r0, s0
 
     def __truediv__(self, other):
-        if not isinstance(other, CycScalar):
-            other = CycScalar.from_rational(other)
-        return self * other.inv()
+        return self * inv(other)
 
     def __rtruediv__(self, other):
-        return CycScalar.from_rational(other) * self.inv()
+        return other * self.inv()
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = _ONE
+        result = 1
         base = self
         while k:
             if k & 1:
@@ -357,14 +331,11 @@ class CycScalar:
 
     def __eq__(self, other):
         if isinstance(other, CycScalar):
-            if len(self.num) == 1 == len(other.num):
-                return self.num == other.num and self.den == other.den
-        elif isinstance(other, (int, Fraction)):
-            other = CycScalar.from_rational(other)
-        else:
-            return NotImplemented
-        _, a, b = self._aligned(other)
-        return a == b and self.den == other.den
+            _, a, b = self._aligned(other)
+            return a == b and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return self.num == (other.numerator,) and self.den == other.denominator
+        return NotImplemented
 
     def __bool__(self):
         return self.num != (0,)
@@ -384,11 +355,13 @@ _set_num = CycScalar.num.__set__
 _set_den = CycScalar.den.__set__
 
 
-def _make(n: int, num: list, den: int) -> CycScalar:
-    """The scalar sum_j num[j] z^j / den (len(num) = phi(n), den > 0) in
-    normal form: the gcd divided out, and a rational value at conductor 1."""
+def _make(n: int, num, den: int):
+    """The value sum_j num[j] z^j / den (len(num) = phi(n), den > 0) in
+    normal form: a rational as an int, or a Fraction when not whole, and
+    an irrational as a CycScalar with the gcd divided out."""
     if not any(num[1:]):
-        return _rational(num[0], den)
+        p, r = divmod(num[0], den)
+        return p if not r else Fraction(num[0], den)
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -401,32 +374,46 @@ def _make(n: int, num: list, den: int) -> CycScalar:
     return self
 
 
-def _rational(p: int, d: int) -> CycScalar:
-    """The rational p/d (d > 0) at conductor 1, gcd divided out; an integer
-    of _SMALL is its one shared instance."""
-    if d != 1:
-        g = gcd(p, d)
-        if g != 1:
-            p //= g
-            d //= g
-    if d == 1:
-        self = _SMALL.get(p)
-        if self is not None:
-            return self
-    self = _new(CycScalar)
-    _set_conductor(self, 1)
-    _set_num(self, (p,))
-    _set_den(self, d)
-    return self
+def _cell(p: int, q: int) -> CycScalar:
+    cell = _new(CycScalar)
+    _set_conductor(cell, 1)
+    _set_num(cell, (p,))
+    _set_den(cell, q)
+    return cell
 
 
-# The integers -64..64, built once at import and never grown: a rational
-# result equal to one of them is that instance.  _rational reads the table,
-# so it is empty while its entries are made.
-_SMALL: dict = {}
-_SMALL.update({p: _rational(p, 1) for p in range(-64, 65)})
-_ZERO = _SMALL[0]
-_ONE = _SMALL[1]
+_ZERO_CELL = _cell(0, 1)
+
+
+def as_cyc(x) -> CycScalar:
+    """x as a CycScalar cell of rref's dense input: a rational at conductor
+    1 (one shared zero), an irrational as itself.
+
+    rref's input is CycScalar because perfbench/tracer.py calls is_zero on
+    every cell.  Only rref's callers wrap, and these cells are the only
+    conductor-1 CycScalars made; they go with the tracer (ROADMAP item 4).
+    """
+    if isinstance(x, CycScalar):
+        return x
+    return _cell(x.numerator, x.denominator) if x else _ZERO_CELL
+
+
+def inv(x):
+    """1/x: an int or Fraction for a rational x, a CycScalar otherwise."""
+    if isinstance(x, CycScalar):
+        return x.inv()
+    if not x:
+        raise CycloDivisionError("inverse of zero")
+    p, q = x.numerator, x.denominator
+    return p * q if p in (1, -1) else Fraction(q, p)
+
+
+def scalar_key(x) -> tuple:
+    """Hashable encoding that equal values share, across conductors:
+    (1, (p,), q) for a rational p/q, else x.canonical_key()."""
+    if isinstance(x, CycScalar):
+        return x.canonical_key()
+    return 1, (x.numerator,), x.denominator
 
 
 def root_of_unity(n: int, k: int) -> CycScalar:
@@ -443,9 +430,9 @@ def root_of_unity(n: int, k: int) -> CycScalar:
 # Textual encoding: rationals and sums of c*zeta(N)^k terms, exact round-trip.
 # ---------------------------------------------------------------------------
 
-def scalar_to_str(x: CycScalar) -> str:
-    if x.conductor == 1:
-        return str(x.coeffs[0])
+def scalar_to_str(x) -> str:
+    if not isinstance(x, CycScalar):
+        return str(x)
     n = x.conductor
     parts = []
     for j, c in enumerate(x.coeffs):
@@ -475,7 +462,7 @@ _TERM_RE = re.compile(
 _RAT_RE = re.compile(rf"^{_RAT}$")
 
 
-def parse_scalar(text: str) -> CycScalar:
+def parse_scalar(text: str):
     """Inverse of scalar_to_str; also accepts bare 'zeta(N)^k' and rationals."""
     s = text.strip()
     if not s:
@@ -484,13 +471,13 @@ def parse_scalar(text: str) -> CycScalar:
     if s[0] not in "+-":
         s = "+" + s
     parts = re.split(r"(?<!\^)([+-])", s)[1:]
-    total = _ZERO
+    total = 0
     for sgn, term in zip(parts[::2], parts[1::2]):
         term = term.strip()
         if not term:
             raise ValueError(f"malformed scalar literal: {text!r}")
         if _RAT_RE.match(term):
-            val = CycScalar.from_rational(Fraction(term))
+            val = Fraction(term)
         else:
             m = _TERM_RE.match(term)
             if not m:
@@ -501,36 +488,37 @@ def parse_scalar(text: str) -> CycScalar:
             if m.group("coef") is not None:
                 val = val * Fraction(m.group("coef"))
         total = total + (val if sgn == "+" else -val)
-    return total
+    return _int_if_whole(total)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over CycScalar.  Matrices are lists of row lists.
+# Exact linear algebra over Q(zeta_N).  Matrices are lists of row lists.
 # ---------------------------------------------------------------------------
 
-Matrix = list  # list[list[CycScalar]]
+Matrix = list  # list[list[scalar]]
 
 
 def rref(rows: Matrix) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form, as sparse rows, and the pivot columns.
 
-    The input is dense rows, which perfbench/tracer.py counts (ROADMAP item
-    4).  Each reduced row is a dict from column to nonzero CycScalar, keys
-    ascending, and elimination runs on such rows: a step updates only the
-    rows holding the pivot column, over the pivot row's support.  Rows stay
-    in the dense order of a Gauss-Jordan sweep, so every entry is computed
-    by the same operations as the dense elimination would give it.  A
-    rational entry is eliminated as an int (a Fraction if not an integer),
-    an irrational one as a CycScalar.  That cannot change a result or its
-    stored conductor: a rational value has the one encoding at conductor 1,
-    and arithmetic between a CycScalar at conductor n and an int promotes to
-    lcm(1, n) = n, as it does with a conductor-1 CycScalar.
+    The input is dense rows of CycScalar cells, rationals wrapped by
+    as_cyc, which perfbench/tracer.py counts (ROADMAP item 4).  Each reduced
+    row is a dict from column to nonzero scalar, keys ascending, and
+    elimination runs on such rows: a step updates only the rows holding the
+    pivot column, over the pivot row's support.  Rows stay in the dense
+    order of a Gauss-Jordan sweep, so every entry is computed by the same
+    operations as the dense elimination would give it.  A rational entry is
+    unwrapped and eliminated as an int (a Fraction if not an integer), an
+    irrational one as a CycScalar, and the output holds them so.  That
+    cannot change a result or its stored conductor: a rational value has
+    one encoding, and arithmetic between a CycScalar at conductor n and an
+    int promotes to lcm(1, n) = n.
     """
     if not rows:
         return [], []
     ncols = len(rows[0])
     # Testing identity first skips a dense row's shared zero without a call.
-    mat = [{c: _plain(x) for c, x in enumerate(r) if x is not _ZERO and x}
+    mat = [{c: _plain(x) for c, x in enumerate(r) if x is not _ZERO_CELL and x}
            for r in rows]
     pivots: list[int] = []
     r = 0
@@ -541,8 +529,8 @@ def rref(rows: Matrix) -> tuple[list[dict], list[int]]:
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         p = mat[r][c]
         if p != 1:
-            inv = p.inv() if isinstance(p, CycScalar) else 1 / Fraction(p)
-            mat[r] = {j: _int_if_whole(x * inv) for j, x in mat[r].items()}
+            pinv = inv(p)
+            mat[r] = {j: _int_if_whole(x * pinv) for j, x in mat[r].items()}
         prow = mat[r]
         for i, row in enumerate(mat):
             f = row.get(c)
@@ -559,12 +547,12 @@ def rref(rows: Matrix) -> tuple[list[dict], list[int]]:
         r += 1
         if r == len(mat):
             break
-    return [{j: _scalar(row[j]) for j in sorted(row)}
-            for row in mat[:r]], pivots
+    return [{j: row[j] for j in sorted(row)} for row in mat[:r]], pivots
 
 
 def _plain(x: CycScalar):
-    """x as an int or Fraction if it is rational, else x itself."""
+    """A cell of rref's input as an int or Fraction if it is an as_cyc
+    rational, else the CycScalar itself."""
     if x.conductor != 1:
         return x
     return x.num[0] if x.den == 1 else Fraction(x.num[0], x.den)
@@ -574,24 +562,18 @@ def _int_if_whole(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _scalar(x) -> CycScalar:
-    if isinstance(x, CycScalar):
-        return x
-    return _ONE if x == 1 else CycScalar.from_rational(x)
-
-
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
     """Basis of {x : M x = 0} for M given by equation rows of length ncols."""
-    reduced, pivots = rref(rows)
+    reduced, pivots = rref([[as_cyc(x) for x in r] for r in rows])
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
+        vec = [0] * ncols
+        vec[free] = 1
         for row, p in zip(reduced, pivots):
-            vec[p] = -row.get(free, _ZERO)
+            vec[p] = -row.get(free, 0)
         basis.append(vec)
     return basis
 
@@ -600,42 +582,42 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     nb = len(b[0]) if b else 0
     out = []
     for row in a:
-        new = [_ZERO] * nb
+        new = [0] * nb
         for k, x in enumerate(row):
-            if x.is_zero():
+            if not x:
                 continue
             brow = b[k]
             for j in range(nb):
-                if not brow[j].is_zero():
+                if brow[j]:
                     new[j] = new[j] + x * brow[j]
         out.append(new)
     return out
 
 
 def identity_matrix(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def det(mat: Matrix) -> CycScalar:
+def det(mat: Matrix):
     """Determinant by Gaussian elimination over the field."""
     n = len(mat)
     m = [list(r) for r in mat]
-    result = _ONE
+    result = 1
     for c in range(n):
         pivot = None
         for i in range(c, n):
-            if not m[i][c].is_zero():
+            if m[i][c]:
                 pivot = i
                 break
         if pivot is None:
-            return _ZERO
+            return 0
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             result = -result
         result = result * m[c][c]
-        inv = m[c][c].inv()
+        pinv = inv(m[c][c])
         for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
+            if m[i][c]:
+                f = m[i][c] * pinv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return result

@@ -22,17 +22,14 @@ Conventions:
 
 from __future__ import annotations
 
-from .cyclo import CycScalar
 from .errors import ValidationError
 from .ydcat import ModuleTuple, YDModule
-
-_ONE = CycScalar.one()
 
 Word = tuple  # tuple[(slot, basis_index), ...]
 
 
 class GradedVector:
-    """Finitely supported map key -> CycScalar; no zero coefficients stored.
+    """Finitely supported map key -> scalar; no zero coefficients stored.
 
     Keys are any hashable: words, (word, word) pairs for the components of
     Delta, or whatever labels a caller accumulates over (read `.terms`).
@@ -49,18 +46,18 @@ class GradedVector:
     @classmethod
     def from_word(cls, word: Word):
         v = cls()
-        v.add_term(tuple(word), _ONE)
+        v.add_term(tuple(word), 1)
         return v
 
     def add_term(self, key, coeff):
-        if coeff.is_zero():
+        if not coeff:
             return
         cur = self.terms.get(key)
         if cur is None:
             self.terms[key] = coeff
         else:
             s = cur + coeff
-            if s.is_zero():
+            if not s:
                 del self.terms[key]
             else:
                 self.terms[key] = s
@@ -137,11 +134,11 @@ class WordAlgebra:
 
     # ---- coherence -----------------------------------------------------
 
-    def flatten_scalar(self, u: Word, v: Word) -> CycScalar:
+    def flatten_scalar(self, u: Word, v: Word):
         """Scalar for rebracketing (leftcomb(u) (x) leftcomb(v)) to leftcomb(u+v)."""
         if not u or len(v) <= 1:
-            return _ONE
-        s = _ONE
+            return 1
+        s = 1
         du = self.word_degree(u)
         degs = [self.letter_degree(l) for l in v]
         # Moves peel the last letter of the right factor; the accumulated
@@ -217,7 +214,7 @@ class WordAlgebra:
                 s = phi.inverse(da, db, dx) * phi.value(da, g.conj(db, dx), db)
                 for bx, cc in self.act(db, last).items():
                     out.add_term((a + bx, b), c * (s * cc))
-        out.add_term((prefix, last), _ONE)
+        out.add_term((prefix, last), 1)
         return out
 
     def delta_1n(self, word: Word) -> GradedVector:

@@ -20,10 +20,8 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .cyclo import CycScalar
+from .cyclo import CycScalar, inv
 from .errors import ResourceBoundError, ValidationError
-
-_ONE = CycScalar.one()
 
 # Largest group order accepted.  The pentagon walk visits (|G|-1)^4
 # quadruples: on a 2-core VM 0.01 s at order 16 and 0.16-0.25 s at 32 on
@@ -195,29 +193,29 @@ class Cocycle3:
         for a in range(n):
             for b in range(n):
                 for (x, y, z) in ((0, a, b), (a, 0, b), (a, b, 0)):
-                    if not self.value(x, y, z) == _ONE:
+                    if not self.value(x, y, z) == 1:
                         raise ValidationError(
                             f"cocycle not normalized at ({x},{y},{z})")
-        if any(v.is_zero() for v in flat):
+        if not all(flat):
             raise ValidationError("cocycle has a zero value")
         self._inverse: dict = {}
         self._omega: dict = {}
         self._tensor: dict = {}
         self._pentagon: Report | None = None
 
-    def value(self, a: int, b: int, c: int) -> CycScalar:
+    def value(self, a: int, b: int, c: int):
         n = self.group.order
         return self._table[(a * n + b) * n + c]
 
-    def inverse(self, a: int, b: int, c: int) -> CycScalar:
+    def inverse(self, a: int, b: int, c: int):
         """Phi(a, b, c)^-1: (u_a (x) v_b) (x) w_c -> u_a (x) (v_b (x) w_c)."""
         key = (a, b, c)
         s = self._inverse.get(key)
         if s is None:
-            s = self._inverse[key] = self.value(a, b, c).inv()
+            s = self._inverse[key] = inv(self.value(a, b, c))
         return s
 
-    def omega(self, e: int, f: int, g: int) -> CycScalar:
+    def omega(self, e: int, f: int, g: int):
         """omega_g(e, f): e |> (f |> v) = omega (ef) |> v for v of degree g."""
         key = (e, f, g)
         s = self._omega.get(key)
@@ -226,10 +224,10 @@ class Cocycle3:
             fgf = G.conj(f, g)
             efgfe = G.conj(e, fgf)
             s = self._omega[key] = (self.value(e, f, g) * self.value(efgfe, e, f)
-                                    / self.value(e, fgf, f))
+                                    * inv(self.value(e, fgf, f)))
         return s
 
-    def tensor_action(self, x: int, g: int, h: int) -> CycScalar:
+    def tensor_action(self, x: int, g: int, h: int):
         """Scalar in x |> (m_g (x) n_h) = s (x |> m_g) (x) (x |> n_h)."""
         key = (x, g, h)
         s = self._tensor.get(key)
@@ -238,7 +236,7 @@ class Cocycle3:
             xg = G.conj(x, g)
             xh = G.conj(x, h)
             s = self._tensor[key] = (self.value(x, g, h) * self.value(xg, xh, x)
-                                     / self.value(xg, x, h))
+                                     * inv(self.value(xg, x, h)))
         return s
 
     def pentagon(self) -> Report:
@@ -255,7 +253,7 @@ class Cocycle3:
 
     @classmethod
     def trivial(cls, group: Group) -> "Cocycle3":
-        return cls(group, [_ONE] * group.order ** 3)
+        return cls(group, [1] * group.order ** 3)
 
 
 def sign_cocycle(group: Group) -> Cocycle3:
@@ -268,11 +266,9 @@ def sign_cocycle(group: Group) -> Cocycle3:
     if group.abelian_orders is None or len(group.abelian_orders) != 3:
         raise ValidationError("sign cocycle needs a 3-factor abelian presentation")
     exps = group.exponents
-    minus_one = CycScalar.from_rational(-1)
 
     def fn(a, b, c):
-        e = exps[a][2] * exps[b][1] * exps[c][0]
-        return minus_one if e % 2 else _ONE
+        return -1 if exps[a][2] * exps[b][1] * exps[c][0] % 2 else 1
 
     return Cocycle3.from_function(group, fn)
 
@@ -301,7 +297,8 @@ def _pentagon_walk(phi: Cocycle3) -> Report:
     MAX_HELD_CODES of them."""
     table = phi._table
     index: dict = {}
-    digits = [index.setdefault((v.conductor, v.num, v.den), len(index))
+    digits = [index.setdefault((v.conductor, v.num, v.den)
+                               if isinstance(v, CycScalar) else v, len(index))
               for v in table]
     k = len(index)
     # pj[x]: entry x's digit times k^j, one int object per distinct value.

@@ -27,11 +27,9 @@ coinvariant checks built on it, are test references in tests/oracles.py.
 
 from __future__ import annotations
 
-from .cyclo import CycScalar, rref
+from .cyclo import as_cyc, rref
 from .errors import ResourceBoundError, ValidationError
 from .freebraid import GradedVector, WordAlgebra
-
-_ZERO = CycScalar.zero()
 
 # Most candidate words q x in one block, counted from the lower blocks before
 # any Delta of the block; M has one column per candidate and at most as many
@@ -90,8 +88,9 @@ class _Block:
         return nf
 
     def coords(self, vec: GradedVector) -> list:
-        """Dense row of a normal form over the quotient words: rref's input."""
-        return [vec.terms.get(q, _ZERO) for q in self.quotient_words]
+        """Dense row of a normal form over the quotient words: rref's input,
+        in CycScalar cells (as_cyc) for perfbench/tracer.py (ROADMAP item 4)."""
+        return [as_cyc(vec.terms.get(q, 0)) for q in self.quotient_words]
 
 
 class NicholsTruncation:
@@ -114,7 +113,7 @@ class NicholsTruncation:
         self.theta = self.ctx.theta
         # Degree 0 is the empty word, its own normal form; Delta_{-1,1} is 0.
         self._blocks = {(0,) * self.theta: _Block(
-            1, [()], {}, {(): [(0, CycScalar.one())]}, {(): GradedVector()})}
+            1, [()], {}, {(): [(0, 1)]}, {(): GradedVector()})}
 
     # ---- block construction ---------------------------------------------
 
@@ -133,7 +132,8 @@ class NicholsTruncation:
                        for p in blk.quotient_words for b in range(dims[s]))
         # Column last - k of M holds (NF (x) id) Delta_{n-1,1}(cands[k]); its
         # rows (q, b), q by its position, are numbered in order of first
-        # appearance.
+        # appearance.  Its cells are CycScalar (as_cyc) only because
+        # perfbench/tracer.py reads rref's dense input (ROADMAP item 4).
         last = len(cands) - 1
         # No block reads Delta of the truncation degree.
         keep = sum(md) < self.max_degree
@@ -149,8 +149,8 @@ class NicholsTruncation:
                     col.add_term((i, b), c * r)
             for key, c in col.items():
                 if key not in m_rows:
-                    m_rows[key] = [_ZERO] * len(cands)
-                m_rows[key][last - k] = c
+                    m_rows[key] = [as_cyc(0)] * len(cands)
+                m_rows[key][last - k] = as_cyc(c)
         reduced, pivots = rref(list(m_rows.values()))
         quotient = [cands[last - p] for p in reversed(pivots)]
         nf = {w: [] for w in cands}

@@ -12,7 +12,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from .cyclo import CycScalar, rref
+from .cyclo import rref
 from .errors import UndecidedAtCutoff, ValidationError, YDWeylError
 from .freebraid import GradedVector
 from .nichols import NicholsTruncation, nichols_truncate
@@ -99,7 +99,7 @@ def _ad_level(trunc, md, n, vectors, name) -> AdLevel | None:
     action = {}
     for s in _generators(ctx.group):
         images = [ad_group(trunc, s, v) for v in basis]
-        cols = [[im.terms.get(words[p], CycScalar.zero()) for p in pivots]
+        cols = [[im.terms.get(words[p], 0) for p in pivots]
                 for im in images]
         spans = [GradedVector((w, c * y) for c, b in zip(col, basis) if c
                               for w, y in b.items()) for col in cols]

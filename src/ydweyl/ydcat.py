@@ -19,12 +19,9 @@ composition law and checks that law at every other pair it meets.
 
 from __future__ import annotations
 
-from .cyclo import CycScalar, det, identity_matrix, mat_mul, nullspace
+from .cyclo import det, identity_matrix, inv, mat_mul, nullspace, scalar_key
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Cocycle3, Group, Report
-
-_ONE = CycScalar.one()
-_ZERO = CycScalar.zero()
 
 # Largest module dimension accepted.  yd_axiom_check does one cubic matrix
 # product per (e, f) in S x G, S a generating set of G, once Phi's pentagon
@@ -70,7 +67,7 @@ class YDModule:
         col = []
         m = self.action[g]
         for i in range(self.dim):
-            if not m[i][j].is_zero():
+            if m[i][j]:
                 col.append((i, m[i][j]))
         return col
 
@@ -133,7 +130,7 @@ def _yd_walk(G: Group, phi: Cocycle3, degrees, firsts: dict,
                 continue
             prod = mat_mul(firsts[e], known[f])
             if ef not in known:
-                winv = [phi.omega(e, f, d).inv() for d in degrees]
+                winv = [inv(phi.omega(e, f, d)) for d in degrees]
                 known[ef] = [[x * w for x, w in zip(row, winv)]
                              for row in prod]
                 continue
@@ -145,14 +142,13 @@ def _yd_walk(G: Group, phi: Cocycle3, degrees, firsts: dict,
                                f"basis {j})")
                     break
     bad = []
-    if any(not known[G.identity][i][j] == (_ONE if i == j else _ZERO)
+    if any(not known[G.identity][i][j] == int(i == j)
            for i in range(dim) for j in range(dim)):
         bad.append("unit law fails: action of 1 is not the identity matrix")
     bad += [f"degree compatibility fails: {g}|>v{j} hits degree {degrees[i]} "
             f"!= {G.conj(g, degrees[j])}"
             for g in sorted(known) for j in range(dim) for i in range(dim)
-            if not known[g][i][j].is_zero()
-            and degrees[i] != G.conj(g, degrees[j])]
+            if known[g][i][j] and degrees[i] != G.conj(g, degrees[j])]
     bad += [failure] if failure else []
     return Report(not bad, bad)
 
@@ -195,11 +191,11 @@ def dual(V: YDModule) -> YDModule:
     G, phi = V.group, V.cocycle
     actions = {}
     for h in _generators(G):
-        mat = [[_ZERO] * V.dim for _ in range(V.dim)]
+        mat = [[0] * V.dim for _ in range(V.dim)]
         for k, gk in enumerate(V.degrees):
             w_deg = G.conj(G.inv(h), gk)
-            s = (phi.tensor_action(h, G.inv(w_deg), w_deg)
-                 * phi.omega(h, G.inv(h), gk)).inv()
+            s = inv(phi.tensor_action(h, G.inv(w_deg), w_deg)
+                    * phi.omega(h, G.inv(h), gk))
             for j, x in V.act_column(G.inv(h), k):
                 mat[k][j] = s * x
         actions[h] = mat
@@ -231,13 +227,13 @@ def iso_test(V: YDModule, W: YDModule):
         for i in range(n):
             for j in range(n):
                 # (T A^V_g - A^W_g T)[i][j] = 0
-                row = [_ZERO] * len(unknowns)
+                row = [0] * len(unknowns)
                 nonzero = False
                 for k in range(n):
-                    if (i, k) in index and not av[k][j].is_zero():
+                    if (i, k) in index and av[k][j]:
                         row[index[(i, k)]] = row[index[(i, k)]] + av[k][j]
                         nonzero = True
-                    if (k, j) in index and not aw[i][k].is_zero():
+                    if (k, j) in index and aw[i][k]:
                         row[index[(k, j)]] = row[index[(k, j)]] - aw[i][k]
                         nonzero = True
                 if nonzero:
@@ -247,7 +243,7 @@ def iso_test(V: YDModule, W: YDModule):
         return None
 
     def to_matrix(coeffvec):
-        mat = [[_ZERO] * n for _ in range(n)]
+        mat = [[0] * n for _ in range(n)]
         for (i, j), k in index.items():
             mat[i][j] = coeffvec[k]
         return mat
@@ -258,9 +254,9 @@ def iso_test(V: YDModule, W: YDModule):
     for combo in iproduct(grid, repeat=len(mats)):
         if all(c == 0 for c in combo):
             continue
-        cand = [[sum((m[i][j] * c for m, c in zip(mats, combo) if c), _ZERO)
+        cand = [[sum((m[i][j] * c for m, c in zip(mats, combo) if c), 0)
                  for j in range(n)] for i in range(n)]
-        if not det(cand).is_zero():
+        if det(cand):
             return cand
     return None
 
@@ -309,7 +305,7 @@ def module_canonical_key(V: YDModule) -> tuple:
     and 0 otherwise.  D^Phi(G) is semisimple in characteristic 0, so these
     traces determine V: over one (G, Phi), two modules have equal keys
     exactly when iso_test finds an isomorphism.  Each trace is encoded by
-    CycScalar.canonical_key, so the stored conductor does not matter.
+    cyclo.scalar_key, so its kind and stored conductor do not matter.
     """
     if V._key is not None:
         return V._key
@@ -321,7 +317,7 @@ def module_canonical_key(V: YDModule) -> tuple:
         for x in G.elements():
             if G.conj(x, g) == g:
                 m = V.act_matrix(x)
-                traces.append(sum((m[k][k] for k in block), _ZERO).canonical_key())
+                traces.append(scalar_key(sum(m[k][k] for k in block)))
         characters.append((g, tuple(traces)))
     V._key = (V.dim, tuple(characters))
     return V._key
@@ -333,11 +329,10 @@ def module_canonical_key(V: YDModule) -> tuple:
 
 def _diag(*entries):
     n = len(entries)
-    return [[CycScalar.from_rational(entries[i]) if i == j else _ZERO
-             for j in range(n)] for i in range(n)]
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-_SWAP = [[_ZERO, _ONE], [_ONE, _ZERO]]
+_SWAP = [[0, 1], [1, 0]]
 
 
 def preset_module(name: str, group: Group, cocycle: Cocycle3,

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from ydweyl.cli import Session
-from ydweyl.cyclo import CycScalar, root_of_unity
+from ydweyl.cyclo import root_of_unity
 from ydweyl.groupdata import (Cocycle3, group_from_cayley, make_abelian_group,
                              sign_cocycle)
 from ydweyl.ydcat import (ModuleTuple, YDModule, module_from_generator_actions,
@@ -102,11 +102,10 @@ def s3_transposition_module():
     action = {}
     for gi, g in enumerate(perms):
         ginv = tuple(g.index(x) for x in range(3))
-        mat = [[CycScalar.zero()] * 3 for _ in range(3)]
+        mat = [[0] * 3 for _ in range(3)]
         for col, t in enumerate(transpositions):
             conj = compose(compose(g, t), ginv)
-            mat[transpositions.index(conj)][col] = \
-                CycScalar.from_rational(_sgn(g))
+            mat[transpositions.index(conj)][col] = _sgn(g)
         action[gi] = mat
     module = YDModule(group, phi, degrees, action, name="FK3")
     return group, phi, module

@@ -56,7 +56,7 @@ from itertools import permutations, product
 from math import gcd
 from weakref import WeakKeyDictionary
 
-from ydweyl.cyclo import (CycScalar, det, identity_matrix, mat_mul,
+from ydweyl.cyclo import (CycScalar, as_cyc, det, identity_matrix, mat_mul,
                          nullspace, parse_scalar, rref)
 from ydweyl import weylgraph
 from ydweyl.errors import ResourceBoundError, ValidationError
@@ -65,8 +65,15 @@ from ydweyl.groupdata import Report
 from ydweyl.weylgraph import CartanTypeResult, _components
 from ydweyl.ydcat import YDModule, iso_test
 
-_ONE = CycScalar.one()
-_ZERO = CycScalar.zero()
+
+def _inverse(x):
+    """1/x, a rational by Fraction's own arithmetic."""
+    return x.inv() if isinstance(x, CycScalar) else 1 / Fraction(x)
+
+
+def stored_conductor(x) -> int:
+    """The conductor a scalar is stored at: 1 for an int or a Fraction."""
+    return x.conductor if isinstance(x, CycScalar) else 1
 
 
 def complex_value(x) -> complex:
@@ -122,7 +129,8 @@ def reference_promote(coeffs, n: int, m: int) -> tuple:
 
 
 def dense_rref(rows):
-    """Reduced row echelon form and pivots by a dense Gauss-Jordan sweep."""
+    """Reduced row echelon form and pivots by a dense Gauss-Jordan sweep,
+    on plain scalars: rows of ints, Fractions and CycScalars."""
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -132,16 +140,16 @@ def dense_rref(rows):
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
+            if mat[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c].inv()
+        inv = _inverse(mat[r][c])
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
+            if i != r and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
@@ -152,8 +160,8 @@ def dense_rref(rows):
 
 
 def dense_rows(reduced, ncols: int) -> list:
-    """rref's sparse rows written out as dense rows of ncols CycScalars."""
-    return [[row.get(j, CycScalar.zero()) for j in range(ncols)]
+    """rref's sparse rows written out as dense rows of ncols scalars."""
+    return [[row.get(j, 0) for j in range(ncols)]
             for row in reduced]
 
 
@@ -217,7 +225,7 @@ def delta_component(ctx: WordAlgebra, word, i: int, j: int) -> GradedVector:
         if key in memo:
             return memo[key]
         if not word:
-            out = GradedVector({((), ()): _ONE})
+            out = GradedVector({((), ()): 1})
         else:
             # Phi is normalized, so each product by a one-letter factor
             # takes at most two Phi values, and a one-letter word needs no
@@ -275,7 +283,7 @@ def tree_to_left_scalar(ctx: WordAlgebra, tree, leaf_degrees) -> tuple:
     an int.  Returns (scalar, first_leaf, leaf_count).
     """
     if isinstance(tree, int):
-        return _ONE, tree, 1
+        return 1, tree, 1
     left, right = tree
     sl, l0, ln = tree_to_left_scalar(ctx, left, leaf_degrees)
     sr, r0, rn = tree_to_left_scalar(ctx, right, leaf_degrees)
@@ -290,7 +298,7 @@ def tree_to_left_scalar(ctx: WordAlgebra, tree, leaf_degrees) -> tuple:
     return s, l0, ln + rn
 
 
-def rebracket_scalar(ctx: WordAlgebra, degrees, tree_from, tree_to) -> CycScalar:
+def rebracket_scalar(ctx: WordAlgebra, degrees, tree_from, tree_to):
     """Scalar of the unique coherence map tree_from -> tree_to.
 
     `degrees` lists the leaf degrees in order; both trees must cover
@@ -302,7 +310,7 @@ def rebracket_scalar(ctx: WordAlgebra, degrees, tree_from, tree_to) -> CycScalar
     st, _, nt = tree_to_left_scalar(ctx, tree_to, degrees)
     if nf != len(degrees) or nt != len(degrees):
         raise ValidationError("trees do not match the degree sequence")
-    return sf / st
+    return sf * _inverse(st)
 
 
 def left_comb(n: int):
@@ -395,12 +403,12 @@ def symmetrizer(ctx: WordAlgebra, word) -> GradedVector:
 def kernel_rref(ctx: WordAlgebra, words, image_fn):
     """Canonical RREF (as strings) of ker of a word-indexed linear map."""
     index = {w: k for k, w in enumerate(words)}
-    rows = [[CycScalar.zero()] * len(words) for _ in words]
+    rows = [[0] * len(words) for _ in words]
     for col, w in enumerate(words):
         for tw, c in image_fn(w).items():
             rows[index[tw]][col] = c
     kernel = nullspace(rows, len(words))
-    reduced, _ = rref(kernel)
+    reduced, _ = rref([[as_cyc(x) for x in vec] for vec in kernel])
     return [[str(x) for x in row] for row in dense_rows(reduced, len(words))]
 
 
@@ -527,7 +535,7 @@ def primitive_dim(trunc, n: int) -> int:
             rows.append(col_entries)
         keys = sorted({k for r in rows for k in r},
                       key=lambda k: (k[0], k[1]))
-        eqs = [[rows[col].get(k, _ZERO) for col in range(len(basis))]
+        eqs = [[rows[col].get(k, 0) for col in range(len(basis))]
                for k in keys]
         total += len(nullspace(eqs, len(basis)))
     return total
@@ -537,7 +545,7 @@ def primitive_dim(trunc, n: int) -> int:
 # Bosonization references: the smash product B # kG and coinvariants.
 # ---------------------------------------------------------------------------
 
-def preantipode_scalar(phi, g: int) -> CycScalar:
+def preantipode_scalar(phi, g: int):
     """Coefficient of g^-1 in the preantipode of (kG, Phi): Phi(g, g^-1, g)^-1."""
     return phi.inverse(g, phi.group.inv(g), g)
 
@@ -558,7 +566,7 @@ def reference_ad_action(trunc, md: tuple, basis: list) -> dict:
     action = {}
     for g in trunc.ctx.group.elements():
         images = [trunc.normal_form(trunc.ctx.act_vector(g, v)) for v in basis]
-        cols = [[im.terms.get(words[p], _ZERO) for p in pivots]
+        cols = [[im.terms.get(words[p], 0) for p in pivots]
                 for im in images]
         spans = [GradedVector((w, c * y) for c, b in zip(col, basis) if c
                               for w, y in b.items()) for col in cols]
@@ -597,7 +605,7 @@ def coinvariant_dims(trunc, coinv_slots, max_total: int) -> dict:
                             entries.add_term((s, a, b), c)
                 col_maps.append(entries.terms)
             keys = sorted({k for m in col_maps for k in m})
-            rows = [[m.get(k, _ZERO) for m in col_maps] for k in keys]
+            rows = [[m.get(k, 0) for m in col_maps] for k in keys]
             out[md] = len(nullspace(rows, len(basis)))
     return out
 
@@ -612,9 +620,9 @@ class SmashAlgebra:
         self.phi = trunc.ctx.cocycle
 
     def unit(self):
-        return {((), self.group.identity): _ONE}
+        return {((), self.group.identity): 1}
 
-    def element(self, word, g, coeff=_ONE):
+    def element(self, word, g, coeff=1):
         return {(tuple(word), g): coeff}
 
     def mult(self, x: dict, y: dict) -> dict:
@@ -627,8 +635,8 @@ class SmashAlgebra:
                 dy = self.ctx.word_degree(w2)
                 hyh = G.conj(h, dy)
                 scalar = (phi.value(h, dy, g) * phi.value(dx, hyh, G.mul(h, g))
-                          / (phi.value(dx, h, G.mul(dy, g))
-                             * phi.value(hyh, h, g)))
+                          * _inverse(phi.value(dx, h, G.mul(dy, g))
+                                     * phi.value(hyh, h, g)))
                 core = self.trunc.normal_form(
                     self.ctx.mult(GradedVector.from_word(w1),
                                   self.ctx.act_vector(h, GradedVector.from_word(w2))))
@@ -661,7 +669,8 @@ class SmashAlgebra:
         out = GradedVector()
         for w, c in self.trunc.normal_form(x).items():
             dx = self.ctx.word_degree(w)
-            pre = phi.value(G.mul(g, dx), G.inv(g), g) / phi.value(g, G.inv(g), g)
+            pre = (phi.value(G.mul(g, dx), G.inv(g), g)
+                   * _inverse(phi.value(g, G.inv(g), g)))
             prod = self.mult(self.mult(self.element((), g),
                                        self.element(w, G.identity)),
                              self.element((), G.inv(g)))
@@ -677,7 +686,7 @@ class SmashAlgebra:
 # ---------------------------------------------------------------------------
 
 def trivial_module(group, cocycle) -> YDModule:
-    action = {g: [[_ONE]] for g in group.elements()}
+    action = {g: [[1]] for g in group.elements()}
     return YDModule(group, cocycle, [group.identity], action, name="triv")
 
 
@@ -692,14 +701,14 @@ def reference_dual(V: YDModule) -> YDModule:
     action = {}
     for h in G.elements():
         ah_inv = V.act_matrix(G.inv(h))
-        mat = [[_ZERO] * V.dim for _ in range(V.dim)]
+        mat = [[0] * V.dim for _ in range(V.dim)]
         for k in range(V.dim):
             gk = V.degrees[k]
             w_deg = G.conj(G.inv(h), gk)
-            s = (phi.tensor_action(h, G.inv(w_deg), w_deg)
-                 * phi.omega(h, G.inv(h), gk)).inv()
+            s = _inverse(phi.tensor_action(h, G.inv(w_deg), w_deg)
+                         * phi.omega(h, G.inv(h), gk))
             for j in range(V.dim):
-                if not ah_inv[j][k].is_zero():
+                if ah_inv[j][k]:
                     mat[k][j] = s * ah_inv[j][k]
         action[h] = mat
     return YDModule(G, phi, [G.inv(d) for d in V.degrees], action,
@@ -716,7 +725,7 @@ def reference_yd_walk(V: YDModule) -> Report:
     G, phi = V.group, V.cocycle
     bad = []
     ident = V.act_matrix(G.identity)
-    if any(not ident[i][j] == (_ONE if i == j else _ZERO)
+    if any(not ident[i][j] == (1 if i == j else 0)
            for i in range(V.dim) for j in range(V.dim)):
         bad.append("unit law fails: action of 1 is not the identity matrix")
     for g in G.elements():
@@ -724,7 +733,7 @@ def reference_yd_walk(V: YDModule) -> Report:
         for j in range(V.dim):
             target = G.conj(g, V.degrees[j])
             for i in range(V.dim):
-                if not m[i][j].is_zero() and V.degrees[i] != target:
+                if m[i][j] and V.degrees[i] != target:
                     bad.append(
                         f"degree compatibility fails: {g}|>v{j} hits degree "
                         f"{V.degrees[i]} != {target}")
@@ -761,7 +770,7 @@ def reference_extension(group, cocycle, degrees,
                 se = group.mul(s, e)
                 if se in known:
                     continue
-                winv = [cocycle.omega(s, e, d).inv() for d in degrees]
+                winv = [_inverse(cocycle.omega(s, e, d)) for d in degrees]
                 mat = mat_mul(gens[s], known[e])
                 known[se] = [[x * w for x, w in zip(row, winv)]
                              for row in mat]
@@ -787,16 +796,16 @@ def tensor(V: YDModule, W: YDModule) -> YDModule:
     action = {}
     for x in G.elements():
         mv, mw = V.act_matrix(x), W.act_matrix(x)
-        mat = [[_ZERO] * dims for _ in range(dims)]
+        mat = [[0] * dims for _ in range(dims)]
         for i in range(V.dim):
             for j in range(W.dim):
                 s = phi.tensor_action(x, V.degrees[i], W.degrees[j])
                 col = i * W.dim + j
                 for a in range(V.dim):
-                    if mv[a][i].is_zero():
+                    if not mv[a][i]:
                         continue
                     for b in range(W.dim):
-                        if mw[b][j].is_zero():
+                        if not mw[b][j]:
                             continue
                         mat[a * W.dim + b][col] = s * mv[a][i] * mw[b][j]
         action[x] = mat
@@ -809,13 +818,13 @@ def braiding_matrix(V: YDModule, W: YDModule):
     if V.group is not W.group or V.cocycle is not W.cocycle:
         raise ValidationError("braiding operands live over different (G, Phi)")
     dims = V.dim * W.dim
-    mat = [[_ZERO] * dims for _ in range(dims)]
+    mat = [[0] * dims for _ in range(dims)]
     for i in range(V.dim):
         mw = W.act_matrix(V.degrees[i])
         for j in range(W.dim):
             col = i * W.dim + j
             for k in range(W.dim):
-                if not mw[k][j].is_zero():
+                if mw[k][j]:
                     mat[k * V.dim + i][col] = mw[k][j]
     return mat
 
@@ -1080,9 +1089,8 @@ def _principal_minors_positive(A: list) -> bool:
     """
     for subset in _connected_subsets(A):
         subset = sorted(subset)
-        sub = [[CycScalar.from_rational(A[r][c]) for c in subset]
-               for r in subset]
-        if det(sub).rational_value() <= 0:
+        sub = [[A[r][c] for c in subset] for r in subset]
+        if det(sub) <= 0:
             return False
     return True
 

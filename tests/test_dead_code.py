@@ -1,5 +1,6 @@
 """Every function and class of the engine is referenced by engine code,
-and the engine imports nothing outside the standard library.
+the engine imports nothing outside the standard library, and it divides
+scalars only inside cyclo.
 
 A name counts as referenced when some module of src/ydweyl reads it, as a
 bare name or as an attribute.  Dunder methods are called by the interpreter
@@ -8,6 +9,9 @@ wraps by name and no engine code calls (ROADMAP item 4).
 
 The README promises no runtime dependencies: every import of src/ydweyl
 names a standard-library module or ydweyl itself.
+
+A rational scalar is a plain int or Fraction, and int / int is a float:
+outside cyclo, x * cyclo.inv(y) divides, and no module uses true division.
 """
 
 import ast
@@ -57,3 +61,12 @@ def test_engine_imports_only_the_standard_library():
                 if top != "ydweyl" and top not in sys.stdlib_module_names:
                     foreign.append(f"{module}:{node.lineno} {name}")
     assert not foreign, foreign
+
+
+def test_no_true_division_outside_cyclo():
+    divisions = [f"{module}:{node.lineno}"
+                 for module, tree in _engine_trees() if module != "cyclo.py"
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.Div)]
+    assert not divisions, divisions

@@ -3,12 +3,12 @@ from itertools import product
 
 import pytest
 
-from ydweyl.cyclo import CycScalar
+from ydweyl.cyclo import inv
 from ydweyl.errors import ValidationError
 from ydweyl.freebraid import GradedVector, WordAlgebra
 from oracles import (braid_at, delta_1n_left, delta_component, left_comb,
-                     rebracket_scalar, right_comb, symmetrizer,
-                     trivial_module)
+                     rebracket_scalar, right_comb, stored_conductor,
+                     symmetrizer, trivial_module)
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,7 @@ def test_delta_11_cancellation(ctx12):
 
 def test_delta_11_mixed(ctx12):
     d = delta_component(ctx12, (X1, Y1), 1, 1)
-    one = CycScalar.one()
-    assert dict(d.items()) == {((X1,), (Y1,)): one, ((Y2,), (X1,)): one}
+    assert dict(d.items()) == {((X1,), (Y1,)): 1, ((Y2,), (X1,)): 1}
 
 
 def test_delta_counit_components(ctx12):
@@ -43,14 +42,13 @@ def test_delta_counit_components(ctx12):
         n = len(w)
         top = delta_component(ctx12, w, n, 0)
         bottom = delta_component(ctx12, w, 0, n)
-        assert dict(top.items()) == {(w, ()): CycScalar.one()}
-        assert dict(bottom.items()) == {((), w): CycScalar.one()}
+        assert dict(top.items()) == {(w, ()): 1}
+        assert dict(bottom.items()) == {((), w): 1}
 
 
 def test_delta_12_values(ctx12):
     d = delta_1n_left(ctx12, (X1, X2))
-    assert dict(d.items()) == {(X1, X2): CycScalar.one(),
-                               (X2, X1): CycScalar.from_rational(-1)}
+    assert dict(d.items()) == {(X1, X2): 1, (X2, X1): -1}
     assert delta_1n_left(ctx12, (X1, X1)).is_zero()
 
 
@@ -102,7 +100,7 @@ def test_delta_last_matches_general_component(which, max_n, w_triple,
             assert [k for k, _ in got] == [k for k, _ in expected], w
             for (_, c), (_, d) in zip(got, expected):
                 assert c == d and str(c) == str(d), w
-                assert c.conductor == d.conductor, w
+                assert stored_conductor(c) == stored_conductor(d), w
 
 
 def test_bad_split_rejected(ctx12):
@@ -154,7 +152,7 @@ def test_mult_associative_on_samples(ctx12):
         for _ in range(rng.randint(1, 2)):
             n = rng.randint(0, 3)
             w = tuple(rng.choice(ctx12.letters) for _ in range(n))
-            v.add_term(w, CycScalar.from_rational(rng.randint(1, 3)))
+            v.add_term(w, rng.randint(1, 3))
         return v
 
     for _ in range(20):
@@ -183,13 +181,13 @@ def test_hexagon_route_for_braiding(z2cubed, w_presets):
                           ctx.letter_degree(w))
             phi = ctx.cocycle
             route = GradedVector()
-            s = phi.value(du, dv, dw).inv()  # a_{U,V,W}
+            s = inv(phi.value(du, dv, dw))  # a_{U,V,W}
             for wv, c1 in ctx.act(dv, (w,)).items():
                 dwv = ctx.word_degree(wv)
                 s2 = phi.value(du, dwv, dv)  # a^-1 after id (x) c_{V,W}
                 for wu, c2 in ctx.act(du, wv).items():
                     dwu = ctx.word_degree(wu)
-                    s3 = phi.value(dwu, du, dv).inv()  # final associator
+                    s3 = inv(phi.value(dwu, du, dv))  # final associator
                     route.add_term(wu + (u, v), s * c1 * s2 * c2 * s3)
             assert direct == route, (names, u, v, w)
 

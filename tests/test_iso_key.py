@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 import pytest
 
 from ydweyl.cli import Session
-from ydweyl.cyclo import CycScalar, root_of_unity
+from ydweyl.cyclo import root_of_unity
 from ydweyl.groupdata import Cocycle3, group_from_cayley, make_abelian_group
 from ydweyl.reflect import ad_power_module
 from ydweyl.ydcat import (ModuleTuple, YDModule, dual, iso_test,
@@ -69,7 +69,7 @@ def _induced(group, phi, rep, chi, name):
     klass = sorted(coset)
     action = {}
     for g in group.elements():
-        mat = [[CycScalar.zero()] * len(klass) for _ in klass]
+        mat = [[0] * len(klass) for _ in klass]
         for col, k in enumerate(klass):
             target = group.conj(g, k)
             h = group.mul(group.inv(coset[target]), group.mul(g, coset[k]))
@@ -89,10 +89,10 @@ def s3_family():
     powers = {0: 0, cycle: 1, group.mul(cycle, cycle): 2}
 
     def sign(h):
-        return CycScalar.from_rational(_sign(perms[h]))
+        return _sign(perms[h])
 
     def one(h):
-        return CycScalar.one()
+        return 1
 
     def omega(h):
         return root_of_unity(3, powers[h])

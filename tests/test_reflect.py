@@ -7,7 +7,7 @@ import pytest
 from ydweyl import reflect as reflect_module
 from ydweyl import ydcat
 from ydweyl.cli import Session
-from ydweyl.cyclo import CycScalar, root_of_unity, rref
+from ydweyl.cyclo import inv, root_of_unity, rref
 from ydweyl.errors import UndecidedAtCutoff, ValidationError
 from ydweyl.freebraid import GradedVector
 from ydweyl.nichols import nichols_truncate
@@ -98,7 +98,7 @@ def test_tower_with_intermediate_levels(z9_pair):
             for lv in levels.levels] == ["g1", "g1^2", "1", "g1", "g1^2"]
     zeta = root_of_unity(9, 1)
     assert [lv.module.act_matrix(g)[0][0] for lv in levels.levels] == [
-        zeta ** 4, zeta ** 5, CycScalar.one(), zeta, zeta ** 2]
+        zeta ** 4, zeta ** 5, 1, zeta, zeta ** 2]
     back = ad_power_module(pair, 1, 0)
     assert level_dims(back) == (1, 1)
     assert back.m == 1
@@ -402,10 +402,10 @@ def test_smash_unit_and_trivial_products(z2cubed, w_presets):
     sm2 = SmashAlgebra(trunc2)
     h1 = group.element_index((1, 0, 0))
     prod = sm2.mult(sm2.element((), h1), sm2.element(((0, 0),), group.identity))
-    assert prod == {(((0, 1),), h1): CycScalar.one()}
+    assert prod == {(((0, 1),), h1): 1}
     # (X1 # 1)(1 # h3) = X1 # h3
     prod2 = sm.mult(sm.element(((0, 0),), group.identity), sm.element((), h3))
-    assert prod2 == {(((0, 0),), h3): CycScalar.one()}
+    assert prod2 == {(((0, 0),), h3): 1}
 
 
 def test_smash_preantipode_grouplike(z2cubed, w_presets):
@@ -413,7 +413,7 @@ def test_smash_preantipode_grouplike(z2cubed, w_presets):
     sm = SmashAlgebra(nichols_truncate(w_presets[1], 3))
     g = group.element_index((1, 1, 1))
     s = sm.preantipode_grouplike(g)
-    assert s == {((), group.inv(g)): phi.value(g, group.inv(g), g).inv()}
+    assert s == {((), group.inv(g)): inv(phi.value(g, group.inv(g), g))}
 
 
 def test_smash_ad_group_exhaustive(z2cubed, w_presets):
@@ -436,7 +436,7 @@ def test_smash_quasi_associativity_sampled(z2cubed, w_presets):
     def rand_elt():
         n = rng.randint(0, 2)
         w = rng.choice(trunc.block((n,)).quotient_words)
-        return {(w, rng.randrange(group.order)): CycScalar.from_rational(rng.randint(1, 3))}
+        return {(w, rng.randrange(group.order)): rng.randint(1, 3)}
 
     for _ in range(60):
         a, b, c = rand_elt(), rand_elt(), rand_elt()
@@ -469,21 +469,21 @@ def test_smash_coassociativity_and_counit(z2cubed, w_presets):
         left = {}
         right = {}
         for ((w1, g1), (w2, g2)), c in cp.items():
-            inner_l = sm.coproduct({(w1, g1): CycScalar.one()})
+            inner_l = sm.coproduct({(w1, g1): 1})
             for (u, v), c2 in inner_l.items():
                 key = (u, v, (w2, g2))
-                left[key] = left.get(key, CycScalar.zero()) + c * c2
-            inner_r = sm.coproduct({(w2, g2): CycScalar.one()})
+                left[key] = left.get(key, 0) + c * c2
+            inner_r = sm.coproduct({(w2, g2): 1})
             for (u, v), c2 in inner_r.items():
                 key = ((w1, g1), u, v)
-                right[key] = right.get(key, CycScalar.zero()) + c * c2
-        left = {k: v for k, v in left.items() if not v.is_zero()}
-        right = {k: v for k, v in right.items() if not v.is_zero()}
+                right[key] = right.get(key, 0) + c * c2
+        left = {k: v for k, v in left.items() if v}
+        right = {k: v for k, v in right.items() if v}
         assert left == right
         # counit law on the left leg
         eps_left = {}
         for ((w1, _g1), (w2, g2)), c in cp.items():
             if not w1:
-                eps_left[(w2, g2)] = eps_left.get((w2, g2), CycScalar.zero()) + c
-        eps_left = {k: v for k, v in eps_left.items() if not v.is_zero()}
+                eps_left[(w2, g2)] = eps_left.get((w2, g2), 0) + c
+        eps_left = {k: v for k, v in eps_left.items() if v}
         assert eps_left == elt

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import weakref
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -18,7 +19,8 @@ from ydweyl.ydcat import (ModuleTuple, YDModule, _generators, dual, iso_test,
                           preset_module, yd_axiom_check)
 from conftest import s3_transposition_module, tower_session
 from oracles import (braiding_matrix, printed_action, reference_extension,
-                     reference_yd_walk, tensor, trivial_module, tuple_iso)
+                     reference_yd_walk, stored_conductor, tensor,
+                     trivial_module, tuple_iso)
 
 SESSIONS = os.path.join(os.path.dirname(__file__), "..", "sessions")
 
@@ -29,10 +31,9 @@ def test_w1_action_table_matches_source(z2cubed, w_presets):
     h1 = group.element_index((1, 0, 0))
     h2 = group.element_index((0, 1, 0))
     h3 = group.element_index((0, 0, 1))
-    minus_one = CycScalar.from_rational(-1)
-    assert w1.act_matrix(h1)[0][0] == minus_one
-    assert w1.act_matrix(h1)[1][1] == minus_one
-    assert w1.act_matrix(h2)[0][0] == 1 and w1.act_matrix(h2)[1][1] == minus_one
+    assert w1.act_matrix(h1)[0][0] == -1
+    assert w1.act_matrix(h1)[1][1] == -1
+    assert w1.act_matrix(h2)[0][0] == 1 and w1.act_matrix(h2)[1][1] == -1
     assert w1.act_matrix(h3)[0][1] == 1 and w1.act_matrix(h3)[1][0] == 1
 
 
@@ -90,15 +91,13 @@ def test_tensor_with_unit_is_identity(z2cubed, w_presets):
 
 def test_braiding_on_w1_is_minus_flip(w_presets):
     c = braiding_matrix(w_presets[1], w_presets[1])
-    minus_one = CycScalar.from_rational(-1)
     for i in range(2):
         for j in range(2):
-            assert c[j * 2 + i][i * 2 + j] == minus_one
+            assert c[j * 2 + i][i * 2 + j] == -1
 
 
 def test_braiding_of_trivial_data_is_flip(z2cubed):
     group, _ = z2cubed
-    from ydweyl.cyclo import CycScalar as S
     from ydweyl.groupdata import Cocycle3
     phi0 = Cocycle3.trivial(group)
     triv = trivial_module(group, phi0)
@@ -109,13 +108,13 @@ def test_braiding_of_trivial_data_is_flip(z2cubed):
     c = braiding_matrix(flat, flat)
     for i in range(2):
         for j in range(2):
-            assert c[j * 2 + i][i * 2 + j] == S.one()
+            assert c[j * 2 + i][i * 2 + j] == 1
 
 
 def test_braiding_invertible(w_presets):
     for a, b in [(1, 1), (1, 2), (3, 5)]:
         c = braiding_matrix(w_presets[a], w_presets[b])
-        assert not det(c).is_zero()
+        assert det(c) != 0
 
 
 def test_associator_scalar(z2cubed):
@@ -300,6 +299,12 @@ def test_axiom_check_matches_full_walk_on_w_and_v(checked_modules):
     for V, _ in checked_modules:
         assert reference_yd_walk(V).ok, V.name
         assert _agrees_with_reference(V), V.name
+        # One rational arithmetic: a rational entry is an int or a
+        # Fraction, never a float, and only an irrational one a CycScalar.
+        assert all(type(x) in (int, Fraction)
+                   or type(x) is CycScalar and x.conductor > 1
+                   for m in V.action.values() for row in m for x in row), \
+            V.name
 
 
 def _corrupt(action, g, i, j):
@@ -307,7 +312,7 @@ def _corrupt(action, g, i, j):
     nonzero, else set to 1."""
     action = {h: [list(row) for row in m] for h, m in action.items()}
     x = action[g][i][j]
-    action[g][i][j] = -x if x else CycScalar.one()
+    action[g][i][j] = -x if x else 1
     return action
 
 
@@ -339,7 +344,7 @@ def test_axiom_check_matches_full_walk_on_corrupted_modules(checked_modules):
 def _actions(V):
     """V's matrices by value, as printed, and by stored conductor."""
     return (V.action, printed_action(V),
-            {g: [[x.conductor for x in row] for row in m]
+            {g: [[stored_conductor(x) for x in row] for row in m]
              for g, m in V.action.items()})
 
 
@@ -386,7 +391,7 @@ def _builder_rejects_as_reference(group, phi, degrees, given, case) -> bool:
 def test_builder_checks_a_matrix_given_for_the_identity():
     group = make_abelian_group([2])
     phi = Cocycle3.trivial(group)
-    one, minus = [[CycScalar.one()]], [[CycScalar.from_rational(-1)]]
+    one, minus = [[1]], [[-1]]
     with pytest.raises(ValidationError,
                        match="generator actions are inconsistent"):
         module_from_generator_actions(group, phi, 1, {0: minus, 1: minus})
