@@ -6,7 +6,7 @@ Nichols algebra truncations, adjoint reflections, semi-Cartan graphs, real
 root enumeration and (in)finite-dimensionality certificates.
 """
 
-from .cyclo import CycScalar, parse_scalar, root_of_unity
+from .cyclo import CycScalar, inv, parse_scalar, root_of_unity, scalar_key
 
-__all__ = ["CycScalar", "parse_scalar", "root_of_unity"]
+__all__ = ["CycScalar", "inv", "parse_scalar", "root_of_unity", "scalar_key"]
 __version__ = "0.1.0"

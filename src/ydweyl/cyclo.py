@@ -416,8 +416,9 @@ def scalar_key(x) -> tuple:
     return 1, (x.numerator,), x.denominator
 
 
-def root_of_unity(n: int, k: int) -> CycScalar:
-    """zeta_n^k, stored at the minimal conductor n/gcd(n, k)."""
+def root_of_unity(n: int, k: int):
+    """zeta_n^k, stored at the minimal conductor n/gcd(n, k); the int 1 or
+    -1 when that conductor is 1 or 2."""
     if n < 1:
         raise ValueError("order of the root must be positive")
     k %= n
