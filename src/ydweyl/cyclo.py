@@ -157,6 +157,8 @@ class CycScalar:
     # ---- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
+        """Whether a cell of rref's input is 0: perfbench/tracer.py asks
+        every cell (ROADMAP item 4).  An irrational value never is."""
         return self.num == (0,)
 
     def promote(self, m: int) -> "CycScalar":
@@ -207,23 +209,6 @@ class CycScalar:
         for r, p in zip(reduced, pivots):
             sol[p] = r.get(ncols, 0)
         return CycScalar(d, sol)
-
-    def canonical_key(self) -> tuple:
-        """Hashable encoding that equal values share: (d, num, den) in Q(zeta_d).
-
-        Values are stored at the conductor their operations give, so
-        zeta(8)^2 keeps conductor 8 while the equal zeta(4) has 4.  The key
-        uses the smallest divisor d of the conductor with the value in
-        Q(zeta_d); that d is unique because Q(zeta_a) and Q(zeta_b) meet in
-        Q(zeta_gcd(a, b)).
-        """
-        n = self.conductor
-        for d in range(1, n):
-            if n % d == 0:
-                low = self.try_demote(d)
-                if low is not None:
-                    return low.conductor, low.num, low.den
-        return n, self.num, self.den
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -310,12 +295,6 @@ class CycScalar:
                 _sub_shifted(p, r0, q, shift, r1)
                 _sub_shifted(p, s0, q, shift, s1)
             r0, s0, r1, s1 = r1, s1, r0, s0
-
-    def __truediv__(self, other):
-        return self * inv(other)
-
-    def __rtruediv__(self, other):
-        return other * self.inv()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -409,11 +388,23 @@ def inv(x):
 
 
 def scalar_key(x) -> tuple:
-    """Hashable encoding that equal values share, across conductors:
-    (1, (p,), q) for a rational p/q, else x.canonical_key()."""
-    if isinstance(x, CycScalar):
-        return x.canonical_key()
-    return 1, (x.numerator,), x.denominator
+    """Hashable encoding that equal values share: (d, num, den) in Q(zeta_d).
+
+    A rational p/q has (1, (p,), q).  An irrational value is stored at the
+    conductor its operations give, so zeta(8)^2 keeps conductor 8 while the
+    equal zeta(4) has 4.  The key uses the smallest divisor d > 1 of the
+    conductor with the value in Q(zeta_d); that d is unique because
+    Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)).
+    """
+    if not isinstance(x, CycScalar):
+        return 1, (x.numerator,), x.denominator
+    n = x.conductor
+    for d in range(2, n):
+        if n % d == 0:
+            low = x.try_demote(d)
+            if low is not None:
+                return low.conductor, low.num, low.den
+    return n, x.num, x.den
 
 
 def root_of_unity(n: int, k: int):
