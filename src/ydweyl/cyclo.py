@@ -392,14 +392,15 @@ def scalar_key(x) -> tuple:
 
     A rational p/q has (1, (p,), q).  An irrational value is stored at the
     conductor its operations give, so zeta(8)^2 keeps conductor 8 while the
-    equal zeta(4) has 4.  The key uses the smallest divisor d > 1 of the
+    equal zeta(4) has 4.  The key uses the smallest divisor d of the
     conductor with the value in Q(zeta_d); that d is unique because
-    Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)).
+    Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), and it is above 2
+    because Q(zeta_1) = Q(zeta_2) = Q holds no irrational value.
     """
     if not isinstance(x, CycScalar):
         return 1, (x.numerator,), x.denominator
     n = x.conductor
-    for d in range(2, n):
+    for d in range(3, n):
         if n % d == 0:
             low = x.try_demote(d)
             if low is not None:
