@@ -5,7 +5,7 @@ stanzas (explicit or presets) and named tuples; see README for the schema.
 All validations run before any computation.  Output is deterministic: fixed
 iteration orders, no timestamps.
 
-Exit codes:
+Exit codes (2 to 5 are the `code` attributes of the types in errors.py):
   0  success
   1  golden-file mismatch (or missing golden file)
   2  parse error (bad JSON, bad schema or an unknown key, bad flags)
@@ -44,10 +44,10 @@ from .ydcat import (PRESET_NAMES, ModuleTuple, YDModule, preset_module,
 
 EXIT_OK = 0
 EXIT_GOLDEN = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_UNDECIDED = 4
-EXIT_RESOURCE = 5
+EXIT_PARSE = YDWeylError.code
+EXIT_VALIDATION = ValidationError.code
+EXIT_UNDECIDED = UndecidedAtCutoff.code
+EXIT_RESOURCE = ResourceBoundError.code
 
 
 # Smallest accepted value of each session cutoff, matching the CLI flags
@@ -56,7 +56,7 @@ CUTOFF_MINIMA = {"max_degree": 0, "ad_cutoff": 0, "vertex_bound": 1,
                  "root_bound": 1}
 
 
-class SessionError(Exception):
+class SessionError(YDWeylError):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
@@ -171,8 +171,6 @@ class Session:
                                      f"{len(degrees)}x{len(degrees)} matrix")
                 action[int(g)] = [[_scalar(x) for x in row] for row in mat]
             return YDModule(self.group, self.cocycle, degrees, action, name=name)
-        except SessionError:
-            raise
         except ValidationError as exc:
             if name in self.presets:    # validated as built: the pentagon first
                 self._cocycle_lines()
@@ -482,21 +480,9 @@ def main(argv=None) -> int:
             path = os.path.join(args.golden_write, _golden_name(args))
             with open(path, "w") as fh:
                 fh.write(output)
-    except SessionError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except UndecidedAtCutoff as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except ResourceBoundError as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except YDWeylError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
+        print(f"{exc.label}{exc}", file=sys.stderr)
+        return exc.code
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return (EXIT_RESOURCE if isinstance(exc, (MemoryError, RecursionError))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import product
 from math import prod
 
-from .cyclo import CycScalar, inv
+from .cyclo import CycScalar, check_scalars, inv
 from .errors import ResourceBoundError, ValidationError
 
 # Largest group order accepted.  The pentagon walk visits (|G|-1)^4
@@ -188,6 +188,7 @@ class Cocycle3:
         flat = list(table)
         if len(flat) != n ** 3:
             raise ValidationError("cocycle table must have |G|^3 entries")
+        check_scalars(flat, "cocycle table entry")
         self.group = group
         self._table = flat
         for a in range(n):

@@ -19,7 +19,8 @@ composition law and checks that law at every other pair it meets.
 
 from __future__ import annotations
 
-from .cyclo import det, identity_matrix, inv, mat_mul, nullspace, scalar_key
+from .cyclo import (check_scalars, det, identity_matrix, inv, mat_mul,
+                    nullspace, scalar_key)
 from .errors import ResourceBoundError, ValidationError
 from .groupdata import Cocycle3, Group, Report
 
@@ -55,6 +56,8 @@ class YDModule:
                        for g, m in action.items()}
         if sorted(self.action) != list(group.elements()):
             raise ValidationError("action must be given for every group element")
+        for g, m in self.action.items():
+            check_scalars(sum(m, ()), f"action of {g}: entry")
         self.name = name
         # Memo for module_canonical_key(): modules are immutable.
         self._key = None

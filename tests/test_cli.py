@@ -9,6 +9,7 @@ import pytest
 
 from ydweyl import cli, groupdata, nichols, weylgraph, ydcat
 from ydweyl.cli import main
+from ydweyl.errors import ValidationError, YDWeylError
 from conftest import tower_session
 
 SESSION = os.path.join(os.path.dirname(__file__), "..", "sessions", "z2cubed.json")
@@ -721,3 +722,15 @@ def test_cli_import_skips_dataclasses_and_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (ValidationError("not a YD module"), 3,
+     "validation failure: not a YD module\n"),
+    (YDWeylError("plain engine error"), 2, "plain engine error\n"),
+])
+def test_engine_error_exit_codes(capsys, monkeypatch, exc, code, line):
+    def command(session, args):
+        raise exc
+    monkeypatch.setitem(cli.COMMANDS, "validate", command)
+    assert run(capsys, "--session", SESSION, "validate") == (code, "", line)

@@ -115,6 +115,15 @@ def test_zero_value_rejected(z2cubed):
         Cocycle3(group, flat)
 
 
+@pytest.mark.parametrize("first, shown", [(1.0, r"1\.0"), (True, "True")])
+def test_inexact_or_bool_entry_rejected(first, shown):
+    # A float or a bool equals 1 and would pass normalization and pentagon.
+    group = make_abelian_group([2])
+    with pytest.raises(ValidationError, match=f"^cocycle table entry 0 is "
+                       f"{shown}, not an int, a Fraction or a CycScalar$"):
+        Cocycle3(group, [first] + [1] * 7)
+
+
 def test_preantipode_scalars(z2cubed):
     group, phi = z2cubed
     triv = Cocycle3.trivial(group)

@@ -15,6 +15,10 @@ its untwisted lift over Z_{n^2} (tests/oracles.py:lift_session): the two
 are related by a braided monoidal equivalence, so everything computed
 from the Nichols algebra agrees, while the twisted scalar paths run only
 on one side.
+
+Pairs of both kinds also check the paper's main theorem directly: a
+Cartan graph that closes within the cutoffs is a semi-Cartan graph, and
+reflecting twice at one slot returns the tuple's iso class.
 """
 
 import random
@@ -25,13 +29,14 @@ import pytest
 from oracles import lift_session
 from ydweyl.cli import Session
 from ydweyl.cyclo import root_of_unity
-from ydweyl.errors import UndecidedAtCutoff, YDWeylError
+from ydweyl.errors import ResourceBoundError, UndecidedAtCutoff, YDWeylError
 from ydweyl.groupdata import Cocycle3, make_abelian_group
 from ydweyl.nichols import nichols_truncate
-from ydweyl.reflect import PairCache, cartan_matrix
-from ydweyl.weylgraph import (build_cartan_graph, infinite_dim_certificate,
-                              is_finite)
-from ydweyl.ydcat import ModuleTuple, module_from_generator_actions
+from ydweyl.reflect import PairCache, cartan_matrix, reflect
+from ydweyl.weylgraph import (build_cartan_graph, check_axioms,
+                              infinite_dim_certificate, is_finite)
+from ydweyl.ydcat import (ModuleTuple, module_canonical_key,
+                          module_from_generator_actions)
 
 MAX_DEGREE = 9
 
@@ -175,3 +180,57 @@ def test_twisted_lines_match_their_untwisted_lifts():
             decided += 1
             twisted_decided += s != 0
     assert twisted_decided >= 3 and decided >= 8
+
+
+def _theorem_cases(rng):
+    """Seeded rank-2 tuples of lines, each with its s and a description:
+    lines of random degree and character over Z_a x Z_b (a, b <= 4) with
+    the trivial cocycle (s = 0), then lines over Z_n with Phi_s for
+    n = 2..5 and every s, three pairs each."""
+    for _ in range(12):
+        a, b = rng.randint(2, 4), rng.randint(2, 4)
+        group = make_abelian_group([a, b])
+        phi = Cocycle3.trivial(group)
+        lines = [((rng.randrange(a), rng.randrange(b)),
+                  [rng.randrange(a), rng.randrange(b)]) for _ in range(2)]
+        yield (("Z_a x Z_b", a, b, lines), 0, ModuleTuple([
+            _line(group, phi, group.element_index(d), chi, f"X{k + 1}")
+            for k, (d, chi) in enumerate(lines)]))
+    for n in range(2, 6):
+        for s in range(n):
+            for _ in range(3):
+                lines = [(rng.randrange(n), rng.randrange(n))
+                         for _ in range(2)]
+                data = _twisted_pair(n, s, lines, {})
+                yield (("Z_n, Phi_s", n, s, lines), s,
+                       Session(data).tuples["P"])
+
+
+def _iso_keys(t):
+    return tuple(module_canonical_key(m) for m in t)
+
+
+def test_decided_pairs_close_to_semi_cartan_graphs():
+    """The main theorem on seeded pairs: a Cartan graph that closes within
+    the cutoffs satisfies CG1, CG2 and the generalized Cartan conditions,
+    and reflecting any vertex twice at one slot returns its iso class.
+    The double reflection runs on a cache of its own, so it recomputes the
+    duals and ad towers that built the graph."""
+    rng = random.Random(33)
+    decided = twisted_decided = 0
+    for case, s, P in _theorem_cases(rng):
+        try:
+            graph = build_cartan_graph(P, pairs=PairCache(6, 7),
+                                       vertex_bound=64)
+        except (UndecidedAtCutoff, ResourceBoundError):
+            continue
+        report = check_axioms(graph)
+        assert report.ok, (case, report.summary())
+        pairs = PairCache(6, 7)
+        for v in graph.vertices:
+            for i in range(graph.theta):
+                back = reflect(reflect(v.tuple_, i, pairs), i, pairs)
+                assert _iso_keys(back) == _iso_keys(v.tuple_), (case, v.vid, i)
+        decided += 1
+        twisted_decided += s != 0
+    assert decided >= 8 and twisted_decided >= 3, (decided, twisted_decided)

@@ -388,6 +388,23 @@ def _builder_rejects_as_reference(group, phi, degrees, given, case) -> bool:
     return False
 
 
+def test_builder_rejects_a_float_action():
+    # The walk multiplies floats through and the law holds; the module they
+    # would build is refused before any iso key reads a float's numerator.
+    group = make_abelian_group([2])
+    with pytest.raises(ValidationError, match=r"^action of 1: entry 0 is "
+                       r"-1\.0, not an int, a Fraction or a CycScalar$"):
+        module_from_generator_actions(group, Cocycle3.trivial(group), 1,
+                                      {1: [[-1.0]]})
+
+
+def test_module_rejects_a_bool_entry():
+    group = make_abelian_group([2])
+    with pytest.raises(ValidationError, match="^action of 0: entry 0 is True, "
+                       "not an int, a Fraction or a CycScalar$"):
+        YDModule(group, Cocycle3.trivial(group), [1], {0: [[True]], 1: [[-1]]})
+
+
 def test_builder_checks_a_matrix_given_for_the_identity():
     group = make_abelian_group([2])
     phi = Cocycle3.trivial(group)
