@@ -2,8 +2,11 @@
 
 Session files are JSON with a group stanza, a cocycle stanza, named module
 stanzas (explicit or presets) and named tuples; see README for the schema.
-All validations run before any computation.  Output is deterministic: fixed
-iteration orders, no timestamps.
+Session(data) checks each stanza in the order `validate` reports it:
+cutoffs, group, cocycle and pentagon, then modules by name (a preset as it
+is built, an explicit one by yd_axiom_check), then tuples.  The first
+failure ends the load.  Output is deterministic: fixed iteration orders,
+no timestamps.
 
 Exit codes (2 to 5 are the `code` attributes of the types in errors.py):
   0  success
@@ -30,8 +33,8 @@ import sys
 from .cyclo import parse_scalar
 from .errors import (ResourceBoundError, UndecidedAtCutoff, ValidationError,
                      YDWeylError)
-from .groupdata import (Cocycle3, Group, Report, check_3cocycle,
-                        group_from_cayley, make_abelian_group, sign_cocycle)
+from .groupdata import (Cocycle3, Group, check_3cocycle, group_from_cayley,
+                        make_abelian_group, sign_cocycle)
 from .nichols import nichols_truncate
 from .reflect import (DEFAULT_AD_CUTOFF, DEFAULT_TRUNCATION_DEGREE,
                       PairCache, ad_power_module, cartan_matrix, reflect)
@@ -85,10 +88,11 @@ class Session:
             self.cutoffs[key] = value
         self.group = self._load_group(data)
         self.cocycle = self._load_cocycle(data)
+        self.report = self._cocycle_lines()
         self.modules: dict[str, YDModule] = {}
-        self.presets: set[str] = set()
         for name, stanza in sorted(_object(data, "modules").items()):
-            self.modules[name] = self._load_module(name, stanza)
+            mod = self.modules[name] = self._load_module(name, stanza)
+            self.report.append(f"module {name}: dim {mod.dim}: pass")
         self.tuples: dict[str, ModuleTuple] = {}
         for name, entries in sorted(_object(data, "tuples").items()):
             if (not isinstance(entries, list)
@@ -101,8 +105,6 @@ class Session:
                 raise SessionError(f"tuple {name!r} references unknown module "
                                    f"{exc.args[0]!r}", EXIT_PARSE)
             self.tuples[name] = ModuleTuple(mods)
-        # The lines of validate_all, set by load_session.
-        self.report: list[str] = []
 
     def _load_group(self, data) -> Group:
         stanza = data.get("group")
@@ -150,7 +152,6 @@ class Session:
                 preset = stanza["preset"]
                 if preset not in PRESET_NAMES:
                     raise SessionError(f"unknown preset {preset!r}", EXIT_PARSE)
-                self.presets.add(name)
                 return preset_module(preset, self.group, self.cocycle, name)
             degrees = stanza["degrees"]
             if not isinstance(stanza["action"], dict):
@@ -170,14 +171,18 @@ class Session:
                     raise ValueError(f"action of {g} must be a "
                                      f"{len(degrees)}x{len(degrees)} matrix")
                 action[int(g)] = [[_scalar(x) for x in row] for row in mat]
-            return YDModule(self.group, self.cocycle, degrees, action, name=name)
+            mod = YDModule(self.group, self.cocycle, degrees, action, name=name)
         except ValidationError as exc:
-            if name in self.presets:    # validated as built: the pentagon first
-                self._cocycle_lines()
             raise SessionError(f"module {name!r}: {exc}", EXIT_VALIDATION)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise SessionError(f"malformed module stanza {name!r}: {exc}",
                                EXIT_PARSE)
+        rep = yd_axiom_check(mod)
+        if not rep.ok:
+            raise SessionError("\n".join(self.report + [
+                f"module {name}: dim {mod.dim}: {rep.summary()}"]),
+                EXIT_VALIDATION)
+        return mod
 
     def pairs(self) -> PairCache:
         """Pair classes' ad towers under the session's two bounds."""
@@ -198,19 +203,6 @@ class Session:
                  f"cocycle: pentagon over {n4} quadruples: {crep.summary()}"]
         if not crep.ok:
             raise SessionError("\n".join(lines), EXIT_VALIDATION)
-        return lines
-
-    def validate_all(self) -> list[str]:
-        """Check the cocycle and the explicit modules; return the report.
-
-        Every group is valid once built, and so is every preset module."""
-        lines = self._cocycle_lines()
-        for name, mod in sorted(self.modules.items()):
-            mrep = (Report(True) if name in self.presets
-                    else yd_axiom_check(mod))
-            lines.append(f"module {name}: dim {mod.dim}: {mrep.summary()}")
-            if not mrep.ok:
-                raise SessionError("\n".join(lines), EXIT_VALIDATION)
         return lines
 
 
@@ -268,9 +260,7 @@ def load_session(path: str) -> Session:
         raise SessionError(f"cannot read session file: {exc}", EXIT_PARSE)
     except json.JSONDecodeError as exc:
         raise SessionError(f"session file is not valid JSON: {exc}", EXIT_PARSE)
-    session = Session(data)
-    session.report = session.validate_all()
-    return session
+    return Session(data)
 
 
 # ---------------------------------------------------------------------------

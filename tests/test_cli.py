@@ -293,23 +293,76 @@ def test_exit_code_validation_failure(capsys, tmp_path):
     assert code == 3 and "pentagon" in err
 
 
-def test_preset_on_a_failing_cocycle_reports_the_pentagon(capsys, tmp_path):
-    # Presets are validated as they are built, before the cocycle's line is
-    # written: with Phi(g3, g3, g1) negated, W1's composition law fails too,
-    # but the pentagon is what validate reports, as with no module at all.
+def _failing_pentagon_table():
+    """z2cubed's sign cocycle with Phi(g3, g3, g1) negated."""
     group = groupdata.make_abelian_group([2, 2, 2])
     flat = [str(v) for v in groupdata.sign_cocycle(group)._table]
     g1, g3 = group.element_index((1, 0, 0)), group.element_index((0, 0, 1))
     flat[(g3 * 8 + g3) * 8 + g1] = str(-int(flat[(g3 * 8 + g3) * 8 + g1]))
+    return {"table": flat}
+
+
+def test_preset_on_a_failing_cocycle_reports_the_pentagon(capsys, tmp_path):
+    # The cocycle is checked before any module is built: with Phi(g3, g3, g1)
+    # negated, W1's composition law fails too, and M's action is not an
+    # object (exit 2 on its own), but the pentagon is what validate reports,
+    # as with no module at all.
     results = []
-    for modules in ({}, {"W1": {"preset": "W1"}}):
-        path = tmp_path / f"session{len(modules)}.json"
-        path.write_text(json.dumps(_edited(cocycle={"table": flat},
+    for modules in ({}, {"W1": {"preset": "W1"}},
+                    {"M": {"degrees": [1], "action": [[["1"]]]}}):
+        path = tmp_path / f"session{len(results)}.json"
+        path.write_text(json.dumps(_edited(cocycle=_failing_pentagon_table(),
                                            modules=modules, tuples={})))
         results.append(run(capsys, "--session", str(path), "validate"))
     code, out, err = results[0]
     assert (code, out) == (3, "") and "pentagon fails at quadruple" in err
-    assert results[1] == results[0]
+    assert results[1] == results[2] == results[0]
+
+
+def test_a_failing_module_is_reported_before_the_tuples(capsys, tmp_path):
+    # g1 negates M and every other element fixes it, g1g2 included, so the
+    # composition law fails.  T names an unknown module (exit 2 on its own),
+    # but modules come first, and the preset A, sorted before M, passes.
+    action = {str(g): [["1"]] for g in range(8)}
+    action["4"] = [["-1"]]
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(_edited(
+        modules={"A": {"preset": "W1"}, "M": {"degrees": [0], "action": action}},
+        tuples={"T": ["M", "nope"]})))
+    code, out, err = run(capsys, "--session", str(path), "validate")
+    assert (code, out) == (3, "")
+    assert err.startswith("group: order 8: pass\n"
+                          "cocycle: pentagon over 4096 quadruples: pass\n"
+                          "module A: dim 2: pass\n"
+                          "module M: dim 1: FAIL: twisted composition fails at ")
+    assert err.count("\n") == 4
+
+
+def test_a_session_is_checked_as_it_is_built():
+    with pytest.raises(cli.SessionError) as info:
+        cli.Session(_edited(cocycle=_failing_pentagon_table(), modules={},
+                            tuples={}))
+    assert info.value.code == 3
+    assert str(info.value).startswith("group: order 8: pass\ncocycle: pentagon "
+                                      "over 4096 quadruples: FAIL: pentagon "
+                                      "fails at quadruple ")
+
+
+@pytest.mark.parametrize("name", ["z2cubed.json", "z2z2z4.json",
+                                  "z3twisted.json"])
+def test_the_pentagon_is_walked_by_check_3cocycle(monkeypatch, name):
+    # The pentagon is walked before any module is built, presets included,
+    # so the tracer's groupdata.check_3cocycle.s holds its time.
+    cocycles = []
+
+    def check(phi):
+        assert phi._pentagon is None
+        cocycles.append(phi)
+        return groupdata.check_3cocycle(phi)
+
+    monkeypatch.setattr(cli, "check_3cocycle", check)
+    cli.load_session(os.path.join(os.path.dirname(SESSION), name))
+    assert len(cocycles) == 1
 
 
 def _z3_table(value):

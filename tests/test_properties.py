@@ -19,18 +19,24 @@ on one side.
 Pairs of both kinds also check the paper's main theorem directly: a
 Cartan graph that closes within the cutoffs is a semi-Cartan graph, and
 reflecting twice at one slot returns the tuple's iso class.
+
+Every command, run through cli.main on seeded sessions of rank 1 to 3,
+ends in a documented exit code.
 """
 
+import json
 import random
+import time
 from math import gcd
 
 import pytest
 
 from oracles import lift_session
-from ydweyl.cli import Session
+from ydweyl.cli import Session, main
 from ydweyl.cyclo import root_of_unity
-from ydweyl.errors import ResourceBoundError, UndecidedAtCutoff, YDWeylError
-from ydweyl.groupdata import Cocycle3, make_abelian_group
+from ydweyl.errors import (ResourceBoundError, UndecidedAtCutoff,
+                           ValidationError, YDWeylError)
+from ydweyl.groupdata import Cocycle3, make_abelian_group, sign_cocycle
 from ydweyl.nichols import nichols_truncate
 from ydweyl.reflect import PairCache, cartan_matrix, reflect
 from ydweyl.weylgraph import (build_cartan_graph, check_axioms,
@@ -234,3 +240,94 @@ def test_decided_pairs_close_to_semi_cartan_graphs():
         decided += 1
         twisted_decided += s != 0
     assert decided >= 8 and twisted_decided >= 3, (decided, twisted_decided)
+
+
+def _stanza(mod):
+    """A module as a session's explicit module stanza."""
+    return {"degrees": list(mod.degrees),
+            "action": {str(g): [[str(x) for x in row]
+                                for row in mod.act_matrix(g)]
+                       for g in mod.group.elements()}}
+
+
+def _signed_permutation(rng):
+    """A random 2x2 signed permutation matrix."""
+    a, b = rng.choice((1, -1)), rng.choice((1, -1))
+    return rng.choice(([[a, 0], [0, b]], [[0, a], [b, 0]]))
+
+
+def _signed_modules(rng, group, rank):
+    """rank 2-dimensional modules over group with the sign cocycle, each
+    generator acting by a random signed permutation; draws that fail the
+    twisted composition law are dropped."""
+    phi = sign_cocycle(group)
+    gens = [group.element_index(u) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    mods = []
+    while len(mods) < rank:
+        try:
+            mods.append(module_from_generator_actions(
+                group, phi, rng.randrange(group.order),
+                {g: _signed_permutation(rng) for g in gens}))
+        except ValidationError:
+            pass
+    return mods
+
+
+def _exit_code_sessions(rng, cutoffs):
+    """Seeded session data with a tuple T of modules X1.. of each rank 1-3,
+    and a description, for each of three kinds: lines over Z_a x Z_b with
+    the trivial cocycle, _twisted_pair's lines over Z_n with Phi_s, and
+    signed-permutation modules over Z2^3 or Z2 x Z2 x Z4 with sign3."""
+    for rank in (1, 2, 3):
+        names = [f"X{k + 1}" for k in range(rank)]
+        a, b = rng.randint(2, 4), rng.randint(2, 4)
+        group = make_abelian_group([a, b])
+        lines = [_line(group, Cocycle3.trivial(group),
+                       rng.randrange(a * b),
+                       [rng.randrange(a), rng.randrange(b)], None)
+                 for _ in names]
+        yield (("Z_a x Z_b", a, b, rank), {
+            "group": {"abelian": [a, b]}, "cocycle": {"trivial": True},
+            "modules": dict(zip(names, map(_stanza, lines))),
+            "tuples": {"T": names}, "cutoffs": cutoffs})
+        n = rng.randint(2, 5)
+        s = rng.randrange(n)
+        twisted = [(rng.randrange(n), rng.randrange(n)) for _ in names]
+        data = _twisted_pair(n, s, twisted, cutoffs)
+        data["tuples"] = {"T": names}
+        yield ("Z_n, Phi_s", n, s, twisted), data
+        orders = rng.choice(([2, 2, 2], [2, 2, 4]))
+        mods = _signed_modules(rng, make_abelian_group(orders), rank)
+        yield (("sign3", orders, rank), {
+            "group": {"abelian": orders}, "cocycle": {"sign3": True},
+            "modules": dict(zip(names, map(_stanza, mods))),
+            "tuples": {"T": names}, "cutoffs": cutoffs})
+
+
+def test_every_command_ends_in_a_documented_exit_code(tmp_path, capsys):
+    """Each command on each seeded session exits 0, 3, 4 or 5 (no usage
+    error can occur), never through cli.main's internal-error line, and
+    within a second of CPU time (the slowest run takes about 0.1 s)."""
+    rng = random.Random(34)
+    cutoffs = {"max_degree": 4, "ad_cutoff": 3, "vertex_bound": 16,
+               "root_bound": 10}
+    commands = [["validate"], ["nichols", "T", "--max-degree", "3"],
+                ["cartan", "T"], ["reflect", "T", "1"], ["graph", "T"],
+                ["roots", "T"], ["certify", "T"], ["ad", "T", "1", "2"]]
+    path = tmp_path / "session.json"
+    seen = set()
+    for _ in range(2):
+        for case, data in _exit_code_sessions(rng, cutoffs):
+            path.write_text(json.dumps(data))
+            # ad, last, needs two slots.
+            rank = len(data["tuples"]["T"])
+            for argv in commands if rank > 1 else commands[:-1]:
+                start = time.process_time()
+                code = main(["--session", str(path)] + argv)
+                elapsed = time.process_time() - start
+                err = capsys.readouterr().err
+                assert code in (0, 3, 4, 5), (case, argv, code, err)
+                assert "internal error" not in err, (case, argv, err)
+                assert elapsed < 1.0, (case, argv, elapsed)
+                seen.add(code)
+    assert {0, 4} <= seen
