@@ -125,7 +125,8 @@ class CycScalar:
     denominator, with gcd(den, *num) = 1; ``coeffs`` reads them as
     Fractions.  A rational value is never a CycScalar: it is an int, or a
     Fraction when not whole, and ``CycScalar(N, coeffs)`` returns one when
-    the coefficients give a rational.  The operators take an int or
+    the coefficients give a rational, so a CycScalar is never zero (bar
+    as_cyc's cells, which rref unwraps).  The operators take an int or
     Fraction operand directly.  Instances are immutable; all operations
     return new values.  Mixed conductors are promoted to the lcm.  Not
     hashable: equality crosses conductors, so use ``scalar_key(x)`` as a
@@ -169,8 +170,6 @@ class CycScalar:
         if m % n != 0:
             raise ValueError(f"cannot promote conductor {n} to {m}")
         _check_conductor(m)
-        if n == 1:
-            return self  # as_cyc's rational cells stay at conductor 1
         step = m // n
         c = [0] * (len(self.num) * step)
         c[::step] = self.num
@@ -273,8 +272,6 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
-        if self.is_zero():
-            raise CycloDivisionError("inverse of zero in a cyclotomic field")
         # Extended Euclid on integer polynomials.  Each pair (r, s) keeps
         # r = s*A mod Phi_N for the numerator polynomial A; after each
         # division it is divided by its content, signed so that r's leading
@@ -315,9 +312,6 @@ class CycScalar:
         if isinstance(other, (int, Fraction)):
             return self.num == (other.numerator,) and self.den == other.denominator
         return NotImplemented
-
-    def __bool__(self):
-        return self.num != (0,)
 
     # ---- text ----------------------------------------------------------
 
@@ -447,8 +441,6 @@ def scalar_to_str(x) -> str:
             body = z if abs(c) == 1 else f"{abs(c)}*{z}"
         sign = "-" if c < 0 else "+"
         parts.append((sign, body))
-    if not parts:
-        return "0"
     first_sign, first_body = parts[0]
     out = ("-" if first_sign == "-" else "") + first_body
     for sign, body in parts[1:]:
@@ -519,8 +511,7 @@ def rref(rows: Matrix) -> tuple[list[dict], list[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    # Testing identity first skips a dense row's shared zero without a call.
-    mat = [{c: _plain(x) for c, x in enumerate(r) if x is not _ZERO_CELL and x}
+    mat = [{c: _plain(x) for c, x in enumerate(r) if x is not _ZERO_CELL}
            for r in rows]
     pivots: list[int] = []
     r = 0

@@ -180,7 +180,7 @@ class Cocycle3:
 
     Construction validates normalization and nonvanishing only; the pentagon
     identity is the job of check_3cocycle (kept separate so that a corrupted
-    table can be built for negative tests).
+    table can be built for negative tests), and every YD module needs it.
     """
 
     def __init__(self, group: Group, table):

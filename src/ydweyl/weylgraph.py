@@ -206,9 +206,9 @@ def real_roots(graph: SemiCartanGraph,
 
 
 class FinitenessResult:
-    def __init__(self, status: str, bound: int, roots: dict):
+    def __init__(self, status: str, roots: dict):
         # "finite" | "not-finite-within-bound"; vid -> real roots if finite
-        self.status, self.bound, self.roots = status, bound, roots
+        self.status, self.roots = status, roots
 
     def is_finite(self) -> bool:
         return self.status == "finite"
@@ -219,7 +219,7 @@ def is_finite(graph: SemiCartanGraph,
     """Tri-state finiteness: never reports 'finite' from a truncated closure."""
     roots, truncated = real_roots(graph, bound)
     status = "not-finite-within-bound" if truncated else "finite"
-    return FinitenessResult(status, bound, roots)
+    return FinitenessResult(status, roots)
 
 
 def is_standard(graph: SemiCartanGraph) -> bool:
@@ -335,23 +335,20 @@ def finite_cartan_type(A: list) -> CartanTypeResult:
 
 class Certificate:
     def __init__(self, verdict: str, standard: bool, cartan: list,
-                 cartan_type: CartanTypeResult | None, vertex_count: int,
-                 axioms: Report):
+                 cartan_type: CartanTypeResult, vertex_count: int):
         # "infinite-dimensional" | "no conclusion from this criterion"
         self.verdict = verdict
         self.standard, self.cartan, self.cartan_type = standard, cartan, cartan_type
-        self.vertex_count, self.axioms = vertex_count, axioms
+        self.vertex_count = vertex_count
 
     def lines(self) -> list:
         out = [f"verdict: {self.verdict}",
-               f"semi-Cartan graph: {self.vertex_count} vertices, axioms "
-               f"{'pass' if self.axioms.ok else 'FAIL'}",
+               f"semi-Cartan graph: {self.vertex_count} vertices, axioms pass",
                f"standard: {'yes' if self.standard else 'no'}",
                "Cartan matrix at the start vertex:"]
         for row in self.cartan:
             out.append("  [" + ", ".join(f"{x:>2}" for x in row) + "]")
-        if self.cartan_type is not None:
-            out.append(f"Cartan type: {self.cartan_type.describe()}")
+        out.append(f"Cartan type: {self.cartan_type.describe()}")
         return out
 
 
@@ -375,7 +372,7 @@ def infinite_dim_certificate(M: ModuleTuple, *,
         verdict = "infinite-dimensional"
     else:
         verdict = "no conclusion from this criterion"
-    return Certificate(verdict, standard, A, ctype, graph.vertex_count(), axioms)
+    return Certificate(verdict, standard, A, ctype, graph.vertex_count())
 
 
 def to_dot(graph: SemiCartanGraph) -> str:

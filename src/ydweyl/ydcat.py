@@ -14,7 +14,8 @@ Action matrices use the column convention: (g |> v_j) = sum_i A[g][i][j] v_i.
 Modules are immutable in spirit: nothing mutates them after construction, so
 they can be shared freely.  Every module the engine computes (presets, duals,
 ad levels) comes from one walk that extends generator matrices by the twisted
-composition law and checks that law at every other pair it meets.
+composition law and checks that law at every other pair it meets; Phi must
+pass its pentagon (Cocycle3.pentagon), or the walk raises ValidationError.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .errors import ResourceBoundError, ValidationError
 from .groupdata import Cocycle3, Group, Report
 
 # Largest module dimension accepted.  yd_axiom_check does one cubic matrix
-# product per (e, f) in S x G, S a generating set of G, once Phi's pentagon
-# holds (G x G otherwise): `validate` of one 32-dim module with identity
-# actions (trivial cocycle) takes 0.25-0.37 s over Z2^3 and 0.7-1.1 s over
-# Z2^5 on a 2-core VM, and as long with one entry corrupted.
+# product per (e, f) in S x G, S a generating set of G: `validate` of one
+# 32-dim module with identity actions (trivial cocycle) takes 0.25-0.37 s
+# over Z2^3 and 0.7-1.1 s over Z2^5 on a 2-core VM, and as long with one
+# entry corrupted.
 MAX_MODULE_DIM = 32
 
 
@@ -81,18 +82,16 @@ class YDModule:
 def yd_axiom_check(V: YDModule) -> Report:
     """Whether the three YD axioms hold over G x G x basis.
 
-    The unit and degree laws are checked on every g, the composition law
-    for e in a generating set S of G once Phi's pentagon holds
-    (Cocycle3.pentagon) and for every e otherwise.  That suffices: by
-    induction on e = s e' (s in S), the law at (e, f) follows from the laws
-    at (s, e'f), (e', f) and (s, e') on f |> v, which has degree f |> g by
-    the degree law, and from omega_g(s, e'f) omega_g(e', f) =
-    omega_g(se', f) omega_{f|>g}(s, e'), which the pentagon implies.
+    Phi's pentagon (Cocycle3.pentagon) is a precondition: _yd_walk raises
+    ValidationError without it.  The unit and degree laws are checked on
+    every g, the composition law for e in a generating set S of G.  That
+    suffices: by induction on e = s e' (s in S), the law at (e, f) follows
+    from the laws at (s, e'f), (e', f) and (s, e') on f |> v, which has
+    degree f |> g by the degree law, and from omega_g(s, e'f) omega_g(e', f)
+    = omega_g(se', f) omega_{f|>g}(s, e'), which the pentagon implies.
     """
-    G = V.group
-    firsts = _generators(G) if V.cocycle.pentagon().ok else G.elements()
-    return _yd_walk(G, V.cocycle, V.degrees,
-                    {e: V.action[e] for e in firsts}, V.action)
+    return _yd_walk(V.group, V.cocycle, V.degrees,
+                    {e: V.action[e] for e in _generators(V.group)}, V.action)
 
 
 def _generators(G: Group) -> list:
@@ -122,7 +121,10 @@ def _yd_walk(G: Group, phi: Cocycle3, degrees, firsts: dict,
     order P = A_e A_f, and an ef not yet in known gets A_ef[:, k] =
     omega_{deg k}(e, f)^-1 P[:, k]; any other ef is checked against P, and
     the first failure kept.  Never stopping early, known ends with every
-    element that firsts reach."""
+    element that firsts reach.  A Phi that fails its pentagon (memoized on
+    Phi) raises ValidationError naming the first failing quadruple."""
+    if not phi.pentagon():
+        raise ValidationError("not a 3-cocycle: " + phi.pentagon().summary())
     dim, failure, order = len(degrees), None, [G.identity]
     for f in order:
         for e in sorted(firsts):
@@ -164,9 +166,9 @@ def module_from_generator_actions(group: Group, cocycle: Cocycle3, degrees,
     degrees gives each basis vector's degree, or one int for a module
     whose basis vectors share it (the simple presets).  One _yd_walk from
     A_1 = I defines each product's action and checks the law at every other
-    pair, a matrix given for 1 included.  Once Phi's pentagon holds that
-    decides the axioms (see yd_axiom_check); otherwise the result is
-    checked over all of G.  Violations raise ValidationError."""
+    pair, a matrix given for 1 included.  Phi's pentagon is a precondition,
+    and with it that decides the axioms (see yd_axiom_check).  Violations,
+    and a Phi whose pentagon fails, raise ValidationError."""
     if isinstance(degrees, int):
         degrees = [degrees] * len(next(iter(generator_actions.values())))
     known: dict = {group.identity: identity_matrix(len(degrees))}
@@ -175,8 +177,6 @@ def module_from_generator_actions(group: Group, cocycle: Cocycle3, degrees,
     if len(known) != group.order:
         raise ValidationError("generator set does not generate the group")
     V = YDModule(group, cocycle, degrees, known, name=name)
-    if report and not cocycle.pentagon():
-        report = yd_axiom_check(V)
     if not report:
         raise ValidationError(
             f"generator actions are inconsistent: {report.summary()}")

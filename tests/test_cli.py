@@ -548,6 +548,42 @@ def test_malformed_input_exit_codes(capsys, tmp_path, data, argv, code, prefix):
     assert err.startswith(prefix)
 
 
+# A loop of order 5 with identity 0: a Latin square, not a group.
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+          [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("data, argv, code, err", [
+    (_edited(), ["nichols", "X"], 2, "unknown module or tuple 'X'\n"),
+    (None, ["validate"], 2, "cannot read session file: [Errno 2] No such "
+     "file or directory: '{path}'\n"),
+    (_edited(), ["ad", "W", "1", "1"], 2,
+     "ad needs distinct 1-based slot indices\n"),
+    (_edited(), ["ad", "W", "1", "4"], 2,
+     "ad needs distinct 1-based slot indices\n"),
+    (_edited(), ["reflect", "W", "0"], 2,
+     "reflect needs a 1-based slot index\n"),
+    (_edited(), ["nichols", "W1", "--max-degree", "abc"], 2,
+     "usage: ydweyl nichols [-h] [--max-degree MAX_DEGREE] [--json] name\n"
+     "ydweyl nichols: error: argument --max-degree: not an integer: 'abc'\n"),
+    (_group({"cayley": [[1, 0], [0, 1]]}), ["validate"], 3,
+     "invalid Cayley table: FAIL: identity law fails at element 0; "
+     "identity law fails at element 1\n"),
+    (_group({"cayley": _LOOP5}), ["validate"], 3,
+     "invalid Cayley table: FAIL: associativity fails at (1,1,2)\n"),
+])
+def test_rare_input_faults_exit_exactly(capsys, tmp_path, data, argv, code,
+                                        err):
+    # Faults no other test reaches: each ends in its exit code with exactly
+    # this stderr and nothing on stdout.  No session file is written for
+    # data None.
+    path = tmp_path / "session.json"
+    if data is not None:
+        path.write_text(json.dumps(data))
+    assert run(capsys, "--session", str(path), *argv) == (
+        code, "", err.format(path=path))
+
+
 @pytest.mark.parametrize("module, cap, argv, message", [
     (nichols, "MAX_BLOCK_CANDIDATES", ["nichols", "W", "--max-degree", "5"],
      "multidegree (1, 2, 2) has 164 candidate words, exceeding the largest "

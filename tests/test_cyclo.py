@@ -356,6 +356,64 @@ def test_as_cyc_cells():
     assert [type(x) for x in reduced[0].values()] == [int, Fraction, Fraction]
 
 
+def _random_literal(rng):
+    """A parse_scalar literal: rationals and c*zeta(n)^k terms, some of
+    them cancelling (zeta(4)^2 + 1, zeta(3) + zeta(3)^2 + 1)."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        n, k = rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12)), rng.randint(-3, 12)
+        coef = rng.choice(("", "2*", "1/2*", "3/4*"))
+        terms.append(rng.choice((f"{coef}zeta({n})^{k}", f"zeta({n})",
+                                 str(rng.randint(0, 3)), "1/3")))
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice((" + ", " - ")) + term
+    return text
+
+
+def test_every_result_is_an_int_a_fraction_or_irrational():
+    # The invariant CycScalar's methods rely on: no operation returns a
+    # zero or rational CycScalar, so a CycScalar never needs a zero test.
+    # as_cyc's cells, rref's input, are the one exception
+    # (test_as_cyc_cells); rref unwraps them before any arithmetic.
+    rng = random.Random(35)
+    pool = [0, 1, -1, Fraction(1, 2), root_of_unity(4, 1),
+            root_of_unity(9, 2), parse_scalar("zeta(8) + 1/2")]
+
+    def fresh():
+        if rng.random() < 0.5:
+            n = rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15))
+            return root_of_unity(n, rng.randrange(-n, 2 * n))
+        return parse_scalar(_random_literal(rng))
+
+    for _ in range(3000):
+        x, y = rng.choice(pool), rng.choice(pool)
+        op = rng.randrange(10)
+        if op == 0:
+            out = [x + y, y + x, x + 1, Fraction(1, 3) + x]
+        elif op == 1:
+            out = [x - y, x - x, (x + y) - y, 2 - x]
+        elif op == 2:
+            out = [x * y, x * 0, x * Fraction(-2, 3), -x]
+        elif op == 3:
+            out = [] if x == 0 else [inv(x), x * inv(x)]
+            if isinstance(x, CycScalar):
+                out.append(x ** -1)
+        elif op == 4:
+            k = rng.randint(-3 if x != 0 else 0, 4)
+            out = [x ** k] if isinstance(x, CycScalar) else []
+        elif op == 5 and isinstance(x, CycScalar):
+            up = x.promote(x.conductor * rng.choice((1, 2, 3, 4)))
+            out = [up - x, up, up * y]
+        else:
+            out = [fresh()]
+        for z in out:
+            _assert_normal_form(z)
+        pool[rng.randrange(len(pool))] = out[0] if out else fresh()
+        if rng.random() < 0.2:  # keep coefficients small
+            pool[rng.randrange(len(pool))] = fresh()
+
+
 def _random_entry(rng, conductors):
     n = rng.choice(conductors)
     x = (Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -398,6 +398,14 @@ def test_builder_rejects_a_float_action():
                                       {1: [[-1.0]]})
 
 
+def test_builder_rejects_a_set_that_does_not_generate(z2cubed):
+    group, phi = z2cubed
+    g1 = group.element_index((1, 0, 0))
+    with pytest.raises(ValidationError,
+                       match="^generator set does not generate the group$"):
+        module_from_generator_actions(group, phi, 0, {g1: [[1]]})
+
+
 def test_module_rejects_a_bool_entry():
     group = make_abelian_group([2])
     with pytest.raises(ValidationError, match="^action of 0: entry 0 is True, "
@@ -416,12 +424,12 @@ def test_builder_checks_a_matrix_given_for_the_identity():
     assert V.action == {0: ((1,),), 1: ((-1,),)}
 
 
-def test_builder_checks_every_pair_when_the_pentagon_fails(z2cubed,
-                                                           w_presets):
+def test_module_layer_rejects_a_cocycle_failing_the_pentagon(z2cubed,
+                                                             w_presets):
     # Phi(g3, g2 g3, g2) negated breaks the pentagon, and with it the
-    # induction from generators: W3's generator matrices pass the walk on
-    # generators, yet the law fails at another pair.  The builder then
-    # checks all of G, and raises exactly when the reference walk does.
+    # induction from generators that yd_axiom_check and the builder rely
+    # on: checking, building and dualizing a module over it all raise,
+    # naming the first failing quadruple.
     group, phi = z2cubed
     g2 = group.element_index((0, 1, 0))
     g3 = group.element_index((0, 0, 1))
@@ -430,12 +438,17 @@ def test_builder_checks_every_pair_when_the_pentagon_fails(z2cubed,
     flat[at] = -flat[at]
     broken = Cocycle3(group, flat)
     assert not broken.pentagon().ok
-    gens = _generators(group)
-    w3 = {g: w_presets[3].action[g] for g in gens}
-    assert ydcat._yd_walk(group, broken, w_presets[3].degrees, w3,
-                          {group.identity: identity_matrix(2)}).ok
-    rejected = [k for k, V in w_presets.items()
-                if _builder_rejects_as_reference(
-                    group, broken, V.degrees,
-                    {g: V.action[g] for g in gens}, k)]
-    assert 3 in rejected
+    text = "not a 3-cocycle: " + broken.pentagon().summary()
+    assert text.startswith("not a 3-cocycle: FAIL: pentagon fails at "
+                           "quadruple (")
+    message = re.escape(text)
+    w3 = w_presets[3]
+    over_broken = YDModule(group, broken, w3.degrees, w3.action, name="W3")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        yd_axiom_check(over_broken)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        module_from_generator_actions(
+            group, broken, w3.degrees,
+            {g: w3.action[g] for g in _generators(group)})
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dual(over_broken)
